@@ -131,8 +131,9 @@ def peak_ratio_at(query: BoundQuery, B: float) -> float | None:
     of ``R_hat`` into ``[0, 1 - I]``; substituting gives a convex function
     of I alone, minimized at ``I_hat``.  The supremum is the largest
     ``I in [I_hat, 1]`` keeping that function below ``alpha``, found by
-    bisection to ``BISECTION_TOL``; returns ``None`` when even the minimum
-    exceeds ``alpha``.
+    bisection to ``BISECTION_TOL``.  The upper end of the final bracket is
+    returned, so the ratio never understates the supremum (``g >= alpha``
+    there).  Returns ``None`` when even the minimum exceeds ``alpha``.
     """
     eq = endemic_state(float(B), query.params)
     I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
@@ -159,7 +160,7 @@ def peak_ratio_at(query: BoundQuery, B: float) -> float | None:
             lo = mid
         else:
             hi = mid
-    return lo / I_star
+    return hi / I_star
 
 
 def peak_bound(query: BoundQuery) -> BoundResult:

@@ -9,12 +9,11 @@ Outputs are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -50,6 +49,18 @@ def _version_string() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return f"epgtool {__version__}"
+
+
+class _VersionAction(argparse.Action):
+    """``--version`` that runs ``git describe`` only when it is asked for."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(option_strings, dest, default=argparse.SUPPRESS,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_version_string())
+        parser.exit()
 
 
 def _load(args):
@@ -143,10 +154,14 @@ def _bound_for(run, alpha: float):
     return peak_bound(query)
 
 
-def _alpha_for(run) -> float:
+def _alpha_for(run, upsilon: float | None = None) -> float:
+    """Storage level: the configured alpha, else the Lyapunov value of the
+    initial state under the mechanism with gain ``upsilon`` (default: the
+    configured gain)."""
     if run.alpha is not None:
         return run.alpha
-    return lyapunov_value(run.initial, run.mech, run.proto)
+    mech = run.mech if upsilon is None else dataclasses.replace(run.mech, upsilon=upsilon)
+    return lyapunov_value(run.initial, mech, run.proto)
 
 
 def cmd_simulate(args) -> int:
@@ -198,16 +213,10 @@ def cmd_bounds(args) -> int:
     )
     out = _outdir(args)
     path = out / "bounds_sweep.csv"
-    B0 = float(np.dot(run.initial.x, run.bundle.strategies.betas))
     rows = []
     details = []
     for ups in upsilons:
-        cfg_alpha = run.alpha
-        alpha = (
-            cfg_alpha
-            if cfg_alpha is not None
-            else 0.5 * ups ** 2 * (B0 - run.alloc.betastar) ** 2
-        )
+        alpha = _alpha_for(run, ups)
         query = BoundQuery(
             alloc=run.alloc,
             params=run.bundle.params,
@@ -264,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and certify epidemic population games "
                     "(rates per day, times in days).",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument(
+        "--version", action=_VersionAction,
+        help="show program's version number and exit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

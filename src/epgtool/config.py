@@ -29,10 +29,12 @@ from .dynamics import EpgState, IntegratorOptions
 from .edm import SmithProtocol
 from .equilibrium import OptimalAllocation, endemic_state, optimal_allocation
 from .params import (
+    AssumptionViolated,
     ModelParams,
     PolicyConfig,
     StrategySpec,
     ValidatedBundle,
+    ValidationError,
     validate,
 )
 from .payoff import PayoffMechanism, build_mechanism
@@ -50,6 +52,73 @@ _DEFAULTS = {
     "initial": {"kind": "endemic", "q": 0.0, "population": None},
     "bounds": {"grid_size": 30, "alpha": None},
 }
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (description, predicate) of the value types a key may hold
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer",
+            lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()))
+_NUMBERS = ("a list of numbers",
+            lambda v: isinstance(v, list) and all(_is_number(e) for e in v))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+
+
+def _or_null(kind):
+    desc, ok = kind
+    return (f"{desc} or null", lambda v: v is None or ok(v))
+
+
+_SCHEMA = {
+    "params": dict.fromkeys(("gamma", "delta", "zeta", "theta", "psi"), _NUMBER),
+    "strategies": {"betas": _NUMBERS, "costs": _NUMBERS},
+    "policy": dict.fromkeys(("cstar", "upsilon", "offsupport_margin"), _NUMBER),
+    "protocol": {"kind": _STRING, "rate_gain": _NUMBER, "cap": _NUMBER},
+    "integrator": {"step": _NUMBER, "horizon": _NUMBER, "output_stride": _INTEGER,
+                   "track_population": _BOOLEAN},
+    "initial": {"kind": _STRING, "x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
+                "q": _NUMBER, "population": _or_null(_NUMBER), "I": _NUMBER,
+                "R": _NUMBER},
+    "bounds": {"grid_size": _INTEGER, "alpha": _or_null(_NUMBER)},
+}
+_REQUIRED = {
+    "params": ("gamma", "delta"),
+    "strategies": ("betas", "costs"),
+    "policy": ("cstar", "upsilon"),
+}
+
+
+def _schema_violations(data: dict) -> list[AssumptionViolated]:
+    """Every unknown key, missing required key and wrongly typed value.
+
+    Named by dotted path; an empty list means the mapping has the shape
+    :func:`resolve` needs.
+    """
+    out = [AssumptionViolated(section, "unknown section")
+           for section in data if section not in _SCHEMA]
+    for section, keys in _SCHEMA.items():
+        node = data.get(section)
+        if not isinstance(node, dict):
+            out.append(AssumptionViolated(section, "must be an object"))
+            continue
+        required = _REQUIRED.get(section, ())
+        if section == "initial" and node.get("kind") == "explicit":
+            required = ("I", "R", "x")
+        for key in required:
+            if node.get(key) is None:
+                out.append(AssumptionViolated(f"{section}.{key}", "is required"))
+        for key, value in node.items():
+            if key not in keys:
+                out.append(AssumptionViolated(f"{section}.{key}", "unknown key"))
+            elif not keys[key][1](value):
+                out.append(AssumptionViolated(
+                    f"{section}.{key}", f"must be {keys[key][0]}, got {value!r}"
+                ))
+    return out
 
 
 @dataclass
@@ -71,11 +140,13 @@ def load_config(path) -> RunConfig:
 
 
 def _from_mapping(raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ValidationError([AssumptionViolated("config", "must be a JSON object")])
     data = copy.deepcopy(raw)
     for section, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        merged.update(data.get(section, {}))
-        data[section] = merged
+        given = data.get(section, {})
+        if isinstance(given, dict):  # anything else is reported by resolve
+            data[section] = {**defaults, **given}
     for section in ("params", "strategies", "policy"):
         if section not in data:
             raise KeyError(f"config is missing the required '{section}' section")
@@ -95,8 +166,12 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         except json.JSONDecodeError:
             value = raw_value
         node = data
-        for key in keys[:-1]:
+        for depth, key in enumerate(keys[:-1], start=1):
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ValueError(
+                    f"override {item!r}: {'.'.join(keys[:depth])} is not a section"
+                )
         node[keys[-1]] = value
     return RunConfig(data=data)
 
@@ -136,9 +211,14 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
     """Validate the configuration and build the runnable objects.
 
     Raises :class:`epgtool.params.ValidationError` with the complete list of
-    violated assumptions when the configuration is invalid.
+    malformed entries (unknown keys, wrong types) when the mapping has the
+    wrong shape, and with the complete list of violated model assumptions
+    when the values are invalid.
     """
     d = cfg.data
+    problems = _schema_violations(d)
+    if problems:
+        raise ValidationError(problems)
     params = ModelParams(**d["params"])
     strategies = StrategySpec(
         betas=tuple(d["strategies"]["betas"]),

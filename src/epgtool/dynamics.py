@@ -6,7 +6,15 @@ normalized SIRS flow (written in deviations from the endemic pair at the
 current average transmission rate ``B``), the mean revision dynamics driven
 by payoffs ``q*betas + r_o``, and the designed feedback for ``q``.
 
-Integration is fixed-step explicit RK4 so reruns are bit-identical.  After
+Integration is fixed-step explicit RK4 so reruns are bit-identical.  The
+vector field is written once, as the source template ``_FIELD``.  For a
+given strategy count ``n`` (and with or without the population column) it
+is expanded into straight-line Python: ``rhs(*y)``, used by
+:func:`state_derivative`, and an RK4 ``step(*y)`` with the four stages, the
+loops over ``n`` and the n x n pairwise flow unrolled.  The code is compiled
+once per shape and run with the model constants and ``proto.phi`` bound as
+globals, which removes the interpreter's call and list overhead but keeps
+every float operation of the loop form, in the same order.  After
 each step the strategy shares are re-projected onto the simplex
 (clip-and-renormalize, rounding noise only) and the infectious fraction is
 floored away from zero; violations beyond ``PROJECTION_TOL`` abort with
@@ -15,6 +23,8 @@ floored away from zero; violations beyond ``PROJECTION_TOL`` abort with
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -97,76 +107,128 @@ class IntegratorOptions:
             raise ValueError("output_stride must be at least 1")
 
 
-def _make_rhs(mech: PayoffMechanism, proto, track_population: bool):
-    """Plain-float vector field for the inner loop.
+# One evaluation of the closed-loop vector field, written once.  ``{i}``
+# suffixes the stage's inputs (I, R, x_k, q, N) and ``{_}`` every value the
+# stage computes; ``{B}``, ``{flow}`` and ``{population}`` are the unrolled
+# rate sum, the payoff/pairwise-flow block and the observational population
+# line (see :func:`_field_template`).  The endemic pair and its
+# B-derivatives use the smaller quadratic root in cancellation-free form on
+# its smooth extension: invalid stage states surface as math-domain errors
+# that :func:`simulate` turns into :class:`StepRejected`.
+_FIELD = """\
+B{_} = {B}
+b{_} = gam * B{_} + w * (B{_} - d) + d * (B{_} - sig)
+sq{_} = sqrt(b{_} * b{_} - 4.0 * d * w * (B{_} - d) * (B{_} - sig))
+I_hat{_} = 2.0 * w * (B{_} - sig) / (b{_} + sq{_})
+R_hat{_} = (1.0 - sig / B{_}) - (1.0 - d / B{_}) * I_hat{_}
+det{_} = -(B{_} - d) * (w - d * I_hat{_}) - B{_} * (gam + d * R_hat{_})
+free{_} = 1.0 - I_hat{_} - R_hat{_}
+dI_dB{_} = -(w - d * I_hat{_}) * free{_} / det{_}
+dR_dB{_} = -(gam + d * R_hat{_}) * free{_} / det{_}
+denom{_} = gam + d * R_hat{_}
+a{_} = B{_} / denom{_}
+da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
+i_dev{_} = I_hat{_} - I{i}
+r_dev{_} = R_hat{_} - R{i}
+dI{_} = (B{_} * r_dev{_} + (B{_} - d) * i_dev{_}) * I{i}
+dR{_} = (w - d * I{i}) * r_dev{_} - (gam + d * R_hat{_}) * i_dev{_}
+{flow}
+dq{_} = (log(I{i} / I_hat{_}) * dI_dB{_} - ups2 * (B{_} - bstar)
+      - 0.5 * (2.0 * a{_} * dR_dB{_} + r_dev{_} * da_dB{_}) * r_dev{_})
+{population}
+"""
 
-    Works on a list ``[I, R, x..., q(, N)]``; avoids numpy per-call overhead,
-    which dominates at 1e5+ steps.  The endemic closed forms are evaluated
-    on their smooth extension (no range checks); invalid stage states
-    surface as math-domain errors that :func:`simulate` converts to
-    :class:`StepRejected`.
+
+def _field_template(n: int, track_population: bool) -> str:
+    """``_FIELD`` with the loops over the ``n`` strategies unrolled.
+
+    Sums start from ``0.0`` and run left to right, with the zero ``i == j``
+    term kept in each ``dx``, so every float operation matches the loop form
+    ``dx[i] = sum_j flow[j][i] - flow[i][j]``.
+    """
+    B = " + ".join(["0.0"] + [f"beta_{k} * x_{k}{{i}}" for k in range(n)])
+    flow = [f"p_{k}{{_}} = q{{i}} * beta_{k} + r_o_{k}" for k in range(n)]
+
+    def f(i: int, j: int) -> str:
+        return "0.0" if i == j else f"f_{i}_{j}{{_}}"
+
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                flow.append(f"g_{i}_{j}{{_}} = p_{j}{{_}} - p_{i}{{_}}")
+                flow.append(
+                    f"{f(i, j)} = x_{i}{{i}} * phi({j}, g_{i}_{j}{{_}}) "
+                    f"if g_{i}_{j}{{_}} > 0.0 else 0.0"
+                )
+    for i in range(n):
+        terms = " + ".join(f"({f(j, i)} - {f(i, j)})" for j in range(n))
+        flow.append(f"dx_{i}{{_}} = 0.0 + {terms}")
+    population = "dN{_} = (g_rate - d * I{i}) * N{i}" if track_population else ""
+    # {i} and {_} stay placeholders; they are filled per stage
+    return _FIELD.format(
+        B=B, flow="\n".join(flow), population=population, i="{i}", _="{_}"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_code(n: int, track_population: bool):
+    """Compile ``rhs(*y) -> tuple`` and the RK4 ``step(*y) -> tuple`` for
+    the packed state ``y = (I, R, x_0..x_{n-1}, q[, N])``.
+
+    ``step`` inlines the four stages of ``_FIELD``; the combination
+    ``y + h/2*k``, ``y + h*k`` and ``y + h/6*(k1 + 2*k2 + 2*k3 + k4)``
+    keeps the order of the classical RK4 loop.  The source is registered
+    with :mod:`linecache` so tracebacks show the generated lines.
+    """
+    template = _field_template(n, track_population)
+    state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
+    deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
+    if track_population:
+        state.append("N")
+        deriv.append("dN")
+
+    def stage(inputs: str, suffix: str) -> list[str]:
+        text = template.format(i=inputs, _=suffix)
+        return [f"    {line}" for line in text.splitlines() if line]
+
+    args = ", ".join(state)
+    lines = [f"def rhs({args}):", *stage("", ""),
+             f"    return ({', '.join(deriv)},)", "",
+             f"def step({args}):", *stage("", "_1")]
+    for k, coef in ((2, "half_h"), (3, "half_h"), (4, "h")):
+        lines += [f"    {y}_{k} = {y} + {coef} * {dy}_{k - 1}"
+                  for y, dy in zip(state, deriv)]
+        lines += stage(f"_{k}", f"_{k}")
+    lines.append("    return (" + ", ".join(
+        f"{y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
+        for y, dy in zip(state, deriv)
+    ) + ",)")
+    source = "\n".join(lines) + "\n"
+    filename = f"<epgtool kernel n={n} population={track_population}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return compile(source, filename, "exec")
+
+
+def _kernel(mech: PayoffMechanism, proto, track_population: bool, h: float = 0.0):
+    """``(rhs, step)`` for ``mech`` and ``proto`` at step size ``h``.
+
+    The model constants and ``proto.phi`` are bound as globals of the
+    generated functions; the rate is always called as ``phi(j, gap)``.
     """
     params = mech.params
-    betas = mech.strategies.betas
-    r_o = mech.r_o
-    n = len(betas)
-    d, w, gam, s = params.delta, params.omega, params.gamma, params.sigma
-    g_rate = params.g
-    ups2 = mech.upsilon ** 2
-    bstar = mech.alloc.betastar
-    phi = proto.phi
-
-    def rhs(y: list[float]) -> list[float]:
-        I, R, q = y[0], y[1], y[2 + n]
-        B = 0.0
-        for k in range(n):
-            B += betas[k] * y[2 + k]
-        # endemic pair and derivatives at B (smaller quadratic root,
-        # cancellation-free form)
-        b = gam * B + w * (B - d) + d * (B - s)
-        sq = math.sqrt(b * b - 4.0 * d * w * (B - d) * (B - s))
-        I_hat = 2.0 * w * (B - s) / (b + sq)
-        R_hat = (1.0 - s / B) - (1.0 - d / B) * I_hat
-        det = -(B - d) * (w - d * I_hat) - B * (gam + d * R_hat)
-        free = 1.0 - I_hat - R_hat
-        dI_dB = -(w - d * I_hat) * free / det
-        dR_dB = -(gam + d * R_hat) * free / det
-        denom = gam + d * R_hat
-        a = B / denom
-        da_dB = (gam + d * (R_hat - B * dR_dB)) / (denom * denom)
-
-        i_dev = I_hat - I
-        r_dev = R_hat - R
-        dI = (B * r_dev + (B - d) * i_dev) * I
-        dR = (w - d * I) * r_dev - (gam + d * R_hat) * i_dev
-
-        p = [q * betas[k] + r_o[k] for k in range(n)]
-        flow = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            xi = y[2 + i]
-            for j in range(n):
-                if i != j:
-                    gap = p[j] - p[i]
-                    if gap > 0.0:
-                        flow[i][j] = xi * phi(j, gap)
-        dx = [0.0] * n
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += flow[j][i] - flow[i][j]
-            dx[i] = acc
-
-        dq = (
-            math.log(I / I_hat) * dI_dB
-            - ups2 * (B - bstar)
-            - 0.5 * (2.0 * a * dR_dB + r_dev * da_dB) * r_dev
-        )
-        out = [dI, dR, *dx, dq]
-        if track_population:
-            out.append((g_rate - d * I) * y[3 + n])
-        return out
-
-    return rhs
+    n = len(mech.strategies.betas)
+    namespace = {
+        "log": math.log, "sqrt": math.sqrt, "phi": proto.phi,
+        "d": params.delta, "w": params.omega, "gam": params.gamma,
+        "sig": params.sigma, "g_rate": params.g,
+        "ups2": mech.upsilon ** 2, "bstar": mech.alloc.betastar,
+        "h": h, "half_h": 0.5 * h, "sixth": h / 6.0,
+    }
+    for k in range(n):
+        namespace[f"beta_{k}"] = mech.strategies.betas[k]
+        namespace[f"r_o_{k}"] = mech.r_o[k]
+    exec(_kernel_code(n, track_population), namespace)
+    return namespace["rhs"], namespace["step"]
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
@@ -175,7 +237,8 @@ def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarra
     y = [state.I, state.R, *state.x, state.q]
     if track:
         y.append(state.population)
-    return np.array(_make_rhs(mech, proto, track)(y))
+    rhs, _ = _kernel(mech, proto, track)
+    return np.array(rhs(*y))
 
 
 @dataclass(frozen=True)
@@ -253,13 +316,11 @@ def simulate(
     betas = mech.strategies.betas
     rstar = mech.rstar
     n = len(betas)
-    rhs = _make_rhs(mech, proto, track)
+    _, rk4_step = _kernel(mech, proto, track, h)
 
     y = [initial.I, initial.R, *initial.x, initial.q]
     if track:
         y.append(initial.population)
-    dim = len(y)
-    sixth = h / 6.0
 
     def cost_of(y: list[float]) -> float:
         c = 0.0
@@ -278,19 +339,9 @@ def simulate(
     for step in range(1, n_steps + 1):
         t_next = step * h
         try:
-            k1 = rhs(y)
-            y2 = [y[i] + 0.5 * h * k1[i] for i in range(dim)]
-            k2 = rhs(y2)
-            y3 = [y[i] + 0.5 * h * k2[i] for i in range(dim)]
-            k3 = rhs(y3)
-            y4 = [y[i] + h * k3[i] for i in range(dim)]
-            k4 = rhs(y4)
+            y = list(rk4_step(*y))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise StepRejected(t_next, f"stage evaluation failed ({exc})") from exc
-        y = [
-            y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(dim)
-        ]
 
         # project x back onto the simplex; only rounding noise is repaired
         xsum = 0.0

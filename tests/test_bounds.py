@@ -228,3 +228,22 @@ def test_soundness_on_other_endemic_starts(example1):
     alpha = lyapunov_value(init, example1.mech, example1.proto)
     result = peak_bound(_query(example1, alpha))
     assert traj.observed_peak <= result.certified_peak + 1e-6
+
+
+def test_ratio_is_an_upper_end_of_the_level_set(example1):
+    """The returned ratio sits at or beyond the level-set boundary: the
+    storage, minimized over R at that infection level, is at least alpha
+    (up to the oracle's own rounding), unless the ratio is the cap 1/I*."""
+    I_star = example1.alloc.endemic.I_hat
+    for alpha in (0.0004, 0.0008, 0.0225034, 0.05):
+        q = _query(example1, alpha)
+        for B in default_grid(example1.strategies, 30):
+            ratio = peak_ratio_at(q, float(B))
+            if ratio is None or ratio == 1.0 / I_star:
+                continue
+            I = ratio * I_star
+            R = min(endemic_state(float(B), example1.params).R_hat, 1.0 - I)
+            stored = epidemic_storage(
+                I, R, float(B), example1.alloc, example1.params, q.upsilon
+            )
+            assert stored >= alpha - 1e-15

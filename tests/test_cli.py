@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -142,3 +143,61 @@ def test_certify_reports_pass(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     cert = json.loads((tmp_path / "certification.json").read_text())
     assert cert["margin"] > 0
+
+
+EXPLICIT = ["--set", 'initial.kind="explicit"', "--set", "initial.I=0.08",
+            "--set", "initial.R=0.3"]
+
+
+def test_bounds_level_is_the_initial_lyapunov_value(tmp_path):
+    code = main([
+        "bounds", str(CONFIG), "--out", str(tmp_path), "--upsilons", "2",
+        *EXPLICIT,
+    ])
+    assert code == 0
+    ups, _, _, alpha, ratio = np.loadtxt(
+        tmp_path / "bounds_sweep.csv", delimiter=",", skiprows=1
+    )
+    assert ups == 2.0
+    assert alpha == pytest.approx(0.0225034, abs=5e-8)
+    detail = json.loads((tmp_path / "bounds_detail.json").read_text())
+    assert detail[0]["certified_peak"] >= 0.08  # at least I(0)
+
+
+@pytest.mark.parametrize("override", [
+    "strategies.betas=0.2", "params.gama=0.1", 'params.gamma="x"',
+])
+def test_malformed_config_lists_violations_without_traceback(override, capsys):
+    code = main(["validate", str(CONFIG), "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert override.split("=")[0] in err
+
+
+def test_malformed_entries_are_reported_together(capsys):
+    code = main([
+        "validate", str(CONFIG), "--json-errors",
+        "--set", "strategies.betas=0.2", "--set", "params.gama=0.1",
+        "--set", 'params.gamma="x"',
+    ])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    names = {v["name"] for v in payload["violations"]}
+    assert names == {"strategies.betas", "params.gama", "params.gamma"}
+
+
+def test_validate_starts_no_subprocess(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    assert main(["validate", str(CONFIG)]) == 0
+
+
+def test_version_flag_prints_version(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("epgtool ")

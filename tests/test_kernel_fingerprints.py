@@ -1,0 +1,101 @@
+"""Bit-level fingerprints of the closed-loop kernel.
+
+The values below were recorded from the hand-written RK4 loop that the
+generated straight-line kernel replaced.  Any change to the order of float
+operations in the vector field or the RK4 stages changes at least one of
+them, so a faster kernel counts only while all of them still hold.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import traceback
+
+import pytest
+
+from epgtool import (
+    EpgState,
+    IntegratorOptions,
+    PolicyConfig,
+    StepRejected,
+    build_mechanism,
+    endemic_state,
+    optimal_allocation,
+    simulate,
+    state_derivative,
+    write_csv,
+)
+from epgtool.edm import GeneralIPCProtocol
+
+
+def _csv_sha256(traj, tmp_path) -> str:
+    path = tmp_path / "trajectory.csv"
+    write_csv(traj, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _capped(gain: float, cap: float = 0.1):
+    return lambda gap: min(gain * gap, cap)
+
+
+def _knee_scenario(three_strategy):
+    """n=3 at upsilon=6 with per-strategy capped-linear rates whose knees
+    (gaps 0.05, 0.025 and 0.01) are all crossed within the first 40 days."""
+    policy = PolicyConfig(cstar=0.3, upsilon=6.0)
+    alloc = optimal_allocation(three_strategy.strategies, policy, three_strategy.params)
+    mech = build_mechanism(alloc, three_strategy.strategies, policy, three_strategy.params)
+    proto = GeneralIPCProtocol(
+        phis=(_capped(2.0), _capped(4.0), _capped(10.0)), cap=0.1
+    )
+    return mech, proto
+
+
+def test_example1_csv_fingerprint(example1, tmp_path):
+    opts = IntegratorOptions(step=0.01, output_stride=1)
+    traj = simulate(example1.initial, 30.0, example1.mech, example1.proto, opts)
+    assert _csv_sha256(traj, tmp_path) == (
+        "b9e5a5d16164f48aac8afcba8ee65bfd0577e082b9e6cb590c447cb144f4d90a"
+    )
+    assert traj.observed_peak == float.fromhex("0x1.f0dedaef5dc76p-6")
+
+
+def test_three_strategy_knee_crossing_csv_fingerprint(three_strategy, tmp_path):
+    mech, proto = _knee_scenario(three_strategy)
+    initial = dataclasses.replace(three_strategy.initial, population=1000.0)
+    opts = IntegratorOptions(step=0.01, output_stride=1, track_population=True)
+    traj = simulate(initial, 40.0, mech, proto, opts)
+    # every rate map is used past its knee somewhere in the window
+    for j, knee in enumerate((0.05, 0.025, 0.01)):
+        gap_to_j = (traj.p[:, j][:, None] - traj.p).max(axis=1)
+        assert gap_to_j.max() > knee
+    assert _csv_sha256(traj, tmp_path) == (
+        "a970cdc2bedd3f8ed1506fcb5cc78a2119fe4ce409e0610e7cd3f6c6a567ede1"
+    )
+
+
+def test_state_derivative_exact_values(example1, three_strategy):
+    s1 = EpgState(I=0.08, R=0.3, x=(0.25, 0.75), q=0.4)
+    assert list(state_derivative(s1, example1.mech, example1.proto)) == [
+        0.0005599999999999993, 0.00482, -0.0004000000000000004,
+        0.0004000000000000004, -0.25785201916899125,
+    ]
+    mech, proto = _knee_scenario(three_strategy)
+    s2 = EpgState(I=0.05, R=0.4, x=(0.2, 0.5, 0.3), q=-1.5, population=2.5)
+    assert list(state_derivative(s2, mech, proto)) == [
+        -0.0009475000000000004, 0.0007000000000000012, 0.07499999999999998,
+        -0.014999999999999986, -0.06, 0.002300143684527467, -0.000625,
+    ]
+
+
+def test_stage_failure_traceback_shows_generated_source(example1):
+    eq0 = endemic_state(0.19, example1.params, example1.strategies)
+    bad_start = EpgState(I=eq0.I_hat, R=eq0.R_hat, x=(0.0, 1.0), q=-50.0)
+    with pytest.raises(StepRejected) as err:
+        simulate(bad_start, 100.0, example1.mech, example1.proto,
+                 IntegratorOptions(step=50.0, output_stride=1))
+    lines = "".join(traceback.format_exception(err.value.__cause__)).splitlines()
+    at = next(k for k, line in enumerate(lines)
+              if '"<epgtool kernel n=2 population=False>"' in line)
+    # the failing line of the generated step is printed, not just its number
+    assert " = " in lines[at + 1]
