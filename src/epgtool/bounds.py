@@ -84,7 +84,7 @@ class BoundQuery:
         if grid.size < 2:
             raise ValueError("grid must contain at least two points")
         object.__setattr__(self, "grid", grid)
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:  # NaN included
             raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
 
 

@@ -24,7 +24,13 @@ from .bounds import (
     peak_bound,
 )
 from .config import apply_overrides, load_config, resolve
-from .dynamics import StepRejected, lyapunov_value, simulate, write_csv
+from .dynamics import (
+    StepRejected,
+    lyapunov_value,
+    simulate,
+    step_count,
+    write_csv,
+)
 from .equilibrium import endemic_curve
 from .params import ValidationError
 
@@ -143,11 +149,13 @@ def _run_simulation(run):
     return simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
 
 
-def _bound_for(run, alpha: float):
+def _bound_for(run, alpha: float, upsilon: float | None = None):
+    """Peak bound at storage level ``alpha`` and gain ``upsilon`` (default:
+    the configured gain) on the run's rate grid."""
     query = BoundQuery(
         alloc=run.alloc,
         params=run.bundle.params,
-        upsilon=run.bundle.policy.upsilon,
+        upsilon=run.bundle.policy.upsilon if upsilon is None else upsilon,
         alpha=alpha,
         grid=default_grid(run.bundle.strategies, run.grid_size),
     )
@@ -164,6 +172,23 @@ def _alpha_for(run, upsilon: float | None = None) -> float:
     return lyapunov_value(run.initial, mech, run.proto)
 
 
+def _certify(run, traj, out: Path):
+    """Certify ``traj`` against the bound at the run's storage level and
+    write ``certification.json`` to ``out``."""
+    report = certify_trajectory(traj, _bound_for(run, _alpha_for(run)))
+    fields = {
+        "observed_peak": report.observed_peak,
+        "peak_time_days": report.peak_time,
+        "certified_peak": report.certified_peak,
+        "peak_ratio": report.peak_ratio,
+        "alpha": report.alpha,
+        "margin": report.margin,
+        "passed": report.passed,
+    }
+    (out / "certification.json").write_text(json.dumps(fields, indent=2) + "\n")
+    return report
+
+
 def cmd_simulate(args) -> int:
     run = _load(args)
     traj = _run_simulation(run)
@@ -174,27 +199,10 @@ def cmd_simulate(args) -> int:
         "csv_columns": "t,I,R,x1..xn,q,B,cost,avg_cost,L"
                        + (",N" if run.integrator.track_population else ""),
     })
-    alpha = _alpha_for(run)
-    result = _bound_for(run, alpha)
-    report = certify_trajectory(traj, result)
-    (out / "certification.json").write_text(
-        json.dumps(
-            {
-                "observed_peak": report.observed_peak,
-                "peak_time_days": report.peak_time,
-                "certified_peak": report.certified_peak,
-                "peak_ratio": report.peak_ratio,
-                "alpha": report.alpha,
-                "margin": report.margin,
-                "passed": report.passed,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    report = _certify(run, traj, out)
     k_end = len(traj) - 1
     print(f"simulated {run.horizon} days "
-          f"({int(round(run.horizon / run.integrator.step))} steps)")
+          f"({step_count(run.horizon, run.integrator.step)} steps)")
     print(f"terminal state: I={traj.I[k_end]:.6g} R={traj.R[k_end]:.6g} "
           f"x={[round(float(v), 6) for v in traj.x[k_end]]} q={traj.q[k_end]:.6g}")
     print(f"terminal running-average cost: {traj.avg_cost[k_end]:.6g} "
@@ -217,14 +225,7 @@ def cmd_bounds(args) -> int:
     details = []
     for ups in upsilons:
         alpha = _alpha_for(run, ups)
-        query = BoundQuery(
-            alloc=run.alloc,
-            params=run.bundle.params,
-            upsilon=ups,
-            alpha=alpha,
-            grid=default_grid(run.bundle.strategies, run.grid_size),
-        )
-        result = peak_bound(query)
+        result = _bound_for(run, alpha, ups)
         rows.append((ups, run.alloc.betastar, run.bundle.params.delta,
                      alpha, result.peak_ratio))
         details.append(result.as_dict())
@@ -244,25 +245,7 @@ def cmd_bounds(args) -> int:
 def cmd_certify(args) -> int:
     run = _load(args)
     traj = _run_simulation(run)
-    alpha = _alpha_for(run)
-    result = _bound_for(run, alpha)
-    report = certify_trajectory(traj, result)
-    out = _outdir(args)
-    (out / "certification.json").write_text(
-        json.dumps(
-            {
-                "observed_peak": report.observed_peak,
-                "peak_time_days": report.peak_time,
-                "certified_peak": report.certified_peak,
-                "peak_ratio": report.peak_ratio,
-                "alpha": report.alpha,
-                "margin": report.margin,
-                "passed": report.passed,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    report = _certify(run, traj, _outdir(args))
     print(report.summary())
     return EXIT_OK
 

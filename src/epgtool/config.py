@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EpgState, IntegratorOptions
+from .dynamics import EpgState, IntegratorOptions, step_count
 from .edm import SmithProtocol
 from .equilibrium import OptimalAllocation, endemic_state, optimal_allocation
 from .params import (
@@ -41,6 +42,12 @@ from .payoff import PayoffMechanism, build_mechanism
 
 __all__ = ["RunConfig", "ResolvedRun", "load_config", "apply_overrides", "resolve"]
 
+# Largest run a configuration may ask for: integration steps, recorded
+# samples (rows of trajectory.csv) and points of the bound's rate grid.
+MAX_STEPS = 2_000_000
+MAX_SAMPLES = 200_001
+MAX_GRID_SIZE = 100_000
+
 _DEFAULTS = {
     "protocol": {"kind": "smith", "rate_gain": 0.1, "cap": 0.1},
     "integrator": {
@@ -55,14 +62,20 @@ _DEFAULTS = {
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: ints included, booleans, NaN and infinities not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 # (description, predicate) of the value types a key may hold
-_NUMBER = ("a number", _is_number)
+_NUMBER = ("a finite number", _is_number)
 _INTEGER = ("an integer",
             lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()))
-_NUMBERS = ("a list of numbers",
+_NUMBERS = ("a list of finite numbers",
             lambda v: isinstance(v, list) and all(_is_number(e) for e in v))
 _STRING = ("a string", lambda v: isinstance(v, str))
 _BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
@@ -118,6 +131,45 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
                 out.append(AssumptionViolated(
                     f"{section}.{key}", f"must be {keys[key][0]}, got {value!r}"
                 ))
+    return out
+
+
+def _size_violations(data: dict) -> list[AssumptionViolated]:
+    """Run sizes beyond ``MAX_STEPS``, ``MAX_SAMPLES`` or ``MAX_GRID_SIZE``,
+    a grid of fewer than two rates, and a horizon that is not a whole
+    number of steps.
+
+    Only entries that already have the right type are checked; computes
+    the sizes without building anything.
+    """
+    def entry(section: str, key: str):
+        node = data.get(section)
+        return node.get(key) if isinstance(node, dict) else None
+
+    out = []
+    grid = entry("bounds", "grid_size")
+    if _INTEGER[1](grid) and not 2 <= grid <= MAX_GRID_SIZE:
+        out.append(AssumptionViolated(
+            "bounds.grid_size", f"must be from 2 to {MAX_GRID_SIZE}, got {grid!r}"
+        ))
+    step, horizon = entry("integrator", "step"), entry("integrator", "horizon")
+    stride = entry("integrator", "output_stride")
+    if not (_is_number(step) and step > 0 and _is_number(horizon)):
+        return out
+    try:
+        n_steps = step_count(horizon, step)
+    except ValueError as exc:
+        return out + [AssumptionViolated("integrator.horizon", str(exc))]
+    if n_steps > MAX_STEPS:
+        out.append(AssumptionViolated(
+            "integrator.horizon",
+            f"{n_steps} steps of {step!r} exceed the cap of {MAX_STEPS}",
+        ))
+    if _INTEGER[1](stride) and stride >= 1 and n_steps // stride + 1 > MAX_SAMPLES:
+        out.append(AssumptionViolated(
+            "integrator.output_stride",
+            f"{n_steps // stride + 1} samples exceed the cap of {MAX_SAMPLES}",
+        ))
     return out
 
 
@@ -211,12 +263,13 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
     """Validate the configuration and build the runnable objects.
 
     Raises :class:`epgtool.params.ValidationError` with the complete list of
-    malformed entries (unknown keys, wrong types) when the mapping has the
-    wrong shape, and with the complete list of violated model assumptions
-    when the values are invalid.
+    malformed entries (unknown keys, wrong types, a horizon that is not a
+    whole number of steps, a run or grid larger than the ``MAX_*`` caps)
+    when the mapping has the wrong shape, and with the complete list of
+    violated model assumptions when the values are invalid.
     """
     d = cfg.data
-    problems = _schema_violations(d)
+    problems = _schema_violations(d) + _size_violations(d)
     if problems:
         raise ValidationError(problems)
     params = ModelParams(**d["params"])

@@ -43,6 +43,7 @@ __all__ = [
     "StepRejected",
     "state_derivative",
     "simulate",
+    "step_count",
     "lyapunov_value",
     "lyapunov_series",
     "write_csv",
@@ -52,6 +53,7 @@ __all__ = [
 PROJECTION_TOL = 1e-9
 I_FLOOR = 1e-12
 CSV_FLOAT_FORMAT = "%.17g"
+_CSV_BLOCK_ROWS = 4096
 
 
 class StepRejected(RuntimeError):
@@ -78,6 +80,11 @@ class EpgState:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        if not all(math.isfinite(v) for v in (self.I, self.R, *self.x, self.q)):
+            raise ValueError(
+                f"state (I={self.I!r}, R={self.R!r}, x={self.x!r}, q={self.q!r}) "
+                "is not finite"
+            )
         if not self.I > 0.0:
             raise ValueError(f"I={self.I!r} must be positive")
         if self.I + self.R > 1.0 + PROJECTION_TOL or self.R < -PROJECTION_TOL:
@@ -285,6 +292,25 @@ class Trajectory:
         )
 
 
+def step_count(horizon: float, step: float) -> int:
+    """Number of fixed steps of size ``step`` that make up ``horizon`` days.
+
+    Raises ``ValueError`` unless ``horizon`` is positive and a whole number
+    of steps (to 1e-9 relative).
+    """
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    steps = horizon / step
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon {horizon!r} over step {step!r} is not finite")
+    n_steps = int(round(steps))
+    if abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(
+            f"horizon {horizon!r} is not an integer number of steps of {step!r}"
+        )
+    return n_steps
+
+
 def simulate(
     initial: EpgState,
     horizon: float,
@@ -299,15 +325,9 @@ def simulate(
     violates the state-space invariants beyond projection tolerances (the
     projection itself only repairs rounding-level noise).
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
     h = options.step
     stride = options.output_stride
-    n_steps = int(round(horizon / h))
-    if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(
-            f"horizon {horizon!r} is not an integer number of steps of {h!r}"
-        )
+    n_steps = step_count(horizon, h)
     track = options.track_population
     if track and initial.population is None:
         raise ValueError("track_population requires an initial population size")
@@ -391,9 +411,7 @@ def simulate(
     epi = _bounds.epidemic_storage(
         I_s, R_s, B_s, mech.alloc, params, mech.upsilon
     )
-    proto_s = np.array(
-        [_edm.storage(proto, x_s[k], p_s[k]) for k in range(len(times))]
-    )
+    proto_s = _edm.storage(proto, x_s, p_s)
     return Trajectory(
         times=times, I=I_s, R=R_s, x=x_s, q=q_s, B=B_s, p=p_s, r=r_s,
         cost=np.array(rec_cost), avg_cost=np.array(rec_avg),
@@ -455,25 +473,17 @@ def lyapunov_series(traj: Trajectory, fd_tol: float | None = None) -> LyapunovSe
     I_hat, R_hat, a, _, _ = _endemic_raw(curve, params)
     i_dev = I_hat - traj.I
     r_dev = R_hat - traj.R
-    diss = np.array(
-        [
-            _edm.dissipation(traj.proto, traj.x[k], traj.p[k])
-            for k in range(len(t))
-        ]
-    )
     bound = (
-        -diss
+        -_edm.dissipation(traj.proto, traj.x, traj.p)
         - (curve - params.delta) * i_dev ** 2
         - a * (params.omega - params.delta * traj.I) * r_dev ** 2
     )
-    violations = []
-    for k in range(1, len(t) - 1):
-        excess = dL[k] - bound[k]
-        if excess > fd_tol:
-            violations.append((k, float(t[k]), float(excess)))
+    excess = dL - bound
+    found = np.flatnonzero(excess[1:-1] > fd_tol) + 1
+    violations = tuple((int(k), float(t[k]), float(excess[k])) for k in found)
     return LyapunovSeries(
         times=t, value=L, dvalue_dt=dL, decrease_bound=bound,
-        fd_tol=fd_tol, violations=tuple(violations),
+        fd_tol=fd_tol, violations=violations,
     )
 
 
@@ -495,8 +505,11 @@ def write_csv(traj: Trajectory, path) -> None:
     if traj.population is not None:
         header.append("N")
         cols.append(traj.population)
-    fmt = CSV_FLOAT_FORMAT
+    row_format = ",".join([CSV_FLOAT_FORMAT] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(fmt % v for v in row) + "\n")
+        # Python floats format faster than numpy scalars; converting a block
+        # of rows at a time keeps the extra memory small
+        for start in range(0, len(traj), _CSV_BLOCK_ROWS):
+            block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in cols]
+            fh.write("".join([row_format % row for row in zip(*block)]))

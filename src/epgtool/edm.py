@@ -11,11 +11,18 @@ protocol class the mean dynamics admit the storage function
 with ``Phi_j`` the antiderivative of ``phi_j``, whose payoff gradient equals
 the mean vector field and whose decay rate along the flow (at frozen
 payoffs) is the dissipation returned by :func:`dissipation`.
+
+:func:`mean_field`, :func:`storage` and :func:`dissipation` take one sample
+(``x``, ``p`` of shape ``(n,)``) or a stack of samples (shape ``(m, n)``),
+e.g. every recorded sample of a trajectory at once.  They loop over the
+n(n-1) ordered strategy pairs, never over the samples, and map the
+protocol's scalar ``phi(j, gap)`` / ``phi_integral(j, gap)`` over each
+pair's column of gaps.  A stacked storage equals the per-sample values bit
+for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -134,19 +141,54 @@ def switch_rates(proto, x, p) -> np.ndarray:
     return T
 
 
+def _rates(rate, j: int, gaps: np.ndarray) -> np.ndarray:
+    """``rate(j, g)`` for each entry ``g`` of the gap column ``gaps``.
+
+    The protocol's scalar method is mapped over the column, so every
+    protocol is called the same way, one sample or many.
+    """
+    return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
+
+
+def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``x`` and ``p`` as ``(m, n)`` stacks, and whether both were one sample."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return np.atleast_2d(x), np.atleast_2d(p), x.ndim == 1 and p.ndim == 1
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(m, n)`` stacks.
+
+    A stacked vector-vector ``matmul`` runs the kernel of ``np.dot``, so each
+    row rounds exactly as ``np.dot`` of that row would; a plain
+    ``(a * b).sum(axis=1)`` rounds differently where ``dot`` fuses
+    multiply-adds.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def mean_field(proto, x, p) -> np.ndarray:
     """Mean dynamics of the strategy shares: inflow minus outflow per strategy.
 
-    Built from the antisymmetric net-flow matrix, so conservation holds at
-    the term level: the 2n^2 signed flow terms cancel pairwise.  Components
-    are correctly-rounded row sums; their total is exactly zero for n = 2
-    and within one rounding per component otherwise.
+    Takes one sample (``x``, ``p`` of shape ``(n,)``, returns ``(n,)``) or a
+    stack of samples (shape ``(m, n)``, returns ``(m, n)``).  Each ordered
+    pair's flow ``f = x_i * phi_j(p_j - p_i)`` is added to ``j`` and
+    subtracted from ``i`` in one pass over the pairs, so conservation holds
+    at the term level.  The total of the components is exactly zero for
+    n = 2 and carries only the roundings of the per-component sums
+    otherwise.
     """
-    x = np.asarray(x, dtype=float)
-    T = switch_rates(proto, x, p)
-    flow = x[:, None] * T          # flow[i, j]: mass rate moving i -> j
-    net = flow.T - flow
-    return np.array([math.fsum(row) for row in net])
+    X, P, single = _stack(x, p)
+    n = P.shape[1]
+    v = np.zeros(np.broadcast_shapes(X.shape, P.shape))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                f = X[:, i] * _rates(proto.phi, j, P[:, j] - P[:, i])
+                v[:, j] += f
+                v[:, i] -= f
+    return v[0] if single else v
 
 
 def best_response(p, tol: float = BEST_RESPONSE_TOL) -> tuple[int, ...]:
@@ -156,39 +198,45 @@ def best_response(p, tol: float = BEST_RESPONSE_TOL) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(p >= top - tol))
 
 
-def _storage_per_strategy(proto, p) -> np.ndarray:
-    """Vector whose k-th entry is ``sum_j Phi_j(max(p_j - p_k, 0))``.
+def _storage_per_strategy(proto, P: np.ndarray) -> np.ndarray:
+    """``(m, n)`` stack of ``sum_j Phi_j(max(p_j - p_k, 0))`` in column ``k``.
 
     This is the gradient of :func:`storage` with respect to the population
-    state.
+    state.  Each column is accumulated in ``j`` order from ``0.0``, the
+    rounding of a per-sample ``sum``.
     """
     if not hasattr(proto, "phi_integral"):
         raise NotIPC(
             f"{type(proto).__name__} has no storage antiderivative; only "
             "pairwise-comparison protocols are supported"
         )
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    out = np.zeros(n)
+    n = P.shape[1]
+    psi = np.zeros(P.shape)
     for k in range(n):
-        out[k] = sum(
-            proto.phi_integral(j, p[j] - p[k]) for j in range(n) if j != k
-        )
-    return out
+        for j in range(n):
+            if j != k:
+                psi[:, k] += _rates(proto.phi_integral, j, P[:, j] - P[:, k])
+    return psi
 
 
-def storage(proto, x, p) -> float:
-    """Nonnegative storage of the mean dynamics; zero iff the field is zero."""
-    x = np.asarray(x, dtype=float)
-    return float(np.dot(x, _storage_per_strategy(proto, p)))
+def storage(proto, x, p):
+    """Nonnegative storage of the mean dynamics; zero iff the field is zero.
+
+    A ``float`` for one sample, an ``(m,)`` array for a stack of samples.
+    """
+    X, P, single = _stack(x, p)
+    S = _row_dots(X, _storage_per_strategy(proto, P))
+    return float(S[0]) if single else S
 
 
-def dissipation(proto, x, p) -> float:
+def dissipation(proto, x, p):
     """Decay rate of the storage along the mean dynamics at frozen payoffs.
 
     Equals ``-grad_x storage . mean_field``; nonnegative, and zero exactly
-    where the mean field vanishes.
+    where the mean field vanishes.  A ``float`` for one sample, an ``(m,)``
+    array for a stack of samples.
     """
-    psi = _storage_per_strategy(proto, p)
-    v = mean_field(proto, x, p)
-    return -float(np.dot(psi, v))
+    X, P, single = _stack(x, p)
+    psi = _storage_per_strategy(proto, P)
+    D = -_row_dots(psi, mean_field(proto, X, P))
+    return float(D[0]) if single else D

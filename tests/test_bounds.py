@@ -247,3 +247,8 @@ def test_ratio_is_an_upper_end_of_the_level_set(example1):
                 I, R, float(B), example1.alloc, example1.params, q.upsilon
             )
             assert stored >= alpha - 1e-15
+
+
+def test_query_rejects_an_undefined_level(example1):
+    with pytest.raises(ValueError, match="nonnegative"):
+        _query(example1, float("nan"))

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import epgtool.cli
+from epgtool import config as _config
 from epgtool.cli import main
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
@@ -201,3 +207,99 @@ def test_version_flag_prints_version(capsys):
         main(["--version"])
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith("epgtool ")
+
+
+def _refuse_runs(monkeypatch):
+    """Make any simulation or rate grid the CLI builds fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation or grid was built")
+
+    monkeypatch.setattr(epgtool.cli, "simulate", refuse)
+    monkeypatch.setattr(epgtool.cli, "default_grid", refuse)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "bounds"])
+def test_oversized_runs_are_rejected_before_anything_runs(
+    command, monkeypatch, tmp_path, capsys
+):
+    _refuse_runs(monkeypatch)
+    code = main([
+        command, str(CONFIG), "--out", str(tmp_path), "--json-errors",
+        "--set", "integrator.horizon=1e12", "--set", "bounds.grid_size=1000000000",
+    ])
+    assert code == 2
+    names = {v["name"] for v in json.loads(capsys.readouterr().out)["violations"]}
+    assert names == {"integrator.horizon", "integrator.output_stride",
+                     "bounds.grid_size"}
+
+
+def test_horizon_must_be_a_whole_number_of_steps(monkeypatch, capsys):
+    _refuse_runs(monkeypatch)
+    code = main(["validate", str(CONFIG), "--set", "integrator.horizon=1500.005"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "integrator.horizon" in err and "integer number of steps" in err
+    assert "Traceback" not in err
+
+
+def test_caps_admit_the_largest_runs_in_use(monkeypatch, capsys):
+    _refuse_runs(monkeypatch)
+    horizon_at_cap = _config.MAX_STEPS // 100  # days at the default 0.01 step
+    stride_at_cap = _config.MAX_STEPS // (_config.MAX_SAMPLES - 1)
+    largest = [
+        # every-step audit sampling, and the dense bound grid
+        ["integrator.horizon=600", "integrator.output_stride=1",
+         "bounds.grid_size=3000"],
+        # exactly MAX_STEPS steps, MAX_SAMPLES samples and MAX_GRID_SIZE rates
+        [f"integrator.horizon={horizon_at_cap}",
+         f"integrator.output_stride={stride_at_cap}",
+         f"bounds.grid_size={_config.MAX_GRID_SIZE}"],
+    ]
+    for overrides in largest:
+        args = ["validate", str(CONFIG)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 0, capsys.readouterr().err
+    one_step_more = f"integrator.horizon={horizon_at_cap + 0.01}"
+    assert main(["validate", str(CONFIG), "--set", one_step_more]) == 2
+
+
+_KEYS = [f"{section}.{key}" for section, keys in _config._SCHEMA.items()
+         for key in keys]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**12, 10**12)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_OVERRIDE_KEYS = st.sampled_from(_KEYS) | st.text(
+    alphabet="abcdeghiklmnoprstuxyBIRq._", min_size=1, max_size=20
+)
+# JSON text, or any text (taken as a string when it does not parse)
+_VALUES = _JSON.map(json.dumps) | st.text(max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_OVERRIDE_KEYS, _VALUES), min_size=1, max_size=3))
+def test_fuzzed_overrides_fail_cleanly(overrides):
+    # in process, an uncaught exception fails the test by itself
+    args = ["validate", str(CONFIG)]
+    args += [f"--set={key}={value}" for key, value in overrides]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("override", [
+    "initial.q=NaN", "bounds.alpha=NaN", "params.gamma=Infinity",
+    "strategies.betas=[0.15,-Infinity]",
+])
+def test_non_finite_numbers_are_rejected(override, monkeypatch, capsys):
+    # a NaN level or start used to reach certify and report a PASS
+    _refuse_runs(monkeypatch)
+    assert main(["validate", str(CONFIG), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "finite" in err

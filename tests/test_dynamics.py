@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -356,3 +357,45 @@ def test_csv_schema_and_roundtrip(example1, tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], traj.I)   # repr round-trip is exact
     assert np.array_equal(data[:, 9], traj.lyapunov)
+
+
+def test_lyapunov_violation_found_at_a_coarse_stride(example1):
+    """At stride 10 the steep transient of this start outruns the central
+    difference once; the finding is reported with its index, time and
+    excess (values recorded from the per-sample implementation)."""
+    start = EpgState(I=0.01, R=0.1, x=(0.7, 0.3), q=0.2)
+    opts = IntegratorOptions(step=0.01, output_stride=10)
+    traj = simulate(start, 200.0, example1.mech, example1.proto, opts)
+    series = lyapunov_series(traj)
+    assert len(series.violations) == 1
+    k, t, excess = series.violations[0]
+    assert (k, t) == (143, 14.3)
+    assert type(k) is int and type(t) is float and type(excess) is float
+    assert excess == pytest.approx(1.112897387996973e-06, rel=1e-9)
+
+
+@pytest.mark.parametrize("field", ["I", "R", "q", "x"])
+def test_state_rejects_non_finite_entries(field):
+    values = dict(I=0.02, R=0.3, x=(0.5, 0.5), q=0.1)
+    values[field] = (math.nan, 1.0) if field == "x" else math.nan
+    with pytest.raises(ValueError):
+        EpgState(**values)
+
+
+def test_csv_rows_match_per_value_formatting_across_blocks(example1, tmp_path):
+    """The block-wise writer gives the bytes of formatting every value of
+    every row with ``CSV_FLOAT_FORMAT``, over several blocks of rows."""
+    from epgtool.dynamics import CSV_FLOAT_FORMAT
+
+    init = dataclasses.replace(example1.initial, population=5e5)
+    opts = IntegratorOptions(step=0.01, output_stride=1, track_population=True)
+    traj = simulate(init, 100.0, example1.mech, example1.proto, opts)
+    assert len(traj) > 2 * 4096
+    path = tmp_path / "run.csv"
+    write_csv(traj, path)
+    cols = [traj.times, traj.I, traj.R, *traj.x.T, traj.q, traj.B, traj.cost,
+            traj.avg_cost, traj.lyapunov, traj.population]
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,I,R,x1,x2,q,B,cost,avg_cost,L,N"
+    assert lines[1:] == [",".join(CSV_FLOAT_FORMAT % v for v in row)
+                         for row in zip(*cols)]

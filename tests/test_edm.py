@@ -260,3 +260,77 @@ def test_storage_state_gradient_gives_dissipation():
         fd = (storage(SMITH, x + h * v, p) - storage(SMITH, x - h * v, p)) / (2 * h)
         P = dissipation(SMITH, x, p)
         assert abs(fd + P) <= 1e-6 * max(1.0, P)
+
+
+def _stacked_samples(n, m, seed):
+    """``m`` random (x, p) rows, with some tied payoffs and shares on faces."""
+    rng = np.random.default_rng(seed)
+    x = np.array([random_simplex(rng, n) for _ in range(m)])
+    x[::7, 0] = 0.0
+    x /= x.sum(axis=1, keepdims=True)
+    p = rng.uniform(-3.0, 3.0, size=(m, n))
+    p[::5, 1] = p[::5, 0]
+    return x, p
+
+
+GENERAL = GeneralIPCProtocol(
+    phis=(lambda g: min(0.3 * g, 0.2), lambda g: 0.1 * g * g / (1.0 + g)),
+    cap=0.2,
+)
+
+
+@pytest.mark.parametrize("proto, n", [(SMITH, 2), (SMITH, 3), (GENERAL, 2)])
+def test_stacked_storage_equals_per_sample_bit_for_bit(proto, n):
+    x, p = _stacked_samples(n, 120 if proto is GENERAL else 500, seed=n)
+    stacked = storage(proto, x, p)
+    assert stacked.shape == (len(x),)
+    per_sample = np.array([storage(proto, x[k], p[k]) for k in range(len(x))])
+    assert np.array_equal(stacked, per_sample)
+    # the per-sample reduction is np.dot's, as the CSV's L column expects
+    psi = [
+        sum(proto.phi_integral(j, p[k, j] - p[k, i]) for j in range(n) if j != i)
+        for k in range(len(x)) for i in range(n)
+    ]
+    psi = np.array(psi).reshape(len(x), n)
+    assert np.array_equal(
+        stacked, np.array([float(np.dot(x[k], psi[k])) for k in range(len(x))])
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_dissipation_and_field_match_per_sample(n):
+    x, p = _stacked_samples(n, 400, seed=10 + n)
+    v = mean_field(SMITH, x, p)
+    D = dissipation(SMITH, x, p)
+    assert v.shape == x.shape and D.shape == (len(x),)
+    for k in range(len(x)):
+        np.testing.assert_allclose(
+            v[k], mean_field(SMITH, x[k], p[k]), rtol=1e-12, atol=0.0
+        )
+        assert D[k] == pytest.approx(
+            dissipation(SMITH, x[k], p[k]), rel=1e-12, abs=0.0
+        )
+        # against the rate matrix: net flow summed exactly per strategy
+        flow = x[k][:, None] * switch_rates(SMITH, x[k], p[k])
+        exact = np.array([math.fsum(row) for row in flow.T - flow])
+        np.testing.assert_allclose(v[k], exact, rtol=0.0, atol=1e-15)
+
+
+def test_one_sample_keeps_scalar_types():
+    x, p = (0.3, 0.2, 0.5), (0.1, -0.4, 0.7)
+    assert type(storage(SMITH, x, p)) is float
+    assert type(dissipation(SMITH, x, p)) is float
+    assert type(storage(GENERAL, x[:2], p[:2])) is float
+    assert mean_field(SMITH, x, p).shape == (3,)
+
+
+def test_non_ipc_protocol_raises_for_stacked_input():
+    class Imitation:
+        def phi(self, j, gap):
+            return 0.0
+
+    x, p = _stacked_samples(2, 5, seed=0)
+    with pytest.raises(NotIPC):
+        storage(Imitation(), x, p)
+    with pytest.raises(NotIPC):
+        dissipation(Imitation(), x, p)
