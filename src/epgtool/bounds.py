@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import OptimalAllocation, _endemic_raw, endemic_state
+from .equilibrium import OptimalAllocation, _point_array, endemic_state
 from .params import ModelParams
 
 __all__ = [
@@ -53,7 +53,7 @@ def epidemic_storage(I, R, B, alloc: OptimalAllocation,
     I = np.asarray(I, dtype=float)
     if np.any(I <= 0.0):
         raise ValueError("I must be positive")
-    I_hat, R_hat, a, _, _ = _endemic_raw(np.asarray(B, dtype=float), params)
+    _, _, I_hat, R_hat, a = _point_array(np.asarray(B, dtype=float), params)
     val = (
         I_hat * np.log(I_hat / I)
         - (I_hat - I)

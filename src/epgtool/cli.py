@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from .dynamics import (
     write_csv,
 )
 from .equilibrium import endemic_curve
-from .params import ValidationError
+from .params import AssumptionViolated, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -128,19 +129,9 @@ def cmd_equilibrium(args) -> int:
     curve = endemic_curve(grid, params)
     sweep_path = out / "equilibrium_sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
-        fh.write("B,I_hat,R_hat,a,dI_dB,dR_dB,da_dB\n")
-        for k in range(grid.size):
-            fh.write(
-                ",".join(
-                    "%.17g" % v
-                    for v in (
-                        grid[k], curve["I_hat"][k], curve["R_hat"][k],
-                        curve["a"][k], curve["dI_dB"][k], curve["dR_dB"][k],
-                        curve["da_dB"][k],
-                    )
-                )
-                + "\n"
-            )
+        fh.write(",".join(["B", *curve]) + "\n")
+        for row in zip(grid, *curve.values()):
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
     print(f"wrote {sweep_path}")
     return EXIT_OK
 
@@ -214,11 +205,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     run = _load(args)
-    upsilons = (
-        [float(u) for u in args.upsilons.split(",")]
-        if args.upsilons
-        else [run.bundle.policy.upsilon]
-    )
+    upsilons = [run.bundle.policy.upsilon]
+    if args.upsilons:  # every gain that is not finite and positive is listed
+        upsilons = [float(u) for u in args.upsilons.split(",")]
+        bad = [AssumptionViolated(f"--upsilons[{k}]", f"{u!r} is not finite and positive")
+               for k, u in enumerate(upsilons) if not (math.isfinite(u) and u > 0)]
+        if bad:
+            raise ValidationError(bad)
     out = _outdir(args)
     path = out / "bounds_sweep.csv"
     rows = []

@@ -7,24 +7,24 @@ current average transmission rate ``B``), the mean revision dynamics driven
 by payoffs ``q*betas + r_o``, and the designed feedback for ``q``.
 
 Integration is fixed-step explicit RK4 so reruns are bit-identical.  The
-vector field is written once, as the source template ``_FIELD``.  For a
-given strategy count ``n`` (and with or without the population column) it
-is expanded into straight-line Python: ``rhs(*y)``, used by
-:func:`state_derivative`, and an RK4 ``step(*y)`` with the four stages, the
-loops over ``n`` and the n x n pairwise flow unrolled.  The code is compiled
-once per shape and run with the model constants and ``proto.phi`` bound as
-globals, which removes the interpreter's call and list overhead but keeps
-every float operation of the loop form, in the same order.  After
-each step the strategy shares are re-projected onto the simplex
-(clip-and-renormalize, rounding noise only) and the infectious fraction is
-floored away from zero; violations beyond ``PROJECTION_TOL`` abort with
-:class:`StepRejected`.
+vector field is written once, as the source template ``_FIELD``, which
+inlines the texts of the endemic algebra (``equilibrium._ENDEMIC``) and of
+the feedback law (``payoff._QDOT``).  For a given strategy count ``n``
+(and with or without the population column) it is expanded into
+straight-line Python: ``rhs(*y)``, used by :func:`state_derivative`, and
+an RK4 ``step(*y)`` with the four stages, the loops over ``n`` and the
+n x n pairwise flow unrolled.  The code is compiled once per shape and run
+with the model constants and ``proto.phi`` bound as globals, which removes
+the interpreter's call and list overhead but keeps every float operation
+of the loop form, in the same order.  After each step the strategy shares
+are re-projected onto the simplex (clip-and-renormalize, rounding noise
+only) and the infectious fraction is floored away from zero; violations
+beyond ``PROJECTION_TOL`` abort with :class:`StepRejected`.
 """
 
 from __future__ import annotations
 
 import functools
-import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import edm as _edm
-from .equilibrium import _endemic_raw
-from .payoff import PayoffMechanism
+from .equilibrium import _ENDEMIC, _compile_source, _point_array
+from .payoff import _QDOT, PayoffMechanism
 
 __all__ = [
     "EpgState",
@@ -116,32 +116,19 @@ class IntegratorOptions:
 
 # One evaluation of the closed-loop vector field, written once.  ``{i}``
 # suffixes the stage's inputs (I, R, x_k, q, N) and ``{_}`` every value the
-# stage computes; ``{B}``, ``{flow}`` and ``{population}`` are the unrolled
-# rate sum, the payoff/pairwise-flow block and the observational population
-# line (see :func:`_field_template`).  The endemic pair and its
-# B-derivatives use the smaller quadratic root in cancellation-free form on
-# its smooth extension: invalid stage states surface as math-domain errors
-# that :func:`simulate` turns into :class:`StepRejected`.
+# stage computes.  ``{endemic}`` and ``{qdot}`` are the texts of the
+# endemic algebra and of the feedback law, on their smooth extension:
+# invalid stage states surface as math-domain errors that :func:`simulate`
+# turns into :class:`StepRejected`.  ``{B}``, ``{flow}`` and ``{population}``
+# are filled by :func:`_field_template`.
 _FIELD = """\
 B{_} = {B}
-b{_} = gam * B{_} + w * (B{_} - d) + d * (B{_} - sig)
-sq{_} = sqrt(b{_} * b{_} - 4.0 * d * w * (B{_} - d) * (B{_} - sig))
-I_hat{_} = 2.0 * w * (B{_} - sig) / (b{_} + sq{_})
-R_hat{_} = (1.0 - sig / B{_}) - (1.0 - d / B{_}) * I_hat{_}
-det{_} = -(B{_} - d) * (w - d * I_hat{_}) - B{_} * (gam + d * R_hat{_})
-free{_} = 1.0 - I_hat{_} - R_hat{_}
-dI_dB{_} = -(w - d * I_hat{_}) * free{_} / det{_}
-dR_dB{_} = -(gam + d * R_hat{_}) * free{_} / det{_}
-denom{_} = gam + d * R_hat{_}
-a{_} = B{_} / denom{_}
-da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
+{endemic}
 i_dev{_} = I_hat{_} - I{i}
-r_dev{_} = R_hat{_} - R{i}
+{qdot}
 dI{_} = (B{_} * r_dev{_} + (B{_} - d) * i_dev{_}) * I{i}
-dR{_} = (w - d * I{i}) * r_dev{_} - (gam + d * R_hat{_}) * i_dev{_}
+dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 {flow}
-dq{_} = (log(I{i} / I_hat{_}) * dI_dB{_} - ups2 * (B{_} - bstar)
-      - 0.5 * (2.0 * a{_} * dR_dB{_} + r_dev{_} * da_dB{_}) * r_dev{_})
 {population}
 """
 
@@ -172,9 +159,8 @@ def _field_template(n: int, track_population: bool) -> str:
         flow.append(f"dx_{i}{{_}} = 0.0 + {terms}")
     population = "dN{_} = (g_rate - d * I{i}) * N{i}" if track_population else ""
     # {i} and {_} stay placeholders; they are filled per stage
-    return _FIELD.format(
-        B=B, flow="\n".join(flow), population=population, i="{i}", _="{_}"
-    )
+    return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT, flow="\n".join(flow),
+                         population=population, i="{i}", _="{_}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,10 +196,8 @@ def _kernel_code(n: int, track_population: bool):
         f"{y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
         for y, dy in zip(state, deriv)
     ) + ",)")
-    source = "\n".join(lines) + "\n"
     filename = f"<epgtool kernel n={n} population={track_population}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return compile(source, filename, "exec")
+    return _compile_source("\n".join(lines) + "\n", filename)
 
 
 def _kernel(mech: PayoffMechanism, proto, track_population: bool, h: float = 0.0):
@@ -406,8 +390,8 @@ def simulate(
     x_s = Y[:, 2:2 + n]
     pop = Y[:, 3 + n] if track else None
     B_s = x_s @ np.asarray(betas)
-    p_s = np.outer(q_s, betas) + np.asarray(mech.r_o)
-    r_s = np.outer(q_s, betas) + np.asarray(rstar)
+    p_s = mech.payoffs(q_s)
+    r_s = mech.rewards(q_s)
     epi = _bounds.epidemic_storage(
         I_s, R_s, B_s, mech.alloc, params, mech.upsilon
     )
@@ -450,11 +434,11 @@ class LyapunovSeries:
     violations: tuple[tuple[int, float, float], ...]
 
 
-def lyapunov_series(traj: Trajectory, fd_tol: float | None = None) -> LyapunovSeries:
+def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
     """Differentiate the sampled Lyapunov value and check its decrease bound.
 
-    Bound violations are reported, never raised.  The default tolerance
-    ``1e-6 * max(1, value[0])`` absorbs the central-difference error at the
+    Bound violations are reported, never raised.  The tolerance
+    ``fd_tol = 1e-6 * max(1, value[0])`` absorbs the central-difference error at the
     default sampling stride for runs that start near the endemic curve;
     steep transients sampled coarsely can exceed it by discretization alone,
     in which case record at a finer ``output_stride`` before reading
@@ -462,15 +446,14 @@ def lyapunov_series(traj: Trajectory, fd_tol: float | None = None) -> LyapunovSe
     """
     L = traj.lyapunov
     t = traj.times
-    if fd_tol is None:
-        fd_tol = 1e-6 * max(1.0, abs(float(L[0])))
+    fd_tol = 1e-6 * max(1.0, abs(float(L[0])))
     dL = np.full_like(L, np.nan)
     if len(L) >= 3:
         dL[1:-1] = (L[2:] - L[:-2]) / (t[2:] - t[:-2])
 
     params = traj.mech.params
     curve = np.asarray(traj.B, dtype=float)
-    I_hat, R_hat, a, _, _ = _endemic_raw(curve, params)
+    _, _, I_hat, R_hat, a = _point_array(curve, params)
     i_dev = I_hat - traj.I
     r_dev = R_hat - traj.R
     bound = (

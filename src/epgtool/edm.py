@@ -42,6 +42,7 @@ __all__ = [
 
 BEST_RESPONSE_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
+QUADRATURE_PANELS = 256  # Simpson panels of GeneralIPCProtocol's storage
 
 
 class NotIPC(TypeError):
@@ -83,12 +84,11 @@ class GeneralIPCProtocol:
     Each map must satisfy ``phi(0) = 0``, ``phi(g) > 0`` for ``g > 0``, be
     nondecreasing, and take values in ``[0, cap]``; only the first condition
     is checked here.  Storage antiderivatives are computed by composite
-    Simpson quadrature with a fixed panel count, so they are deterministic.
+    Simpson quadrature on ``QUADRATURE_PANELS`` panels: deterministic.
     """
 
     phis: tuple[Callable[[float], float], ...]
     cap: float
-    quadrature_panels: int = 256
 
     def __post_init__(self):
         object.__setattr__(self, "phis", tuple(self.phis))
@@ -106,7 +106,7 @@ class GeneralIPCProtocol:
     def phi_integral(self, j: int, gap: float) -> float:
         if gap <= 0.0:
             return 0.0
-        m = self.quadrature_panels
+        m = QUADRATURE_PANELS
         xs = np.linspace(0.0, gap, 2 * m + 1)
         ys = np.array([self.phis[j](x) for x in xs])
         h = gap / (2 * m)

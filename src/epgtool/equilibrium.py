@@ -8,13 +8,17 @@ For a transmission rate B the endemic pair (I_hat, R_hat) solves
 which reduces to a quadratic in I_hat.  The smaller quadratic root is the
 valid one; it is evaluated in the cancellation-free form
 ``2*omega*(B - sigma) / (b + sqrt(disc))`` so the delta -> 0 limit is exact.
-The module also provides the B-derivatives of the equilibrium (a 2x2 linear
-solve), the budget-optimal strategy mix, and a uniform positive lower bound
-on I_hat over the strategy range.
+This algebra and its B-derivatives are written once, as the source text
+``_ENDEMIC`` (the point, then the slopes), compiled here for Python floats
+and for numpy arrays and inlined by :mod:`epgtool.dynamics` in every stage
+of its RK4 kernel.  The
+module also provides the budget-optimal strategy mix and a uniform
+positive lower bound on I_hat over the strategy range.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, replace
 
@@ -76,25 +80,69 @@ class EquilibriumPoint:
     da_dB: float | None = None
 
 
-def _quadratic(B, params: ModelParams):
-    """Coefficient b and discriminant of the endemic quadratic (ufunc-safe)."""
-    d, w, s, gam = params.delta, params.omega, params.sigma, params.gamma
-    b = gam * B + w * (B - d) + d * (B - s)
-    disc = b * b - 4.0 * d * w * (B - d) * (B - s)
-    return b, disc
+def _compile_source(source: str, filename: str):
+    """Compile generated ``source``; tracebacks show its lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return compile(source, filename, "exec")
 
 
-def _endemic_raw(B, params: ModelParams):
-    """(I_hat, R_hat, a, b, disc) at B; works elementwise on arrays."""
-    d, w, s, gam = params.delta, params.omega, params.sigma, params.gamma
-    b, disc = _quadratic(B, params)
-    sq = np.sqrt(disc)
-    # smaller root of the quadratic, written without the b - sqrt(disc)
-    # cancellation so it stays exact as delta -> 0
-    I_hat = 2.0 * w * (B - s) / (b + sq)
-    R_hat = (1.0 - s / B) - (1.0 - d / B) * I_hat
-    a = B / (gam + d * R_hat)
-    return I_hat, R_hat, a, b, disc
+def _compile_text(name, args, text, returns, namespace, checks=None):
+    """``def name(args): text; return returns``, with the ``{i}``/``{_}``
+    suffixes of ``text`` left empty and ``checks[v]`` run right after the
+    line that assigns ``v``."""
+    lines = [f"def {name}({args}):"]
+    for line in text.format(i="", _="").splitlines():
+        lines.append(f"    {line}")
+        check = (checks or {}).get(line.split(" = ", 1)[0])
+        if check:
+            lines.append(f"    {check}")
+    lines.append(f"    return {returns}")
+    exec(_compile_source("\n".join(lines) + "\n", f"<epgtool {name}>"), namespace)
+    return namespace[name]
+
+
+# The endemic pair at rate B with its weight ``a``, and their B-derivatives.
+# ``{_}`` suffixes every name (the stage in the RK4 kernel); d, w, gam, sig
+# are delta, omega, gamma, sigma.  (dI_dB, dR_dB) solves the equilibrium
+# equations linearized in B.
+_ENDEMIC_PAIR = """\
+b{_} = gam * B{_} + w * (B{_} - d) + d * (B{_} - sig)
+disc{_} = b{_} * b{_} - 4.0 * d * w * (B{_} - d) * (B{_} - sig)
+sq{_} = sqrt(disc{_})
+I_hat{_} = 2.0 * w * (B{_} - sig) / (b{_} + sq{_})
+R_hat{_} = (1.0 - sig / B{_}) - (1.0 - d / B{_}) * I_hat{_}
+"""
+_DENOM = "denom{_} = gam + d * R_hat{_}\n"
+_ENDEMIC_SLOPES = """\
+det{_} = -(B{_} - d) * (w - d * I_hat{_}) - B{_} * denom{_}
+free{_} = 1.0 - I_hat{_} - R_hat{_}
+dI_dB{_} = -(w - d * I_hat{_}) * free{_} / det{_}
+dR_dB{_} = -denom{_} * free{_} / det{_}
+da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
+"""
+_ENDEMIC_POINT = _ENDEMIC_PAIR + _DENOM + "a{_} = B{_} / denom{_}\n"
+_ENDEMIC = _ENDEMIC_POINT + _ENDEMIC_SLOPES
+_CONSTANTS = "d, w, gam, sig = params.delta, params.omega, params.gamma, params.sigma\n"
+# the float forms check these where they are computed; the array forms and
+# the kernel do not
+_CHECKS = {
+    "disc": "if not disc > 0.0: raise DegenerateDiscriminant(f'{disc=!r}, {B=!r}')",
+    "det": "if abs(det) < SINGULAR_DET_TOL: raise SingularSystem(f'{det=!r}, {B=!r}')",
+}
+
+
+def _float_and_array(name, args, text, returns):
+    """``text`` compiled for Python floats (checked) and for numpy arrays."""
+    text, floats = _CONSTANTS + text, dict(globals(), sqrt=math.sqrt)
+    return (_compile_text(f"{name}_float", args, text, returns, floats, _CHECKS),
+            _compile_text(f"{name}_array", args, text, returns, {"sqrt": np.sqrt}))
+
+
+_point_float, _point_array = _float_and_array(
+    "endemic_point", "B, params", _ENDEMIC_POINT, "b, disc, I_hat, R_hat, a")
+_slopes_float, _slopes_array = _float_and_array(
+    "endemic_slopes", "B, I_hat, R_hat, params", _DENOM + _ENDEMIC_SLOPES,
+    "dI_dB, dR_dB, da_dB")
 
 
 def endemic_state(
@@ -122,43 +170,17 @@ def endemic_state(
             raise OutOfRange(f"B={B!r} outside strategy range [{lo!r}, {hi!r}]")
     if not B > params.sigma:
         raise OutOfRange(f"B={B!r} must exceed sigma={params.sigma!r}")
-    _, disc = _quadratic(B, params)
-    if not disc > 0.0:
-        raise DegenerateDiscriminant(
-            f"discriminant {disc!r} at B={B!r}; parameters violate the "
-            "standing assumptions"
-        )
-    I_hat, R_hat, a, b, disc = _endemic_raw(B, params)
-    return EquilibriumPoint(
-        B=B, I_hat=float(I_hat), R_hat=float(R_hat), a=float(a),
-        b=float(b), disc=float(disc),
-    )
+    b, disc, I_hat, R_hat, a = _point_float(B, params)
+    return EquilibriumPoint(B=B, I_hat=I_hat, R_hat=R_hat, a=a, b=b, disc=disc)
 
 
 def endemic_derivatives(
     eq: EquilibriumPoint, params: ModelParams
 ) -> EquilibriumPoint:
-    """Fill the B-derivatives of an equilibrium point.
-
-    (dI_dB, dR_dB) solves the linearized equilibrium system
-
-        [ B - delta            B                ] [dI_dB]   [1 - I_hat - R_hat]
-        [ gamma + delta*R_hat  -(omega-delta*I) ] [dR_dB] = [0               ]
-
-    and ``da_dB = (gamma + delta*(R_hat - B*dR_dB)) / (gamma + delta*R_hat)^2``.
-    """
-    d, w, gam = params.delta, params.omega, params.gamma
-    B, I_hat, R_hat = eq.B, eq.I_hat, eq.R_hat
-    det = -(B - d) * (w - d * I_hat) - B * (gam + d * R_hat)
-    if abs(det) < SINGULAR_DET_TOL:
-        raise SingularSystem(
-            f"sensitivity system determinant {det!r} at B={B!r}"
-        )
-    rhs = 1.0 - I_hat - R_hat
-    dI = -(w - d * I_hat) * rhs / det
-    dR = -(gam + d * R_hat) * rhs / det
-    denom = gam + d * R_hat
-    da = (gam + d * (R_hat - B * dR)) / (denom * denom)
+    """Fill the B-derivatives of an equilibrium point from its ``B``,
+    ``I_hat`` and ``R_hat``; raises :class:`SingularSystem` when the
+    sensitivity determinant is below ``SINGULAR_DET_TOL`` in magnitude."""
+    dI, dR, da = _slopes_float(eq.B, eq.I_hat, eq.R_hat, params)
     return replace(eq, dI_dB=dI, dR_dB=dR, da_dB=da)
 
 
@@ -166,22 +188,16 @@ def endemic_curve(B: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
     """Vectorized endemic quantities over an array of transmission rates.
 
     Returns arrays ``I_hat``, ``R_hat``, ``a``, ``dI_dB``, ``dR_dB``,
-    ``da_dB`` (same shape as ``B``).  No range checks beyond ``B > sigma``.
+    ``da_dB`` (same shape as ``B``), equal to the per-rate results of
+    :func:`endemic_derivatives` bit for bit.  No range checks beyond
+    ``B > sigma``.
     """
     B = np.asarray(B, dtype=float)
     if np.any(B <= params.sigma):
         raise OutOfRange("every B must exceed sigma")
-    d, w, gam = params.delta, params.omega, params.gamma
-    I_hat, R_hat, a, _, _ = _endemic_raw(B, params)
-    det = -(B - d) * (w - d * I_hat) - B * (gam + d * R_hat)
-    rhs = 1.0 - I_hat - R_hat
-    dI = -(w - d * I_hat) * rhs / det
-    dR = -(gam + d * R_hat) * rhs / det
-    da = (gam + d * (R_hat - B * dR)) / (gam + d * R_hat) ** 2
-    return {
-        "I_hat": I_hat, "R_hat": R_hat, "a": a,
-        "dI_dB": dI, "dR_dB": dR, "da_dB": da,
-    }
+    _, _, I_hat, R_hat, a = _point_array(B, params)
+    dI, dR, da = _slopes_array(B, I_hat, R_hat, params)
+    return dict(I_hat=I_hat, R_hat=R_hat, a=a, dI_dB=dI, dR_dB=dR, da_dB=da)
 
 
 @dataclass(frozen=True)
@@ -249,9 +265,9 @@ def endemic_infection_floor(
     which under the standing assumptions under-estimates I_hat for every B
     in ``[betas[0], betas[-1]]``.
     """
-    d, w, gam, s = params.delta, params.omega, params.gamma, params.sigma
+    d, w, s = params.delta, params.omega, params.sigma
     b_lo, b_hi = strategies.betas[0], strategies.betas[-1]
-    bstar = gam * b_hi + w * (b_hi - d) + d * (b_hi - s)
+    bstar = _point_float(b_hi, params)[0]
     delta_star = bstar - math.sqrt(
         bstar * bstar - 4.0 * d * w * (b_lo - d) * (b_lo - s)
     )

@@ -6,6 +6,8 @@ scalar mechanism state ``q`` evolves as ``qdot(I, R, x, q)``, chosen as the
 negative sensitivity of the epidemic storage (see :mod:`epgtool.bounds`)
 with respect to the average transmission rate, which makes the combined
 storage a Lyapunov function of the closed loop.
+The law is written once, as the source text ``_QDOT``, which
+:mod:`epgtool.dynamics` inlines in its RK4 kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import OptimalAllocation, endemic_derivatives, endemic_state
+from .equilibrium import _compile_text
 from .params import ModelParams, PolicyConfig, StrategySpec
 
 __all__ = [
@@ -27,6 +30,18 @@ __all__ = [
 
 class EpidemicStateOutOfDomain(ValueError):
     """Epidemic state outside (0, 1] x [0, 1]; the feedback is undefined."""
+
+
+# Minus the B-sensitivity of the epidemic storage.  ``{i}`` suffixes (I, R),
+# ``{_}`` the values at rate B (``equilibrium._ENDEMIC``); ups2 = upsilon^2.
+_QDOT = """\
+r_dev{_} = R_hat{_} - R{i}
+dq{_} = (log(I{i} / I_hat{_}) * dI_dB{_} - ups2 * (B{_} - bstar)
+      - 0.5 * (2.0 * a{_} * dR_dB{_} + r_dev{_} * da_dB{_}) * r_dev{_})
+"""
+_qdot = _compile_text(
+    "qdot", "I, R, B, I_hat, R_hat, a, dI_dB, dR_dB, da_dB, ups2, bstar",
+    _QDOT, "dq", {"log": math.log})
 
 
 @dataclass(frozen=True)
@@ -46,25 +61,20 @@ class PayoffMechanism:
     params: ModelParams
     strategies: StrategySpec
 
-    def payoffs(self, q: float) -> np.ndarray:
-        """Net payoff vector ``q*betas + r_o``."""
-        return q * np.asarray(self.strategies.betas) + np.asarray(self.r_o)
+    def payoffs(self, q) -> np.ndarray:
+        """Net payoffs ``q*betas + r_o``; shape ``(m, n)`` for ``m`` q's."""
+        return np.multiply.outer(q, self.strategies.betas) + np.asarray(self.r_o)
 
-    def rewards(self, q: float) -> np.ndarray:
-        """Gross reward vector ``q*betas + rstar``."""
-        return q * np.asarray(self.strategies.betas) + np.asarray(self.rstar)
+    def rewards(self, q) -> np.ndarray:
+        """Gross rewards ``q*betas + rstar``, stacked like :meth:`payoffs`."""
+        return np.multiply.outer(q, self.strategies.betas) + np.asarray(self.rstar)
 
     def qdot_at_B(self, I: float, R: float, B: float, q: float = 0.0) -> float:
-        """Feedback rate for ``q`` given the average transmission rate ``B``.
+        """Feedback rate ``_QDOT`` for ``q`` at the average transmission
+        rate ``B``, which must lie in the strategy range.
 
-        Returns
-
-            log(I / I_hat_B) * dI_dB - upsilon^2 * (B - betastar)
-            - 0.5 * (2*a_B*dR_dB + (R_hat_B - R)*da_dB) * (R_hat_B - R)
-
-        which equals minus the B-sensitivity of the epidemic storage.  The
-        current design does not use ``q``; it stays in the signature because
-        the mechanism state is part of the closed-loop state.
+        The current design does not use ``q``; it stays in the signature
+        because the mechanism state is part of the closed-loop state.
         """
         if not I > 0.0:
             raise EpidemicStateOutOfDomain(f"I={I!r} must be positive")
@@ -73,12 +83,9 @@ class PayoffMechanism:
         eq = endemic_derivatives(
             endemic_state(B, self.params, self.strategies), self.params
         )
-        r_dev = eq.R_hat - R
-        grad_r = 0.5 * (2.0 * eq.a * eq.dR_dB + r_dev * eq.da_dB)
-        return (
-            math.log(I / eq.I_hat) * eq.dI_dB
-            - self.upsilon ** 2 * (B - self.alloc.betastar)
-            - grad_r * r_dev
+        return _qdot(
+            I, R, eq.B, eq.I_hat, eq.R_hat, eq.a, eq.dI_dB, eq.dR_dB, eq.da_dB,
+            self.upsilon ** 2, self.alloc.betastar,
         )
 
     def qdot(self, I: float, R: float, x, q: float = 0.0) -> float:

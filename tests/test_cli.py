@@ -170,6 +170,33 @@ def test_bounds_level_is_the_initial_lyapunov_value(tmp_path):
     assert detail[0]["certified_peak"] >= 0.08  # at least I(0)
 
 
+def test_bad_upsilons_are_listed_together(tmp_path, capsys):
+    # -1, 0 and inf used to exit 0 with a "certified" ratio (inf: 1/I*)
+    code = main([
+        "bounds", str(CONFIG), "--out", str(tmp_path), "--json-errors",
+        "--upsilons=-1,2,0,inf,nan",
+    ])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert [v["name"] for v in payload["violations"]] == [
+        "--upsilons[0]", "--upsilons[2]", "--upsilons[3]", "--upsilons[4]",
+    ]
+    assert not (tmp_path / "bounds_sweep.csv").exists()
+
+
+def test_upsilons_rows_equal_runs_at_the_configured_gain(tmp_path):
+    assert main([
+        "bounds", str(CONFIG), "--out", str(tmp_path / "all"), "--upsilons", "1,6",
+    ]) == 0
+    rows = (tmp_path / "all" / "bounds_sweep.csv").read_text().splitlines()
+    for k, ups in enumerate(("1", "6")):
+        out = tmp_path / ups
+        assert main([
+            "bounds", str(CONFIG), "--out", str(out), "--set", f"policy.upsilon={ups}",
+        ]) == 0
+        assert (out / "bounds_sweep.csv").read_text().splitlines()[1] == rows[1 + k]
+
+
 @pytest.mark.parametrize("override", [
     "strategies.betas=0.2", "params.gama=0.1", 'params.gamma="x"',
 ])

@@ -7,10 +7,12 @@ import pytest
 
 from epgtool import (
     EpidemicStateOutOfDomain,
+    IntegratorOptions,
     OutOfRange,
     endemic_infection_floor,
     endemic_state,
     epidemic_storage,
+    simulate,
 )
 
 
@@ -138,3 +140,20 @@ def test_mechanism_state_does_not_enter_feedback(example1):
         example1.mech.qdot_at_B(0.05, 0.3, 0.16, q) for q in (-2.0, 0.0, 7.5)
     }
     assert len(vals) == 1
+
+
+def test_payoffs_and_rewards_of_a_stack_equal_per_state(three_strategy):
+    mech = three_strategy.mech
+    q = np.linspace(-2.0, 3.0, 41)
+    for method in (mech.payoffs, mech.rewards):
+        stacked = method(q)
+        assert stacked.shape == (q.size, three_strategy.strategies.n)
+        assert np.array_equal(stacked, np.array([method(float(v)) for v in q]))
+
+
+def test_trajectory_payoffs_and_rewards_come_from_the_mechanism(example1):
+    traj = simulate(example1.initial, 20.0, example1.mech, example1.proto,
+                    IntegratorOptions(output_stride=100))
+    mech, betas = example1.mech, np.asarray(example1.strategies.betas)
+    assert np.array_equal(traj.p, np.outer(traj.q, betas) + np.asarray(mech.r_o))
+    assert np.array_equal(traj.r, np.outer(traj.q, betas) + np.asarray(mech.rstar))
