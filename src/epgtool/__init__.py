@@ -20,6 +20,7 @@ from .dynamics import (
     EpgState,
     IntegratorOptions,
     LyapunovSeries,
+    RunStats,
     StepRejected,
     Trajectory,
     lyapunov_series,

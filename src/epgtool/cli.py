@@ -189,6 +189,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(run, out / "manifest.json", {
         "csv_columns": "t,I,R,x1..xn,q,B,cost,avg_cost,L"
                        + (",N" if run.integrator.track_population else ""),
+        "run_stats": dataclasses.asdict(traj.stats),
     })
     report = _certify(run, traj, out)
     k_end = len(traj) - 1

@@ -10,22 +10,32 @@ Integration is fixed-step explicit RK4 so reruns are bit-identical.  The
 vector field is written once, as the source template ``_FIELD``, which
 inlines the texts of the endemic algebra (``equilibrium._ENDEMIC``) and of
 the feedback law (``payoff._QDOT``).  For a given strategy count ``n``
-(and with or without the population column) it is expanded into
-straight-line Python: ``rhs(*y)``, used by :func:`state_derivative`, and
-an RK4 ``step(*y)`` with the four stages, the loops over ``n`` and the
-n x n pairwise flow unrolled.  The code is compiled once per shape and run
-with the model constants and ``proto.phi`` bound as globals, which removes
-the interpreter's call and list overhead but keeps every float operation
-of the loop form, in the same order.  After each step the strategy shares
-are re-projected onto the simplex (clip-and-renormalize, rounding noise
-only) and the infectious fraction is floored away from zero; violations
-beyond ``PROJECTION_TOL`` abort with :class:`StepRejected`.
+(and with or without the population column) it is expanded, once, into two
+straight-line Python functions: ``rhs``, used by :func:`state_derivative`,
+and ``integrate``, the whole loop of :func:`simulate`.  ``integrate`` holds
+
+- the step loop with the four RK4 stages inlined and the loops over ``n``
+  and the n x n pairwise flow unrolled, and the RK4 combination;
+- the projection after each step: shares clipped at 0 and renormalized
+  onto the simplex (rounding noise only), the infectious fraction floored
+  away from zero, R clipped at 0 and ``I + R <= 1`` checked; violations
+  beyond ``PROJECTION_TOL`` abort with :class:`StepRejected`;
+- the peak of I at every step, the cost ``r . x`` and its trapezoid
+  integral;
+- a sample every ``output_stride`` steps, packed as doubles into one
+  buffer, and the counts of :class:`RunStats`.
+
+Both take the model constants, ``proto.phi`` and the step sizes as one
+tuple ``K`` and unpack it into locals.  This removes the interpreter's
+call, list and global-lookup overhead but keeps every float operation of
+the loop form, in the same order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +49,7 @@ __all__ = [
     "EpgState",
     "IntegratorOptions",
     "Trajectory",
+    "RunStats",
     "LyapunovSeries",
     "StepRejected",
     "state_derivative",
@@ -163,15 +174,106 @@ def _field_template(n: int, track_population: bool) -> str:
                          population=population, i="{i}", _="{_}")
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_code(n: int, track_population: bool):
-    """Compile ``rhs(*y) -> tuple`` and the RK4 ``step(*y) -> tuple`` for
-    the packed state ``y = (I, R, x_0..x_{n-1}, q[, N])``.
+def _constant_names(n: int) -> list[str]:
+    """Names the generated functions unpack from ``K``, in the order of
+    :func:`_constants`."""
+    return ["phi", "d", "w", "gam", "sig", "g_rate", "ups2", "bstar",
+            *(f"beta_{k}" for k in range(n)), *(f"r_o_{k}" for k in range(n)),
+            *(f"rstar_{k}" for k in range(n)), "h", "half_h", "sixth"]
 
-    ``step`` inlines the four stages of ``_FIELD``; the combination
-    ``y + h/2*k``, ``y + h*k`` and ``y + h/6*(k1 + 2*k2 + 2*k3 + k4)``
-    keeps the order of the classical RK4 loop.  The source is registered
-    with :mod:`linecache` so tracebacks show the generated lines.
+
+def _constants(mech: PayoffMechanism, proto, h: float) -> tuple:
+    """``K``: ``proto.phi``, the model constants and the step sizes for ``h``.
+
+    The rate is always called as ``phi(j, gap)``, whatever the protocol.
+    """
+    params = mech.params
+    return (proto.phi, params.delta, params.omega, params.gamma, params.sigma,
+            params.g, mech.upsilon ** 2, mech.alloc.betastar,
+            *mech.strategies.betas, *mech.r_o, *mech.rstar, h, 0.5 * h, h / 6.0)
+
+
+# ``rhs`` and ``integrate`` around the stages of ``_FIELD``.  The projection
+# after each step is fixed by :func:`simulate`'s contract: shares clipped at
+# 0 and renormalized, I floored, R clipped, I + R checked, in that order;
+# only rounding noise is repaired, more is a :class:`StepRejected`.
+# ``{{...!r}}`` fields are the f-strings of the generated rejections.
+_RHS = """\
+def rhs({args}, K):
+    {constants} = K
+{stage}
+    return ({derivs},)
+"""
+_LOOP = """\
+def integrate({args}, n_steps, stride, K):
+    {constants} = K
+    c = {cost}
+    samples = bytearray(pack(0.0, {args}, c, c))
+    cost_integral = 0.0
+    peak_I, peak_t = I, 0.0
+    renormalizations = x_clips = i_floors = r_clips = 0
+    worst = 0.0
+    step = 0
+    try:
+        for step in range(1, n_steps + 1):
+{rk4}
+{clip}
+            xsum = 0.0 + {xsum}
+            if xsum != 1.0:
+                if abs(xsum - 1.0) > {tol}:
+                    raise StepRejected(step * h, f"sum(x)={{xsum!r}} drifted off 1")
+{renormalize}
+                renormalizations += 1
+                worst = max(worst, abs(xsum - 1.0))
+            if I < {floor}:
+                if I < -{tol}:
+                    raise StepRejected(step * h, f"I={{I!r}} went negative")
+                I = {floor}
+                i_floors += 1
+            if R < 0.0:
+                if R < -{tol}:
+                    raise StepRejected(step * h, f"R={{R!r}} went negative")
+                R = 0.0
+                r_clips += 1
+            if I + R > {ceiling}:
+                raise StepRejected(step * h, f"I+R={{I + R!r}} exceeded 1")
+            if I > peak_I:
+                peak_I, peak_t = I, step * h
+            prev_cost = c
+            c = {cost}
+            cost_integral += half_h * (prev_cost + c)
+            if step % stride == 0:
+                t = step * h
+                samples += pack(t, {args}, c, cost_integral / t)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise StepRejected(step * h, f"stage evaluation failed ({{exc}})") from exc
+    return (samples, peak_I, peak_t, renormalizations, worst,
+            x_clips, i_floors, r_clips)
+"""
+_CLIP = """\
+            if x_{k} < 0.0:
+                if x_{k} < -{tol}:
+                    raise StepRejected(step * h, f"x[{k}]={{x_{k}!r}} left the simplex")
+                x_{k} = 0.0
+                x_clips += 1"""
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n: int, track_population: bool):
+    """Compile ``rhs(*y, K) -> tuple`` and
+    ``integrate(*y, n_steps, stride, K)`` for the packed state
+    ``y = (I, R, x_0..x_{n-1}, q[, N])``.
+
+    ``integrate`` runs the whole fixed-step loop of :func:`simulate`: the
+    four inlined stages of ``_FIELD`` and their combination
+    ``y + h/2*k``, ``y + h*k``, ``y + h/6*(k1 + 2*k2 + 2*k3 + k4)`` in the
+    order of the classical RK4 loop, then the projection, the peak, the
+    cost ``r . x`` and its trapezoid integral, and a sample
+    ``(t, *y, cost, avg_cost)`` every ``stride`` steps.  The samples are
+    packed as doubles into one ``bytearray``, so no float objects are kept
+    per sample.  It returns the samples, the peak and its time, and the
+    projection counts of :class:`RunStats`.  The source is registered with
+    :mod:`linecache` so tracebacks show the generated lines.
     """
     template = _field_template(n, track_population)
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
@@ -180,46 +282,36 @@ def _kernel_code(n: int, track_population: bool):
         state.append("N")
         deriv.append("dN")
 
-    def stage(inputs: str, suffix: str) -> list[str]:
+    def stage(inputs: str, suffix: str, indent: str) -> list[str]:
         text = template.format(i=inputs, _=suffix)
-        return [f"    {line}" for line in text.splitlines() if line]
+        return [indent + line for line in text.splitlines() if line]
 
-    args = ", ".join(state)
-    lines = [f"def rhs({args}):", *stage("", ""),
-             f"    return ({', '.join(deriv)},)", "",
-             f"def step({args}):", *stage("", "_1")]
+    indent = " " * 12
+    rk4 = stage("", "_1", indent)
     for k, coef in ((2, "half_h"), (3, "half_h"), (4, "h")):
-        lines += [f"    {y}_{k} = {y} + {coef} * {dy}_{k - 1}"
-                  for y, dy in zip(state, deriv)]
-        lines += stage(f"_{k}", f"_{k}")
-    lines.append("    return (" + ", ".join(
-        f"{y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
-        for y, dy in zip(state, deriv)
-    ) + ",)")
+        rk4 += [f"{indent}{y}_{k} = {y} + {coef} * {dy}_{k - 1}"
+                for y, dy in zip(state, deriv)]
+        rk4 += stage(f"_{k}", f"_{k}", indent)
+    rk4 += [f"{indent}{y} = {y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
+            for y, dy in zip(state, deriv)]
+    tol = repr(PROJECTION_TOL)
+    common = {"args": ", ".join(state), "constants": ", ".join(_constant_names(n))}
+    source = _RHS.format(
+        stage="\n".join(stage("", "", "    ")), derivs=", ".join(deriv), **common
+    ) + "\n" + _LOOP.format(
+        rk4="\n".join(rk4),
+        clip="\n".join(_CLIP.format(k=k, tol=tol) for k in range(n)),
+        xsum=" + ".join(f"x_{k}" for k in range(n)),
+        renormalize="\n".join(f"                x_{k} /= xsum" for k in range(n)),
+        cost="0.0 + " + " + ".join(
+            f"(q * beta_{k} + rstar_{k}) * x_{k}" for k in range(n)),
+        tol=tol, floor=repr(I_FLOOR), ceiling=repr(1.0 + PROJECTION_TOL), **common,
+    )
     filename = f"<epgtool kernel n={n} population={track_population}>"
-    return _compile_source("\n".join(lines) + "\n", filename)
-
-
-def _kernel(mech: PayoffMechanism, proto, track_population: bool, h: float = 0.0):
-    """``(rhs, step)`` for ``mech`` and ``proto`` at step size ``h``.
-
-    The model constants and ``proto.phi`` are bound as globals of the
-    generated functions; the rate is always called as ``phi(j, gap)``.
-    """
-    params = mech.params
-    n = len(mech.strategies.betas)
-    namespace = {
-        "log": math.log, "sqrt": math.sqrt, "phi": proto.phi,
-        "d": params.delta, "w": params.omega, "gam": params.gamma,
-        "sig": params.sigma, "g_rate": params.g,
-        "ups2": mech.upsilon ** 2, "bstar": mech.alloc.betastar,
-        "h": h, "half_h": 0.5 * h, "sixth": h / 6.0,
-    }
-    for k in range(n):
-        namespace[f"beta_{k}"] = mech.strategies.betas[k]
-        namespace[f"r_o_{k}"] = mech.r_o[k]
-    exec(_kernel_code(n, track_population), namespace)
-    return namespace["rhs"], namespace["step"]
+    namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
+                 "pack": struct.Struct(f"{len(state) + 3}d").pack}
+    exec(_compile_source(source, filename), namespace)
+    return namespace["rhs"], namespace["integrate"]
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
@@ -228,8 +320,28 @@ def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarra
     y = [state.I, state.R, *state.x, state.q]
     if track:
         y.append(state.population)
-    rhs, _ = _kernel(mech, proto, track)
-    return np.array(rhs(*y))
+    rhs, _ = _kernel(len(mech.strategies.betas), track)
+    return np.array(rhs(*y, _constants(mech, proto, 0.0)))
+
+
+@dataclass(frozen=True)
+class RunStats:
+    """What the integration loop saw.
+
+    ``steps`` fixed steps were taken.  After ``renormalizations`` of them the
+    strategy shares did not sum to exactly 1 and were divided by their sum;
+    ``worst_renormalization`` is the largest ``|sum(x) - 1|`` so repaired.
+    ``x_clips`` counts shares clipped up to 0, ``i_floors`` steps whose
+    infectious fraction was raised to ``I_FLOOR``, and ``r_clips`` steps
+    whose recovered fraction was clipped up to 0.
+    """
+
+    steps: int
+    renormalizations: int
+    worst_renormalization: float
+    x_clips: int
+    i_floors: int
+    r_clips: int
 
 
 @dataclass(frozen=True)
@@ -240,7 +352,8 @@ class Trajectory:
     rewards ``r``, instantaneous cost ``r . x``, its running time average,
     the epidemic storage, the protocol storage, and their sum ``lyapunov``.
     ``observed_peak`` is the maximum infectious fraction at full step
-    resolution (not just at samples).
+    resolution (not just at samples), and ``stats`` what the integration
+    loop saw.
     """
 
     times: np.ndarray
@@ -259,6 +372,7 @@ class Trajectory:
     population: np.ndarray | None
     observed_peak: float
     observed_peak_time: float
+    stats: RunStats
     mech: PayoffMechanism = field(repr=False)
     proto: object = field(repr=False)
     options: IntegratorOptions = field(repr=False)
@@ -318,74 +432,21 @@ def simulate(
 
     params = mech.params
     betas = mech.strategies.betas
-    rstar = mech.rstar
     n = len(betas)
-    _, rk4_step = _kernel(mech, proto, track, h)
-
+    _, integrate = _kernel(n, track)
     y = [initial.I, initial.R, *initial.x, initial.q]
     if track:
         y.append(initial.population)
+    samples, peak_I, peak_t, *counts = integrate(
+        *y, n_steps, stride, _constants(mech, proto, h)
+    )
 
-    def cost_of(y: list[float]) -> float:
-        c = 0.0
-        for k in range(n):
-            c += (y[2 + n] * betas[k] + rstar[k]) * y[2 + k]
-        return c
-
-    rec_t = [0.0]
-    rec_y = [list(y)]
-    rec_cost = [cost_of(y)]
-    rec_avg = [cost_of(y)]  # running average at t=0 defaults to the spot cost
-    cost_integral = 0.0
-    prev_cost = rec_cost[0]
-    peak_I, peak_t = y[0], 0.0
-
-    for step in range(1, n_steps + 1):
-        t_next = step * h
-        try:
-            y = list(rk4_step(*y))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise StepRejected(t_next, f"stage evaluation failed ({exc})") from exc
-
-        # project x back onto the simplex; only rounding noise is repaired
-        xsum = 0.0
-        for k in range(n):
-            xk = y[2 + k]
-            if xk < 0.0:
-                if xk < -PROJECTION_TOL:
-                    raise StepRejected(t_next, f"x[{k}]={xk!r} left the simplex")
-                y[2 + k] = 0.0
-                xk = 0.0
-            xsum += xk
-        if abs(xsum - 1.0) > PROJECTION_TOL:
-            raise StepRejected(t_next, f"sum(x)={xsum!r} drifted off 1")
-        if xsum != 1.0:
-            for k in range(n):
-                y[2 + k] /= xsum
-        if y[0] < I_FLOOR:
-            if y[0] < -PROJECTION_TOL:
-                raise StepRejected(t_next, f"I={y[0]!r} went negative")
-            y[0] = I_FLOOR
-        if y[1] < 0.0:
-            if y[1] < -PROJECTION_TOL:
-                raise StepRejected(t_next, f"R={y[1]!r} went negative")
-            y[1] = 0.0
-        if y[0] + y[1] > 1.0 + PROJECTION_TOL:
-            raise StepRejected(t_next, f"I+R={y[0] + y[1]!r} exceeded 1")
-
-        if y[0] > peak_I:
-            peak_I, peak_t = y[0], t_next
-        c = cost_of(y)
-        cost_integral += 0.5 * h * (prev_cost + c)
-        prev_cost = c
-        if step % stride == 0:
-            rec_t.append(t_next)
-            rec_y.append(list(y))
-            rec_cost.append(c)
-            rec_avg.append(cost_integral / t_next)
-
-    times = np.array(rec_t)
-    Y = np.array(rec_y)
+    # columns t, I, R, x_0..x_{n-1}, q[, N], cost, avg_cost.  Each series is
+    # copied out contiguous (np.dot rounds a strided vector differently),
+    # the state as rows (I, R, x, q[, N]).
+    Y = np.frombuffer(samples).reshape(-1, len(y) + 3)
+    times, cost, avg_cost = Y[:, 0].copy(), Y[:, -2].copy(), Y[:, -1].copy()
+    Y = Y[:, 1:-2].copy()
     I_s, R_s, q_s = Y[:, 0], Y[:, 1], Y[:, 2 + n]
     x_s = Y[:, 2:2 + n]
     pop = Y[:, 3 + n] if track else None
@@ -398,11 +459,12 @@ def simulate(
     proto_s = _edm.storage(proto, x_s, p_s)
     return Trajectory(
         times=times, I=I_s, R=R_s, x=x_s, q=q_s, B=B_s, p=p_s, r=r_s,
-        cost=np.array(rec_cost), avg_cost=np.array(rec_avg),
+        cost=cost, avg_cost=avg_cost,
         epi_storage=np.asarray(epi), proto_storage=proto_s,
         lyapunov=np.asarray(epi) + proto_s,
         population=pop,
         observed_peak=peak_I, observed_peak_time=peak_t,
+        stats=RunStats(n_steps, *counts),
         mech=mech, proto=proto, options=options,
     )
 

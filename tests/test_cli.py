@@ -73,6 +73,18 @@ def test_simulate_outputs(tmp_path, capsys):
     assert data.shape[0] == 101
 
 
+
+def test_simulate_manifest_holds_the_run_stats(tmp_path):
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST]) == 0
+    stats = json.loads((tmp_path / "manifest.json").read_text())["run_stats"]
+    assert set(stats) == {
+        "steps", "renormalizations", "worst_renormalization",
+        "x_clips", "i_floors", "r_clips",
+    }
+    assert stats["steps"] == 5000
+    assert 0 < stats["renormalizations"] <= 5000
+    assert 0.0 < stats["worst_renormalization"] <= 1e-15
+
 def test_simulate_is_deterministic(tmp_path):
     digests = []
     for sub in ("one", "two"):

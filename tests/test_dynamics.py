@@ -10,12 +10,19 @@ import pytest
 from epgtool import (
     EpgState,
     IntegratorOptions,
+    PolicyConfig,
+    RunStats,
+    SmithProtocol,
     StepRejected,
+    StrategySpec,
+    build_mechanism,
     endemic_state,
     lyapunov_series,
     lyapunov_value,
+    optimal_allocation,
     simulate,
     state_derivative,
+    validate,
     write_csv,
 )
 from conftest import make_scenario
@@ -399,3 +406,117 @@ def test_csv_rows_match_per_value_formatting_across_blocks(example1, tmp_path):
     assert lines[0] == "t,I,R,x1,x2,q,B,cost,avg_cost,L,N"
     assert lines[1:] == [",".join(CSV_FLOAT_FORMAT % v for v in row)
                          for row in zip(*cols)]
+
+
+def _four_strategy_mech(example1):
+    strategies = StrategySpec(betas=(0.12, 0.14, 0.16, 0.19), costs=(0.5, 0.3, 0.15, 0.0))
+    policy = PolicyConfig(cstar=0.1, upsilon=2.0)
+    validate(example1.params, strategies, policy)
+    alloc = optimal_allocation(strategies, policy, example1.params)
+    return build_mechanism(alloc, strategies, policy, example1.params)
+
+
+def _rejection_case(name, example1):
+    """``(start, proto, mech, step, horizon)`` of a run that is rejected by
+    one check of the step projection, from a start ``EpgState`` accepts."""
+    tiny = SmithProtocol(rate_gain=1e-12, cap=1e-12)
+    eq0 = endemic_state(0.19, example1.params, example1.strategies)
+    return {
+        "simplex": (EpgState(I=0.17, R=0.55, x=(0.25, 0.75), q=27.0),
+                    SmithProtocol(rate_gain=50.0, cap=30.0), example1.mech, 0.375, 3.0),
+        # the pairwise flow keeps sum(x) to rounding, so the drift comes from
+        # clipping two start shares that lie inside the simplex tolerance
+        "sum": (EpgState(I=0.03, R=0.3, x=(-6e-10, -6e-10, 0.5 + 6e-10, 0.5 + 6e-10),
+                         q=0.0),
+                example1.proto, _four_strategy_mech(example1), 0.01, 1.0),
+        "I": (EpgState(I=0.18, R=0.21, x=(1.0, 0.0), q=-45.0),
+              example1.proto, example1.mech, 150.0, 1500.0),
+        # R starts inside the tolerance band below 0 and I is too small to
+        # refill it, so the RK4 polynomial of R's decay (|.| > 1 at
+        # omega*h = 6.6) pushes R further down
+        "R": (EpgState(I=1e-300, R=-1e-9, x=(1.0, 0.0), q=0.0),
+              tiny, example1.mech, 600.0, 6000.0),
+        "I+R": (EpgState(I=5e-247, R=0.0009, x=(0.5, 0.5), q=-33.0),
+                tiny, example1.mech, 1250.0, 12500.0),
+        "stage": (EpgState(I=eq0.I_hat, R=eq0.R_hat, x=(0.0, 1.0), q=-50.0),
+                  example1.proto, example1.mech, 50.0, 100.0),
+        "stage, third step": (EpgState(I=0.05, R=0.3, x=(0.5, 0.5), q=25.0),
+                              example1.proto, example1.mech, 33.3, 3330.0),
+    }[name]
+
+
+@pytest.mark.parametrize("name, t, detail", [
+    ("simplex", 0.375, "x[1]=-119.7864990234375 left the simplex"),
+    ("sum", 0.01, "sum(x)=1.0000000011999763 drifted off 1"),
+    ("I", 150.0, "I=-21.437970081785313 went negative"),
+    ("R", 600.0, "R=-4.732539980960193e-08 went negative"),
+    ("I+R", 1250.0, "I+R=1.0240853027355439 exceeded 1"),
+    ("stage", 50.0, "stage evaluation failed (math domain error)"),
+    ("stage, third step", 3 * 33.3, "stage evaluation failed (math domain error)"),
+])
+def test_every_rejection_path_reports_its_step_time(example1, name, t, detail):
+    start, proto, mech, step, horizon = _rejection_case(name, example1)
+    with pytest.raises(StepRejected) as err:
+        simulate(start, horizon, mech, proto, IntegratorOptions(step=step, output_stride=1))
+    # the time is step * h, not a running sum of h
+    assert err.value.t == t
+    assert str(err.value) == f"step rejected at t={t:.6g} d: {detail}; reduce the step size"
+    if name.startswith("stage"):
+        assert isinstance(err.value.__cause__, ValueError)
+    else:
+        assert err.value.__cause__ is None
+
+
+def test_stride_that_does_not_divide_the_step_count(example1):
+    opts = IntegratorOptions(step=0.01, output_stride=7)
+    traj = simulate(example1.initial, 1.0, example1.mech, example1.proto, opts)
+    # samples at steps 0, 7, ..., 98; the last step (100) is not recorded
+    assert traj.times.tolist() == [k * 0.01 for k in range(0, 101, 7)]
+    assert traj.I[-1] == float.fromhex("0x1.e2c85fd2f71aap-6")
+    assert traj.q[-1] == float.fromhex("0x1.40d1f46fd4963p-4")
+    assert traj.cost[-1] == float.fromhex("0x1.b1997eb62ab14p-3")
+    assert traj.avg_cost[-1] == float.fromhex("0x1.a59da2d63a493p-3")
+    # the peak is tracked at every step, past the last sample too
+    assert traj.observed_peak == float.fromhex("0x1.e2c86297dbec2p-6")
+    assert traj.observed_peak_time == 1.0
+
+
+def test_stride_above_the_step_count_records_only_the_start(example1):
+    opts = IntegratorOptions(step=0.01, output_stride=200)
+    traj = simulate(example1.initial, 1.0, example1.mech, example1.proto, opts)
+    assert traj.times.tolist() == [0.0]
+    assert traj.I.tolist() == [example1.initial.I]
+    assert traj.q.tolist() == [0.0]
+    assert traj.cost.tolist() == traj.avg_cost.tolist() == [0.2]
+    assert traj.observed_peak == float.fromhex("0x1.e2c86297dbec2p-6")
+    assert traj.observed_peak_time == 1.0
+
+
+def test_peak_at_the_start(example1):
+    eq = endemic_state(0.15, example1.params, example1.strategies)
+    start = EpgState(I=2.0 * eq.I_hat, R=eq.R_hat, x=(1.0, 0.0), q=0.0)
+    traj = simulate(start, 1.0, example1.mech, example1.proto,
+                    IntegratorOptions(step=0.01, output_stride=10))
+    assert traj.I[1] < traj.I[0]
+    assert traj.observed_peak == start.I
+    assert traj.observed_peak_time == 0.0
+
+
+def test_run_stats_count_the_projection_repairs(example1):
+    traj = simulate(example1.initial, 30.0, example1.mech, example1.proto)
+    # rounding leaves sum(x) off 1 after some steps; nothing is clipped
+    assert traj.stats == RunStats(
+        steps=3000, renormalizations=400, worst_renormalization=2.0 ** -52,
+        x_clips=0, i_floors=0, r_clips=0,
+    )
+    # x[0] and R start inside their tolerance bands below 0 and I below its
+    # floor; each is repaired once, in the first step, and clipping x[0]
+    # leaves sum(x) = 1 + 4e-10
+    start = EpgState(I=1e-300, R=-5e-10, x=(-4e-10, 1.0 + 4e-10), q=0.0)
+    frozen = SmithProtocol(rate_gain=1e-12, cap=1e-12)
+    traj = simulate(start, 1.0, example1.mech, frozen)
+    assert traj.stats == RunStats(
+        steps=100, renormalizations=8, worst_renormalization=3.9999958900693855e-10,
+        x_clips=1, i_floors=1, r_clips=1,
+    )
+    assert traj.I[1] > 1e-12 and traj.R[1] > 0.0 and traj.x[1, 0] > 0.0
