@@ -33,11 +33,9 @@ from .edm import (
     GeneralIPCProtocol,
     NotIPC,
     SmithProtocol,
-    best_response,
     dissipation,
     mean_field,
     storage,
-    switch_rates,
 )
 from .equilibrium import (
     DegenerateDiscriminant,
@@ -47,7 +45,6 @@ from .equilibrium import (
     SingularSystem,
     endemic_curve,
     endemic_derivatives,
-    endemic_infection_floor,
     endemic_state,
     optimal_allocation,
 )

@@ -187,8 +187,7 @@ def cmd_simulate(args) -> int:
     csv_path = out / "trajectory.csv"
     write_csv(traj, csv_path)
     _write_manifest(run, out / "manifest.json", {
-        "csv_columns": "t,I,R,x1..xn,q,B,cost,avg_cost,L"
-                       + (",N" if run.integrator.track_population else ""),
+        "csv_columns": "t,I,R,x1..xn,q,B,cost,avg_cost,L",
         "run_stats": dataclasses.asdict(traj.stats),
     })
     report = _certify(run, traj, out)

@@ -7,9 +7,9 @@ Schema (all keys optional unless noted; see README for units):
       "strategies": {"betas": [...], "costs": [...]},               # required
       "policy":     {"cstar", "upsilon", "offsupport_margin"},      # required
       "protocol":   {"kind": "smith", "rate_gain", "cap"},
-      "integrator": {"step", "horizon", "output_stride", "track_population"},
-      "initial":    {"kind": "endemic", "x" or "B", "q", "population"}
-                  | {"kind": "explicit", "I", "R", "x", "q", "population"},
+      "integrator": {"step", "horizon", "output_stride"},
+      "initial":    {"kind": "endemic", "x" or "B", "q"}
+                  | {"kind": "explicit", "I", "R", "x", "q"},
       "bounds":     {"grid_size", "alpha"}
     }
 
@@ -50,13 +50,8 @@ MAX_GRID_SIZE = 100_000
 
 _DEFAULTS = {
     "protocol": {"kind": "smith", "rate_gain": 0.1, "cap": 0.1},
-    "integrator": {
-        "step": 0.01,
-        "horizon": 1500.0,
-        "output_stride": 10,
-        "track_population": False,
-    },
-    "initial": {"kind": "endemic", "q": 0.0, "population": None},
+    "integrator": {"step": 0.01, "horizon": 1500.0, "output_stride": 10},
+    "initial": {"kind": "endemic", "q": 0.0},
     "bounds": {"grid_size": 30, "alpha": None},
 }
 
@@ -78,7 +73,6 @@ _INTEGER = ("an integer",
 _NUMBERS = ("a list of finite numbers",
             lambda v: isinstance(v, list) and all(_is_number(e) for e in v))
 _STRING = ("a string", lambda v: isinstance(v, str))
-_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
 
 
 def _or_null(kind):
@@ -91,11 +85,9 @@ _SCHEMA = {
     "strategies": {"betas": _NUMBERS, "costs": _NUMBERS},
     "policy": dict.fromkeys(("cstar", "upsilon", "offsupport_margin"), _NUMBER),
     "protocol": {"kind": _STRING, "rate_gain": _NUMBER, "cap": _NUMBER},
-    "integrator": {"step": _NUMBER, "horizon": _NUMBER, "output_stride": _INTEGER,
-                   "track_population": _BOOLEAN},
+    "integrator": {"step": _NUMBER, "horizon": _NUMBER, "output_stride": _INTEGER},
     "initial": {"kind": _STRING, "x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
-                "q": _NUMBER, "population": _or_null(_NUMBER), "I": _NUMBER,
-                "R": _NUMBER},
+                "q": _NUMBER, "I": _NUMBER, "R": _NUMBER},
     "bounds": {"grid_size": _INTEGER, "alpha": _or_null(_NUMBER)},
 }
 _REQUIRED = {
@@ -178,10 +170,6 @@ class RunConfig:
     """Raw (unvalidated) configuration mapping, with defaults filled in."""
 
     data: dict
-
-    @property
-    def horizon(self) -> float:
-        return float(self.data["integrator"]["horizon"])
 
 
 def load_config(path) -> RunConfig:
@@ -296,8 +284,6 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
 
     init_cfg = d["initial"]
     q0 = float(init_cfg.get("q", 0.0))
-    pop0 = init_cfg.get("population")
-    pop0 = None if pop0 is None else float(pop0)
     if init_cfg["kind"] == "endemic":
         x_given = init_cfg.get("x") is not None
         B_given = init_cfg.get("B") is not None
@@ -314,26 +300,21 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
             raise ValueError("endemic initial state needs 'x' or 'B'")
         B0 = float(np.dot(x0, strategies.betas))
         eq = endemic_state(B0, params, strategies)
-        initial = EpgState(I=eq.I_hat, R=eq.R_hat, x=x0, q=q0, population=pop0)
+        initial = EpgState(I=eq.I_hat, R=eq.R_hat, x=x0, q=q0)
     elif init_cfg["kind"] == "explicit":
         initial = EpgState(
             I=float(init_cfg["I"]),
             R=float(init_cfg["R"]),
             x=tuple(float(v) for v in init_cfg["x"]),
             q=q0,
-            population=pop0,
         )
     else:
         raise ValueError(f"unknown initial-state kind {init_cfg['kind']!r}")
 
     integ = d["integrator"]
     options = IntegratorOptions(
-        step=float(integ["step"]),
-        output_stride=int(integ["output_stride"]),
-        track_population=bool(integ["track_population"]),
+        step=float(integ["step"]), output_stride=int(integ["output_stride"])
     )
-    if options.track_population and initial.population is None:
-        raise ValueError("track_population requires initial.population")
 
     bounds_cfg = d["bounds"]
     alpha = bounds_cfg.get("alpha")

@@ -9,10 +9,10 @@ by payoffs ``q*betas + r_o``, and the designed feedback for ``q``.
 Integration is fixed-step explicit RK4 so reruns are bit-identical.  The
 vector field is written once, as the source template ``_FIELD``, which
 inlines the texts of the endemic algebra (``equilibrium._ENDEMIC``) and of
-the feedback law (``payoff._QDOT``).  For a given strategy count ``n``
-(and with or without the population column) it is expanded, once, into two
-straight-line Python functions: ``rhs``, used by :func:`state_derivative`,
-and ``integrate``, the whole loop of :func:`simulate`.  ``integrate`` holds
+the feedback law (``payoff._QDOT``).  For a given strategy count ``n`` it
+is expanded, once, into two straight-line Python functions: ``rhs``, used by
+:func:`state_derivative`, and ``integrate``, the whole loop of
+:func:`simulate`.  ``integrate`` holds
 
 - the step loop with the four RK4 stages inlined and the loops over ``n``
   and the n x n pairwise flow unrolled, and the RK4 combination;
@@ -79,15 +79,14 @@ class StepRejected(RuntimeError):
 class EpgState:
     """Closed-loop state: fractions (I, R), shares x, mechanism state q.
 
-    ``population`` optionally carries the absolute population size, which is
-    tracked observationally (it does not feed back into the dynamics).
+    I, R and the shares x are fractions of the living population; its
+    absolute size enters no equation of the normalized model.
     """
 
     I: float
     R: float
     x: tuple[float, ...]
     q: float
-    population: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -101,22 +100,18 @@ class EpgState:
         if self.I + self.R > 1.0 + PROJECTION_TOL or self.R < -PROJECTION_TOL:
             raise ValueError(f"(I, R)=({self.I!r}, {self.R!r}) not in the state space")
         _edm.check_simplex(self.x)
-        if self.population is not None and not self.population > 0.0:
-            raise ValueError(f"population={self.population!r} must be positive")
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Fixed-step RK4 settings.
 
-    ``step`` is the step size in days, ``output_stride`` the number of steps
-    between recorded samples, and ``track_population`` enables the
-    observational population-size equation.
+    ``step`` is the step size in days and ``output_stride`` the number of
+    steps between recorded samples.
     """
 
     step: float = 0.01
     output_stride: int = 10
-    track_population: bool = False
 
     def __post_init__(self):
         if not self.step > 0:
@@ -126,12 +121,12 @@ class IntegratorOptions:
 
 
 # One evaluation of the closed-loop vector field, written once.  ``{i}``
-# suffixes the stage's inputs (I, R, x_k, q, N) and ``{_}`` every value the
+# suffixes the stage's inputs (I, R, x_k, q) and ``{_}`` every value the
 # stage computes.  ``{endemic}`` and ``{qdot}`` are the texts of the
 # endemic algebra and of the feedback law, on their smooth extension:
 # invalid stage states surface as math-domain errors that :func:`simulate`
-# turns into :class:`StepRejected`.  ``{B}``, ``{flow}`` and ``{population}``
-# are filled by :func:`_field_template`.
+# turns into :class:`StepRejected`.  ``{B}`` and ``{flow}`` are filled by
+# :func:`_field_template`.
 _FIELD = """\
 B{_} = {B}
 {endemic}
@@ -140,11 +135,10 @@ i_dev{_} = I_hat{_} - I{i}
 dI{_} = (B{_} * r_dev{_} + (B{_} - d) * i_dev{_}) * I{i}
 dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 {flow}
-{population}
 """
 
 
-def _field_template(n: int, track_population: bool) -> str:
+def _field_template(n: int) -> str:
     """``_FIELD`` with the loops over the ``n`` strategies unrolled.
 
     Sums start from ``0.0`` and run left to right, with the zero ``i == j``
@@ -168,16 +162,15 @@ def _field_template(n: int, track_population: bool) -> str:
     for i in range(n):
         terms = " + ".join(f"({f(j, i)} - {f(i, j)})" for j in range(n))
         flow.append(f"dx_{i}{{_}} = 0.0 + {terms}")
-    population = "dN{_} = (g_rate - d * I{i}) * N{i}" if track_population else ""
     # {i} and {_} stay placeholders; they are filled per stage
     return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT, flow="\n".join(flow),
-                         population=population, i="{i}", _="{_}")
+                         i="{i}", _="{_}")
 
 
 def _constant_names(n: int) -> list[str]:
     """Names the generated functions unpack from ``K``, in the order of
     :func:`_constants`."""
-    return ["phi", "d", "w", "gam", "sig", "g_rate", "ups2", "bstar",
+    return ["phi", "d", "w", "gam", "sig", "ups2", "bstar",
             *(f"beta_{k}" for k in range(n)), *(f"r_o_{k}" for k in range(n)),
             *(f"rstar_{k}" for k in range(n)), "h", "half_h", "sixth"]
 
@@ -189,15 +182,17 @@ def _constants(mech: PayoffMechanism, proto, h: float) -> tuple:
     """
     params = mech.params
     return (proto.phi, params.delta, params.omega, params.gamma, params.sigma,
-            params.g, mech.upsilon ** 2, mech.alloc.betastar,
+            mech.upsilon ** 2, mech.alloc.betastar,
             *mech.strategies.betas, *mech.r_o, *mech.rstar, h, 0.5 * h, h / 6.0)
 
 
 # ``rhs`` and ``integrate`` around the stages of ``_FIELD``.  The projection
 # after each step is fixed by :func:`simulate`'s contract: shares clipped at
 # 0 and renormalized, I floored, R clipped, I + R checked, in that order;
-# only rounding noise is repaired, more is a :class:`StepRejected`.
-# ``{{...!r}}`` fields are the f-strings of the generated rejections.
+# only rounding noise is repaired, more is a :class:`StepRejected`.  Each
+# check is written negated, ``not v >= lo``, so that a NaN, for which every
+# comparison is false, fails it.  ``{{...!r}}`` fields are the f-strings of
+# the generated rejections.
 _RHS = """\
 def rhs({args}, K):
     {constants} = K
@@ -220,22 +215,22 @@ def integrate({args}, n_steps, stride, K):
 {clip}
             xsum = 0.0 + {xsum}
             if xsum != 1.0:
-                if abs(xsum - 1.0) > {tol}:
+                if not abs(xsum - 1.0) <= {tol}:
                     raise StepRejected(step * h, f"sum(x)={{xsum!r}} drifted off 1")
 {renormalize}
                 renormalizations += 1
                 worst = max(worst, abs(xsum - 1.0))
-            if I < {floor}:
-                if I < -{tol}:
+            if not I >= {floor}:
+                if not I >= -{tol}:
                     raise StepRejected(step * h, f"I={{I!r}} went negative")
                 I = {floor}
                 i_floors += 1
-            if R < 0.0:
-                if R < -{tol}:
+            if not R >= 0.0:
+                if not R >= -{tol}:
                     raise StepRejected(step * h, f"R={{R!r}} went negative")
                 R = 0.0
                 r_clips += 1
-            if I + R > {ceiling}:
+            if not I + R <= {ceiling}:
                 raise StepRejected(step * h, f"I+R={{I + R!r}} exceeded 1")
             if I > peak_I:
                 peak_I, peak_t = I, step * h
@@ -251,18 +246,18 @@ def integrate({args}, n_steps, stride, K):
             x_clips, i_floors, r_clips)
 """
 _CLIP = """\
-            if x_{k} < 0.0:
-                if x_{k} < -{tol}:
+            if not x_{k} >= 0.0:
+                if not x_{k} >= -{tol}:
                     raise StepRejected(step * h, f"x[{k}]={{x_{k}!r}} left the simplex")
                 x_{k} = 0.0
                 x_clips += 1"""
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int, track_population: bool):
+def _kernel(n: int):
     """Compile ``rhs(*y, K) -> tuple`` and
     ``integrate(*y, n_steps, stride, K)`` for the packed state
-    ``y = (I, R, x_0..x_{n-1}, q[, N])``.
+    ``y = (I, R, x_0..x_{n-1}, q)``.
 
     ``integrate`` runs the whole fixed-step loop of :func:`simulate`: the
     four inlined stages of ``_FIELD`` and their combination
@@ -275,12 +270,9 @@ def _kernel(n: int, track_population: bool):
     projection counts of :class:`RunStats`.  The source is registered with
     :mod:`linecache` so tracebacks show the generated lines.
     """
-    template = _field_template(n, track_population)
+    template = _field_template(n)
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
     deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
-    if track_population:
-        state.append("N")
-        deriv.append("dN")
 
     def stage(inputs: str, suffix: str, indent: str) -> list[str]:
         text = template.format(i=inputs, _=suffix)
@@ -307,7 +299,7 @@ def _kernel(n: int, track_population: bool):
             f"(q * beta_{k} + rstar_{k}) * x_{k}" for k in range(n)),
         tol=tol, floor=repr(I_FLOOR), ceiling=repr(1.0 + PROJECTION_TOL), **common,
     )
-    filename = f"<epgtool kernel n={n} population={track_population}>"
+    filename = f"<epgtool kernel n={n}>"
     namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
                  "pack": struct.Struct(f"{len(state) + 3}d").pack}
     exec(_compile_source(source, filename), namespace)
@@ -315,13 +307,10 @@ def _kernel(n: int, track_population: bool):
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
-    """Time derivative of the packed state ``[I, R, x..., q(, N)]``."""
-    track = state.population is not None
-    y = [state.I, state.R, *state.x, state.q]
-    if track:
-        y.append(state.population)
-    rhs, _ = _kernel(len(mech.strategies.betas), track)
-    return np.array(rhs(*y, _constants(mech, proto, 0.0)))
+    """Time derivative of the packed state ``[I, R, x..., q]``."""
+    rhs, _ = _kernel(len(mech.strategies.betas))
+    return np.array(rhs(state.I, state.R, *state.x, state.q,
+                        _constants(mech, proto, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -369,7 +358,6 @@ class Trajectory:
     epi_storage: np.ndarray
     proto_storage: np.ndarray
     lyapunov: np.ndarray
-    population: np.ndarray | None
     observed_peak: float
     observed_peak_time: float
     stats: RunStats
@@ -382,11 +370,7 @@ class Trajectory:
 
     def state_at(self, k: int) -> EpgState:
         return EpgState(
-            I=float(self.I[k]),
-            R=float(self.R[k]),
-            x=tuple(self.x[k]),
-            q=float(self.q[k]),
-            population=None if self.population is None else float(self.population[k]),
+            I=float(self.I[k]), R=float(self.R[k]), x=tuple(self.x[k]), q=float(self.q[k])
         )
 
 
@@ -426,30 +410,24 @@ def simulate(
     h = options.step
     stride = options.output_stride
     n_steps = step_count(horizon, h)
-    track = options.track_population
-    if track and initial.population is None:
-        raise ValueError("track_population requires an initial population size")
 
     params = mech.params
     betas = mech.strategies.betas
     n = len(betas)
-    _, integrate = _kernel(n, track)
-    y = [initial.I, initial.R, *initial.x, initial.q]
-    if track:
-        y.append(initial.population)
+    _, integrate = _kernel(n)
     samples, peak_I, peak_t, *counts = integrate(
-        *y, n_steps, stride, _constants(mech, proto, h)
+        initial.I, initial.R, *initial.x, initial.q,
+        n_steps, stride, _constants(mech, proto, h)
     )
 
-    # columns t, I, R, x_0..x_{n-1}, q[, N], cost, avg_cost.  Each series is
+    # columns t, I, R, x_0..x_{n-1}, q, cost, avg_cost.  Each series is
     # copied out contiguous (np.dot rounds a strided vector differently),
-    # the state as rows (I, R, x, q[, N]).
-    Y = np.frombuffer(samples).reshape(-1, len(y) + 3)
+    # the state as rows (I, R, x, q).
+    Y = np.frombuffer(samples).reshape(-1, n + 6)
     times, cost, avg_cost = Y[:, 0].copy(), Y[:, -2].copy(), Y[:, -1].copy()
     Y = Y[:, 1:-2].copy()
     I_s, R_s, q_s = Y[:, 0], Y[:, 1], Y[:, 2 + n]
     x_s = Y[:, 2:2 + n]
-    pop = Y[:, 3 + n] if track else None
     B_s = x_s @ np.asarray(betas)
     p_s = mech.payoffs(q_s)
     r_s = mech.rewards(q_s)
@@ -462,7 +440,6 @@ def simulate(
         cost=cost, avg_cost=avg_cost,
         epi_storage=np.asarray(epi), proto_storage=proto_s,
         lyapunov=np.asarray(epi) + proto_s,
-        population=pop,
         observed_peak=peak_I, observed_peak_time=peak_t,
         stats=RunStats(n_steps, *counts),
         mech=mech, proto=proto, options=options,
@@ -535,10 +512,9 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
 def write_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as CSV.
 
-    Fixed column order: ``t, I, R, x1..xn, q, B, cost, avg_cost, L`` with a
-    trailing ``N`` column when the population size was tracked.  Floats are
-    rendered with ``CSV_FLOAT_FORMAT`` so identical runs produce identical
-    bytes.
+    Fixed column order: ``t, I, R, x1..xn, q, B, cost, avg_cost, L``.
+    Floats are rendered with ``CSV_FLOAT_FORMAT`` so identical runs produce
+    identical bytes.
     """
     n = traj.x.shape[1]
     header = ["t", "I", "R"] + [f"x{k + 1}" for k in range(n)] + [
@@ -547,9 +523,6 @@ def write_csv(traj: Trajectory, path) -> None:
     cols = [traj.times, traj.I, traj.R] + [traj.x[:, k] for k in range(n)] + [
         traj.q, traj.B, traj.cost, traj.avg_cost, traj.lyapunov,
     ]
-    if traj.population is not None:
-        header.append("N")
-        cols.append(traj.population)
     row_format = ",".join([CSV_FLOAT_FORMAT] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

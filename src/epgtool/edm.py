@@ -32,15 +32,12 @@ __all__ = [
     "SmithProtocol",
     "GeneralIPCProtocol",
     "NotIPC",
-    "switch_rates",
     "mean_field",
-    "best_response",
     "storage",
     "dissipation",
     "check_simplex",
 ]
 
-BEST_RESPONSE_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
 QUADRATURE_PANELS = 256  # Simpson panels of GeneralIPCProtocol's storage
 
@@ -124,23 +121,6 @@ def check_simplex(x: Sequence[float], tol: float = SIMPLEX_TOL) -> np.ndarray:
     return x
 
 
-def switch_rates(proto, x, p) -> np.ndarray:
-    """n-by-n matrix of revision rates; entry (i, j) is the i -> j rate.
-
-    Diagonal entries are zero.  ``x`` is accepted for signature uniformity
-    with state-dependent protocol families but unused by pairwise
-    comparison protocols.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    T = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                T[i, j] = proto.phi(j, p[j] - p[i])
-    return T
-
-
 def _rates(rate, j: int, gaps: np.ndarray) -> np.ndarray:
     """``rate(j, g)`` for each entry ``g`` of the gap column ``gaps``.
 
@@ -189,13 +169,6 @@ def mean_field(proto, x, p) -> np.ndarray:
                 v[:, j] += f
                 v[:, i] -= f
     return v[0] if single else v
-
-
-def best_response(p, tol: float = BEST_RESPONSE_TOL) -> tuple[int, ...]:
-    """Indices of maximal payoff entries (ties included within ``tol``)."""
-    p = np.asarray(p, dtype=float)
-    top = float(p.max())
-    return tuple(int(i) for i in np.flatnonzero(p >= top - tol))
 
 
 def _storage_per_strategy(proto, P: np.ndarray) -> np.ndarray:

@@ -12,8 +12,7 @@ This algebra and its B-derivatives are written once, as the source text
 ``_ENDEMIC`` (the point, then the slopes), compiled here for Python floats
 and for numpy arrays and inlined by :mod:`epgtool.dynamics` in every stage
 of its RK4 kernel.  The
-module also provides the budget-optimal strategy mix and a uniform
-positive lower bound on I_hat over the strategy range.
+module also provides the budget-optimal strategy mix.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "endemic_derivatives",
     "endemic_curve",
     "optimal_allocation",
-    "endemic_infection_floor",
 ]
 
 SINGULAR_DET_TOL = 1e-14
@@ -253,22 +251,3 @@ def optimal_allocation(
     return OptimalAllocation(
         xstar=tuple(x), betastar=betastar, istar=istar, endemic=eq
     )
-
-
-def endemic_infection_floor(
-    strategies: StrategySpec, params: ModelParams
-) -> float:
-    """Uniform positive lower bound on I_hat over the strategy range.
-
-    Evaluates the smaller quadratic root with the coefficient taken at the
-    largest transmission rate and the discriminant deficit at the smallest,
-    which under the standing assumptions under-estimates I_hat for every B
-    in ``[betas[0], betas[-1]]``.
-    """
-    d, w, s = params.delta, params.omega, params.sigma
-    b_lo, b_hi = strategies.betas[0], strategies.betas[-1]
-    bstar = _point_float(b_hi, params)[0]
-    delta_star = bstar - math.sqrt(
-        bstar * bstar - 4.0 * d * w * (b_lo - d) * (b_lo - s)
-    )
-    return delta_star / (2.0 * d * (b_hi - d))

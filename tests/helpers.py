@@ -8,6 +8,8 @@ from a dense feasibility grid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -34,6 +36,21 @@ def endemic_by_root_finder(B, params, xtol=1e-14):
     I = brentq(residual, 1e-12, 1.0 - 1e-12, xtol=xtol)
     R = gam * I / (w - d * I)
     return I, R
+
+
+def endemic_infection_floor(strategies, params):
+    """Uniform positive lower bound on I_hat over the strategy range.
+
+    Evaluates the smaller quadratic root with the coefficient taken at the
+    largest transmission rate and the discriminant deficit at the smallest,
+    which under the standing assumptions under-estimates I_hat for every B
+    in ``[betas[0], betas[-1]]``.
+    """
+    gam, d, w, s = params.gamma, params.delta, params.omega, params.sigma
+    b_lo, b_hi = strategies.betas[0], strategies.betas[-1]
+    b = gam * b_hi + w * (b_hi - d) + d * (b_hi - s)
+    delta_star = b - math.sqrt(b * b - 4.0 * d * w * (b_lo - d) * (b_lo - s))
+    return delta_star / (2.0 * d * (b_hi - d))
 
 
 def equilibrium_residuals(I, R, B, params):
@@ -71,6 +88,33 @@ def brute_force_allocation(strategies, cstar, steps=400):
     else:
         raise NotImplementedError("oracle covers n in {2, 3}")
     return best_x, best_B
+
+
+BEST_RESPONSE_TOL = 1e-12
+
+
+def switch_rates(proto, x, p):
+    """n-by-n matrix of revision rates; entry (i, j) is the i -> j rate.
+
+    Diagonal entries are zero.  ``x`` is accepted for signature uniformity
+    with state-dependent protocol families but unused by pairwise
+    comparison protocols.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    T = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                T[i, j] = proto.phi(j, p[j] - p[i])
+    return T
+
+
+def best_response(p, tol=BEST_RESPONSE_TOL):
+    """Indices of maximal payoff entries (ties included within ``tol``)."""
+    p = np.asarray(p, dtype=float)
+    top = float(p.max())
+    return tuple(int(i) for i in np.flatnonzero(p >= top - tol))
 
 
 def dense_grid_peak(B, alpha, alloc, params, upsilon, resolution=2000):

@@ -27,7 +27,6 @@ import pytest
 from epgtool import (
     BoundQuery,
     IntegratorOptions,
-    best_response,
     certify_trajectory,
     default_grid,
     dissipation,
@@ -41,10 +40,16 @@ from epgtool import (
     peak_ratio_at,
     simulate,
     storage,
-    switch_rates,
 )
 from conftest import make_scenario
-from helpers import dense_grid_peak, equilibrium_residuals, random_bundle, random_simplex
+from helpers import (
+    best_response,
+    dense_grid_peak,
+    equilibrium_residuals,
+    random_bundle,
+    random_simplex,
+    switch_rates,
+)
 
 UPSILONS = (1.0, 2.0, 6.0)
 HORIZON = 1500.0

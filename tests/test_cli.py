@@ -232,6 +232,20 @@ def test_malformed_entries_are_reported_together(capsys):
     assert names == {"strategies.betas", "params.gama", "params.gamma"}
 
 
+def test_removed_population_keys_are_unknown(capsys):
+    code = main([
+        "validate", str(CONFIG), "--json-errors",
+        "--set", "integrator.track_population=false",
+        "--set", "initial.population=1e6",
+    ])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert [(v["name"], v["detail"]) for v in payload["violations"]] == [
+        ("integrator.track_population", "unknown key"),
+        ("initial.population", "unknown key"),
+    ]
+
+
 def test_validate_starts_no_subprocess(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a subprocess was started")

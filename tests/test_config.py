@@ -1,14 +1,33 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from epgtool.config import apply_overrides, load_config, resolve
+from epgtool.config import _from_mapping, apply_overrides, load_config, resolve
 from epgtool.params import ValidationError
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "example1.json"
+
+
+def _readme_schema() -> str:
+    """The README's ``jsonc`` schema block with its ``//`` comments removed."""
+    (block,) = re.findall(r"```jsonc\n(.*?)```", (ROOT / "README.md").read_text(),
+                          re.DOTALL)
+    return re.sub(r"//.*", "", block)
+
+
+@pytest.mark.parametrize("source", [
+    *(p.name for p in sorted((ROOT / "configs").glob("*.json"))), "README.md",
+])
+def test_checked_in_configs_and_readme_schema_resolve(source):
+    text = (_readme_schema() if source == "README.md"
+            else (ROOT / "configs" / source).read_text())
+    run = resolve(_from_mapping(json.loads(text)))
+    assert run.bundle.strategies.n >= 2
 
 
 def test_example_config_resolves():
@@ -47,14 +66,10 @@ def test_overrides_parse_json_values():
     cfg = apply_overrides(cfg, [
         "policy.upsilon=6",
         "strategies.betas=[0.15, 0.19]",
-        "integrator.track_population=true",
-        "initial.population=1e6",
     ])
     assert cfg.data["policy"]["upsilon"] == 6
-    assert cfg.data["integrator"]["track_population"] is True
     run = resolve(cfg)
     assert run.mech.upsilon == 6
-    assert run.initial.population == 1e6
 
 
 def test_override_rejects_malformed_entry():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 
@@ -9,6 +8,7 @@ import pytest
 
 from epgtool import (
     EpgState,
+    GeneralIPCProtocol,
     IntegratorOptions,
     PolicyConfig,
     RunStats,
@@ -145,39 +145,6 @@ def test_horizon_must_be_step_multiple(example1):
     with pytest.raises(ValueError):
         simulate(example1.initial, 0.015, example1.mech, example1.proto,
                  IntegratorOptions(step=0.01))
-
-
-def test_population_tracking_is_observational(example1):
-    init = EpgState(
-        I=example1.initial.I, R=example1.initial.R,
-        x=example1.initial.x, q=0.0, population=1e6,
-    )
-    opts = IntegratorOptions(step=0.01, output_stride=10, track_population=True)
-    traj = simulate(init, 50.0, example1.mech, example1.proto, opts)
-    assert traj.population is not None
-    # births balance natural deaths here, so disease deaths shrink N
-    assert traj.population[-1] < 1e6
-    assert np.all(np.diff(traj.population) < 0)
-    # the epidemic state is unaffected by tracking
-    plain = simulate(example1.initial, 50.0, example1.mech, example1.proto,
-                     IntegratorOptions(step=0.01, output_stride=10))
-    assert np.array_equal(traj.I, plain.I)
-    assert np.array_equal(traj.q, plain.q)
-
-
-def test_csv_gains_population_column_when_tracked(example1, tmp_path):
-    init = EpgState(
-        I=example1.initial.I, R=example1.initial.R,
-        x=example1.initial.x, q=0.0, population=5e5,
-    )
-    opts = IntegratorOptions(step=0.01, output_stride=100, track_population=True)
-    traj = simulate(init, 10.0, example1.mech, example1.proto, opts)
-    path = tmp_path / "tracked.csv"
-    write_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,I,R,x1,x2,q,B,cost,avg_cost,L,N"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 10], traj.population)
 
 
 def test_three_strategy_run_invariance_and_certification(three_strategy):
@@ -394,16 +361,15 @@ def test_csv_rows_match_per_value_formatting_across_blocks(example1, tmp_path):
     every row with ``CSV_FLOAT_FORMAT``, over several blocks of rows."""
     from epgtool.dynamics import CSV_FLOAT_FORMAT
 
-    init = dataclasses.replace(example1.initial, population=5e5)
-    opts = IntegratorOptions(step=0.01, output_stride=1, track_population=True)
-    traj = simulate(init, 100.0, example1.mech, example1.proto, opts)
+    opts = IntegratorOptions(step=0.01, output_stride=1)
+    traj = simulate(example1.initial, 100.0, example1.mech, example1.proto, opts)
     assert len(traj) > 2 * 4096
     path = tmp_path / "run.csv"
     write_csv(traj, path)
     cols = [traj.times, traj.I, traj.R, *traj.x.T, traj.q, traj.B, traj.cost,
-            traj.avg_cost, traj.lyapunov, traj.population]
+            traj.avg_cost, traj.lyapunov]
     lines = path.read_text().splitlines()
-    assert lines[0] == "t,I,R,x1,x2,q,B,cost,avg_cost,L,N"
+    assert lines[0] == "t,I,R,x1,x2,q,B,cost,avg_cost,L"
     assert lines[1:] == [",".join(CSV_FLOAT_FORMAT % v for v in row)
                          for row in zip(*cols)]
 
@@ -465,6 +431,23 @@ def test_every_rejection_path_reports_its_step_time(example1, name, t, detail):
         assert isinstance(err.value.__cause__, ValueError)
     else:
         assert err.value.__cause__ is None
+
+
+def test_nan_state_is_rejected(example1):
+    # the gap first exceeds 1e-3 in step 32, whose state is then NaN in x, I
+    # and q; a NaN fails every projection check, x[0]'s first
+    def nan_past_small_gap(gap):
+        return math.nan if gap > 1e-3 else 0.1 * gap
+
+    proto = GeneralIPCProtocol(phis=(nan_past_small_gap,) * 2, cap=0.1)
+    with pytest.raises(StepRejected) as err:
+        simulate(example1.initial, 5.0, example1.mech, proto,
+                 IntegratorOptions(step=0.01, output_stride=1))
+    assert err.value.t == 32 * 0.01
+    assert str(err.value) == (
+        "step rejected at t=0.32 d: x[0]=nan left the simplex; reduce the step size"
+    )
+    assert err.value.__cause__ is None
 
 
 def test_stride_that_does_not_divide_the_step_count(example1):

@@ -11,13 +11,11 @@ from epgtool import (
     GeneralIPCProtocol,
     NotIPC,
     SmithProtocol,
-    best_response,
     dissipation,
     mean_field,
     storage,
-    switch_rates,
 )
-from helpers import random_simplex
+from helpers import best_response, random_simplex, switch_rates
 
 SMITH = SmithProtocol(rate_gain=0.1, cap=0.1)
 

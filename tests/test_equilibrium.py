@@ -16,13 +16,13 @@ from epgtool import (
     StrategySpec,
     endemic_curve,
     endemic_derivatives,
-    endemic_infection_floor,
     endemic_state,
     optimal_allocation,
 )
 from helpers import (
     brute_force_allocation,
     endemic_by_root_finder,
+    endemic_infection_floor,
     equilibrium_residuals,
     random_bundle,
 )

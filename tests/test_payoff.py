@@ -9,11 +9,11 @@ from epgtool import (
     EpidemicStateOutOfDomain,
     IntegratorOptions,
     OutOfRange,
-    endemic_infection_floor,
     endemic_state,
     epidemic_storage,
     simulate,
 )
+from helpers import endemic_infection_floor
 
 
 def test_two_strategy_rewards_equal_cost_offsets(example1):
