@@ -72,7 +72,10 @@ _INTEGER = ("an integer",
             lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()))
 _NUMBERS = ("a list of finite numbers",
             lambda v: isinstance(v, list) and all(_is_number(e) for e in v))
-_STRING = ("a string", lambda v: isinstance(v, str))
+_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
+_STRIDE = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
+_SMITH = ("'smith' (other protocols are library-only)", lambda v: v == "smith")
+_START = ("'endemic' or 'explicit'", lambda v: v in ("endemic", "explicit"))
 
 
 def _or_null(kind):
@@ -84,9 +87,9 @@ _SCHEMA = {
     "params": dict.fromkeys(("gamma", "delta", "zeta", "theta", "psi"), _NUMBER),
     "strategies": {"betas": _NUMBERS, "costs": _NUMBERS},
     "policy": dict.fromkeys(("cstar", "upsilon", "offsupport_margin"), _NUMBER),
-    "protocol": {"kind": _STRING, "rate_gain": _NUMBER, "cap": _NUMBER},
-    "integrator": {"step": _NUMBER, "horizon": _NUMBER, "output_stride": _INTEGER},
-    "initial": {"kind": _STRING, "x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
+    "protocol": {"kind": _SMITH, "rate_gain": _NUMBER, "cap": _NUMBER},
+    "integrator": {"step": _POSITIVE, "horizon": _NUMBER, "output_stride": _STRIDE},
+    "initial": {"kind": _START, "x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
                 "q": _NUMBER, "I": _NUMBER, "R": _NUMBER},
     "bounds": {"grid_size": _INTEGER, "alpha": _or_null(_NUMBER)},
 }
@@ -98,7 +101,8 @@ _REQUIRED = {
 
 
 def _schema_violations(data: dict) -> list[AssumptionViolated]:
-    """Every unknown key, missing required key and wrongly typed value.
+    """Every unknown key, missing required section or key and wrongly typed
+    value, and an endemic start given by neither or both of ``x`` and ``B``.
 
     Named by dotted path; an empty list means the mapping has the shape
     :func:`resolve` needs.
@@ -108,7 +112,9 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
     for section, keys in _SCHEMA.items():
         node = data.get(section)
         if not isinstance(node, dict):
-            out.append(AssumptionViolated(section, "must be an object"))
+            out.append(AssumptionViolated(
+                section, "must be an object" if section in data else "is required"
+            ))
             continue
         required = _REQUIRED.get(section, ())
         if section == "initial" and node.get("kind") == "explicit":
@@ -116,6 +122,17 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
         for key in required:
             if node.get(key) is None:
                 out.append(AssumptionViolated(f"{section}.{key}", "is required"))
+        if section == "initial" and node.get("kind") == "endemic":
+            given = [key for key in ("x", "B") if node.get(key) is not None]
+            if not given:
+                out.append(AssumptionViolated(
+                    "initial.x", "is required unless initial.B is given"
+                ))
+            elif len(given) == 2:
+                out.append(AssumptionViolated(
+                    "initial.B", "an endemic start takes initial.x or initial.B, "
+                    "not both (set the unused one to null)"
+                ))
         for key, value in node.items():
             if key not in keys:
                 out.append(AssumptionViolated(f"{section}.{key}", "unknown key"))
@@ -128,8 +145,9 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
 
 def _size_violations(data: dict) -> list[AssumptionViolated]:
     """Run sizes beyond ``MAX_STEPS``, ``MAX_SAMPLES`` or ``MAX_GRID_SIZE``,
-    a grid of fewer than two rates, and a horizon that is not a whole
-    number of steps.
+    a grid of fewer than two rates, a horizon that is not a whole number of
+    steps, a start ``initial.x`` with not one share per strategy, and an
+    ``initial.B`` outside the strategies' rates.
 
     Only entries that already have the right type are checked; computes
     the sizes without building anything.
@@ -144,9 +162,20 @@ def _size_violations(data: dict) -> list[AssumptionViolated]:
         out.append(AssumptionViolated(
             "bounds.grid_size", f"must be from 2 to {MAX_GRID_SIZE}, got {grid!r}"
         ))
+    betas = entry("strategies", "betas")
+    x, B = entry("initial", "x"), entry("initial", "B")
+    if _NUMBERS[1](betas) and betas:
+        if _NUMBERS[1](x) and len(x) != len(betas):
+            out.append(AssumptionViolated(
+                "initial.x", f"has {len(x)} shares for {len(betas)} strategies"
+            ))
+        if _is_number(B) and not betas[0] <= B <= betas[-1]:
+            out.append(AssumptionViolated(
+                "initial.B", f"must be from {betas[0]!r} to {betas[-1]!r}, got {B!r}"
+            ))
     step, horizon = entry("integrator", "step"), entry("integrator", "horizon")
     stride = entry("integrator", "output_stride")
-    if not (_is_number(step) and step > 0 and _is_number(horizon)):
+    if not (_POSITIVE[1](step) and _is_number(horizon)):
         return out
     try:
         n_steps = step_count(horizon, step)
@@ -157,7 +186,7 @@ def _size_violations(data: dict) -> list[AssumptionViolated]:
             "integrator.horizon",
             f"{n_steps} steps of {step!r} exceed the cap of {MAX_STEPS}",
         ))
-    if _INTEGER[1](stride) and stride >= 1 and n_steps // stride + 1 > MAX_SAMPLES:
+    if _STRIDE[1](stride) and n_steps // stride + 1 > MAX_SAMPLES:
         out.append(AssumptionViolated(
             "integrator.output_stride",
             f"{n_steps // stride + 1} samples exceed the cap of {MAX_SAMPLES}",
@@ -187,9 +216,6 @@ def _from_mapping(raw: dict) -> RunConfig:
         given = data.get(section, {})
         if isinstance(given, dict):  # anything else is reported by resolve
             data[section] = {**defaults, **given}
-    for section in ("params", "strategies", "policy"):
-        if section not in data:
-            raise KeyError(f"config is missing the required '{section}' section")
     return RunConfig(data=data)
 
 
@@ -233,10 +259,9 @@ class ResolvedRun:
 
 
 def _mix_for_rate(strategies: StrategySpec, B: float) -> tuple[float, ...]:
-    """Shares mixing the adjacent strategies that bracket rate ``B``."""
+    """Shares mixing the adjacent strategies that bracket rate ``B``, which
+    :func:`_size_violations` has checked to lie in the strategies' range."""
     betas = strategies.betas
-    if not betas[0] <= B <= betas[-1]:
-        raise ValueError(f"B={B!r} outside strategy range")
     for i in range(strategies.n - 1):
         if betas[i] <= B <= betas[i + 1]:
             w = (betas[i + 1] - B) / (betas[i + 1] - betas[i])
@@ -251,8 +276,9 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
     """Validate the configuration and build the runnable objects.
 
     Raises :class:`epgtool.params.ValidationError` with the complete list of
-    malformed entries (unknown keys, wrong types, a horizon that is not a
-    whole number of steps, a run or grid larger than the ``MAX_*`` caps)
+    malformed entries (unknown or missing sections and keys, wrong types or
+    kinds, a start that does not fit the strategies, a horizon that is not
+    a whole number of steps, a run or grid larger than the ``MAX_*`` caps)
     when the mapping has the wrong shape, and with the complete list of
     violated model assumptions when the values are invalid.
     """
@@ -269,12 +295,6 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
     bundle = validate(params, strategies, policy)
 
     proto_cfg = d["protocol"]
-    kind = proto_cfg.get("kind", "smith")
-    if kind != "smith":
-        raise ValueError(
-            f"unknown protocol kind {kind!r}; the configuration file supports "
-            "'smith' (general pairwise-comparison protocols are library-only)"
-        )
     proto = SmithProtocol(
         rate_gain=float(proto_cfg["rate_gain"]), cap=float(proto_cfg["cap"])
     )
@@ -285,31 +305,20 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
     init_cfg = d["initial"]
     q0 = float(init_cfg.get("q", 0.0))
     if init_cfg["kind"] == "endemic":
-        x_given = init_cfg.get("x") is not None
-        B_given = init_cfg.get("B") is not None
-        if x_given and B_given:
-            raise ValueError(
-                "endemic initial state takes 'x' or 'B', not both "
-                "(override the unused one to null)"
-            )
-        if x_given:
+        if init_cfg.get("x") is not None:
             x0 = tuple(float(v) for v in init_cfg["x"])
-        elif B_given:
-            x0 = _mix_for_rate(strategies, float(init_cfg["B"]))
         else:
-            raise ValueError("endemic initial state needs 'x' or 'B'")
+            x0 = _mix_for_rate(strategies, float(init_cfg["B"]))
         B0 = float(np.dot(x0, strategies.betas))
         eq = endemic_state(B0, params, strategies)
         initial = EpgState(I=eq.I_hat, R=eq.R_hat, x=x0, q=q0)
-    elif init_cfg["kind"] == "explicit":
+    else:
         initial = EpgState(
             I=float(init_cfg["I"]),
             R=float(init_cfg["R"]),
             x=tuple(float(v) for v in init_cfg["x"]),
             q=q0,
         )
-    else:
-        raise ValueError(f"unknown initial-state kind {init_cfg['kind']!r}")
 
     integ = d["integrator"]
     options = IntegratorOptions(

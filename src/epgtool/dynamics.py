@@ -8,14 +8,15 @@ by payoffs ``q*betas + r_o``, and the designed feedback for ``q``.
 
 Integration is fixed-step explicit RK4 so reruns are bit-identical.  The
 vector field is written once, as the source template ``_FIELD``, which
-inlines the texts of the endemic algebra (``equilibrium._ENDEMIC``) and of
-the feedback law (``payoff._QDOT``).  For a given strategy count ``n`` it
-is expanded, once, into two straight-line Python functions: ``rhs``, used by
-:func:`state_derivative`, and ``integrate``, the whole loop of
-:func:`simulate`.  ``integrate`` holds
+inlines the texts of the endemic algebra (``equilibrium._ENDEMIC``), of
+the feedback law (``payoff._QDOT``) and of the pairwise flow, which
+:func:`epgtool.edm.mean_field` runs too (``edm._flow_text``).  For a given
+strategy count ``n`` it is expanded, once, into two straight-line Python
+functions: ``rhs``, used by :func:`state_derivative`, and ``integrate``,
+the whole loop of :func:`simulate`.  ``integrate`` holds
 
-- the step loop with the four RK4 stages inlined and the loops over ``n``
-  and the n x n pairwise flow unrolled, and the RK4 combination;
+- the step loop with the four RK4 stages inlined and the sums over ``n``
+  unrolled, and the RK4 combination;
 - the projection after each step: shares clipped at 0 and renormalized
   onto the simplex (rounding noise only), the infectious fraction floored
   away from zero, R clipped at 0 and ``I + R <= 1`` checked; violations
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import edm as _edm
-from .equilibrium import _ENDEMIC, _compile_source, _point_array
+from .equilibrium import _ENDEMIC, _compile_source, _compile_text, _point_array
 from .payoff import _QDOT, PayoffMechanism
 
 __all__ = [
@@ -125,8 +126,8 @@ class IntegratorOptions:
 # stage computes.  ``{endemic}`` and ``{qdot}`` are the texts of the
 # endemic algebra and of the feedback law, on their smooth extension:
 # invalid stage states surface as math-domain errors that :func:`simulate`
-# turns into :class:`StepRejected`.  ``{B}`` and ``{flow}`` are filled by
-# :func:`_field_template`.
+# turns into :class:`StepRejected`.  ``{B}`` and ``{flow}`` (the payoffs and
+# the pairwise flow) are filled by :func:`_field_template`.
 _FIELD = """\
 B{_} = {B}
 {endemic}
@@ -139,32 +140,14 @@ dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 
 
 def _field_template(n: int) -> str:
-    """``_FIELD`` with the loops over the ``n`` strategies unrolled.
-
-    Sums start from ``0.0`` and run left to right, with the zero ``i == j``
-    term kept in each ``dx``, so every float operation matches the loop form
-    ``dx[i] = sum_j flow[j][i] - flow[i][j]``.
-    """
+    """``_FIELD`` with the sums over the ``n`` strategies unrolled: ``B``
+    summed left to right from ``0.0``, the payoffs, and the pairwise flow
+    ``edm._flow_text(n)``."""
     B = " + ".join(["0.0"] + [f"beta_{k} * x_{k}{{i}}" for k in range(n)])
-    flow = [f"p_{k}{{_}} = q{{i}} * beta_{k} + r_o_{k}" for k in range(n)]
-
-    def f(i: int, j: int) -> str:
-        return "0.0" if i == j else f"f_{i}_{j}{{_}}"
-
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                flow.append(f"g_{i}_{j}{{_}} = p_{j}{{_}} - p_{i}{{_}}")
-                flow.append(
-                    f"{f(i, j)} = x_{i}{{i}} * phi({j}, g_{i}_{j}{{_}}) "
-                    f"if g_{i}_{j}{{_}} > 0.0 else 0.0"
-                )
-    for i in range(n):
-        terms = " + ".join(f"({f(j, i)} - {f(i, j)})" for j in range(n))
-        flow.append(f"dx_{i}{{_}} = 0.0 + {terms}")
+    payoffs = "".join(f"p_{k}{{_}} = q{{i}} * beta_{k} + r_o_{k}\n" for k in range(n))
     # {i} and {_} stay placeholders; they are filled per stage
-    return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT, flow="\n".join(flow),
-                         i="{i}", _="{_}")
+    return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT,
+                         flow=payoffs + _edm._flow_text(n), i="{i}", _="{_}")
 
 
 def _constant_names(n: int) -> list[str]:
@@ -186,19 +169,13 @@ def _constants(mech: PayoffMechanism, proto, h: float) -> tuple:
             *mech.strategies.betas, *mech.r_o, *mech.rstar, h, 0.5 * h, h / 6.0)
 
 
-# ``rhs`` and ``integrate`` around the stages of ``_FIELD``.  The projection
+# ``integrate`` around the stages of ``_FIELD``.  The projection
 # after each step is fixed by :func:`simulate`'s contract: shares clipped at
 # 0 and renormalized, I floored, R clipped, I + R checked, in that order;
 # only rounding noise is repaired, more is a :class:`StepRejected`.  Each
 # check is written negated, ``not v >= lo``, so that a NaN, for which every
 # comparison is false, fails it.  ``{{...!r}}`` fields are the f-strings of
 # the generated rejections.
-_RHS = """\
-def rhs({args}, K):
-    {constants} = K
-{stage}
-    return ({derivs},)
-"""
 _LOOP = """\
 def integrate({args}, n_steps, stride, K):
     {constants} = K
@@ -255,7 +232,7 @@ _CLIP = """\
 
 @functools.lru_cache(maxsize=None)
 def _kernel(n: int):
-    """Compile ``rhs(*y, K) -> tuple`` and
+    """Compile ``rhs(*y, K) -> tuple``, one stage of ``_FIELD``, and
     ``integrate(*y, n_steps, stride, K)`` for the packed state
     ``y = (I, R, x_0..x_{n-1}, q)``.
 
@@ -274,36 +251,37 @@ def _kernel(n: int):
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
     deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
 
-    def stage(inputs: str, suffix: str, indent: str) -> list[str]:
+    indent = " " * 12
+
+    def stage(inputs: str, suffix: str) -> list[str]:
         text = template.format(i=inputs, _=suffix)
         return [indent + line for line in text.splitlines() if line]
 
-    indent = " " * 12
-    rk4 = stage("", "_1", indent)
+    rk4 = stage("", "_1")
     for k, coef in ((2, "half_h"), (3, "half_h"), (4, "h")):
         rk4 += [f"{indent}{y}_{k} = {y} + {coef} * {dy}_{k - 1}"
                 for y, dy in zip(state, deriv)]
-        rk4 += stage(f"_{k}", f"_{k}", indent)
+        rk4 += stage(f"_{k}", f"_{k}")
     rk4 += [f"{indent}{y} = {y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
             for y, dy in zip(state, deriv)]
     tol = repr(PROJECTION_TOL)
-    common = {"args": ", ".join(state), "constants": ", ".join(_constant_names(n))}
-    source = _RHS.format(
-        stage="\n".join(stage("", "", "    ")), derivs=", ".join(deriv), **common
-    ) + "\n" + _LOOP.format(
+    args, constants = ", ".join(state), ", ".join(_constant_names(n))
+    namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
+                 "pack": struct.Struct(f"{len(state) + 3}d").pack}
+    rhs = _compile_text(f"rhs_n{n}", f"{args}, K", f"{constants} = K\n{template}",
+                        ", ".join(deriv), namespace)
+    source = _LOOP.format(
         rk4="\n".join(rk4),
         clip="\n".join(_CLIP.format(k=k, tol=tol) for k in range(n)),
         xsum=" + ".join(f"x_{k}" for k in range(n)),
         renormalize="\n".join(f"                x_{k} /= xsum" for k in range(n)),
         cost="0.0 + " + " + ".join(
             f"(q * beta_{k} + rstar_{k}) * x_{k}" for k in range(n)),
-        tol=tol, floor=repr(I_FLOOR), ceiling=repr(1.0 + PROJECTION_TOL), **common,
+        tol=tol, floor=repr(I_FLOOR), ceiling=repr(1.0 + PROJECTION_TOL),
+        args=args, constants=constants,
     )
-    filename = f"<epgtool kernel n={n}>"
-    namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
-                 "pack": struct.Struct(f"{len(state) + 3}d").pack}
-    exec(_compile_source(source, filename), namespace)
-    return namespace["rhs"], namespace["integrate"]
+    exec(_compile_source(source, f"<epgtool kernel n={n}>"), namespace)
+    return rhs, namespace["integrate"]
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
@@ -405,7 +383,8 @@ def simulate(
     Deterministic for a fixed configuration: fixed-step RK4 with purely
     sequential float arithmetic.  Raises :class:`StepRejected` when a step
     violates the state-space invariants beyond projection tolerances (the
-    projection itself only repairs rounding-level noise).
+    projection itself only repairs rounding-level noise), and
+    ``ValueError`` when ``initial`` has not one share per strategy.
     """
     h = options.step
     stride = options.output_stride
@@ -414,6 +393,8 @@ def simulate(
     params = mech.params
     betas = mech.strategies.betas
     n = len(betas)
+    if len(initial.x) != n:
+        raise ValueError(f"initial state has {len(initial.x)} shares for {n} strategies")
     _, integrate = _kernel(n)
     samples, peak_I, peak_t, *counts = integrate(
         initial.I, initial.R, *initial.x, initial.q,

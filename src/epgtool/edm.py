@@ -17,16 +17,20 @@ payoffs) is the dissipation returned by :func:`dissipation`.
 e.g. every recorded sample of a trajectory at once.  They loop over the
 n(n-1) ordered strategy pairs, never over the samples, and map the
 protocol's scalar ``phi(j, gap)`` / ``phi_integral(j, gap)`` over each
-pair's column of gaps.  A stacked storage equals the per-sample values bit
-for bit.
+pair's column of gaps.  Stacked values equal the per-sample values bit for
+bit.  The mean field is one source text, :func:`_flow_text`, which
+:mod:`epgtool.dynamics` inlines in every stage of its RK4 kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .equilibrium import _compile_text
 
 __all__ = [
     "SmithProtocol",
@@ -148,26 +152,38 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _flow_text(n: int) -> str:
+    """The mean dynamics of ``n`` strategies as source text: the flow
+    ``f_i_j = x_i * phi(j, p_j - p_i)`` of each ordered pair, and ``dx_i``,
+    the sum of ``f_j_i - f_i_j`` over ``j != i`` from ``0.0``, left to right.
+    ``{i}`` suffixes the shares and ``{_}`` the values computed from them."""
+    lines = [f"f_{i}_{j}{{_}} = x_{i}{{i}} * phi({j}, p_{j}{{_}} - p_{i}{{_}})"
+             for i in range(n) for j in range(n) if i != j]
+    lines += [f"dx_{i}{{_}} = 0.0" + "".join(f" + (f_{j}_{i}{{_}} - f_{i}_{j}{{_}})"
+                                        for j in range(n) if j != i) for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _flow(n: int):
+    """``_flow_text(n)`` compiled as ``flow(x_0.., p_0.., phi) -> (dx_0, ..)``."""
+    x, p, dx = ([f"{v}_{k}" for k in range(n)] for v in ("x", "p", "dx"))
+    return _compile_text(f"flow_n{n}", ", ".join(x + p + ["phi"]), _flow_text(n),
+                         ", ".join(dx), {})
+
+
 def mean_field(proto, x, p) -> np.ndarray:
     """Mean dynamics of the strategy shares: inflow minus outflow per strategy.
 
     Takes one sample (``x``, ``p`` of shape ``(n,)``, returns ``(n,)``) or a
-    stack of samples (shape ``(m, n)``, returns ``(m, n)``).  Each ordered
-    pair's flow ``f = x_i * phi_j(p_j - p_i)`` is added to ``j`` and
-    subtracted from ``i`` in one pass over the pairs, so conservation holds
-    at the term level.  The total of the components is exactly zero for
-    n = 2 and carries only the roundings of the per-component sums
-    otherwise.
+    stack of samples (shape ``(m, n)``, returns ``(m, n)``).  Runs
+    :func:`_flow_text` on the columns of the stacks.  The total of the
+    components is exactly zero for n = 2 and carries only the roundings of
+    the per-component sums otherwise.
     """
     X, P, single = _stack(x, p)
-    n = P.shape[1]
-    v = np.zeros(np.broadcast_shapes(X.shape, P.shape))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                f = X[:, i] * _rates(proto.phi, j, P[:, j] - P[:, i])
-                v[:, j] += f
-                v[:, i] -= f
+    v = np.stack(_flow(P.shape[1])(*X.T, *P.T, functools.partial(_rates, proto.phi)),
+                 axis=1)
     return v[0] if single else v
 
 

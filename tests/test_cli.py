@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import epgtool.cli
 from epgtool import config as _config
+from epgtool.bounds import BoundQuery, default_grid, peak_bound
 from epgtool.cli import main
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
@@ -182,6 +183,62 @@ def test_bounds_level_is_the_initial_lyapunov_value(tmp_path):
     assert detail[0]["certified_peak"] >= 0.08  # at least I(0)
 
 
+def test_configured_alpha_is_the_level_of_bounds_and_certify(tmp_path):
+    level = ["--set", "bounds.alpha=0.0008"]
+    assert main(["bounds", str(CONFIG), "--out", str(tmp_path), *level]) == 0
+    _, _, _, alpha, ratio = np.loadtxt(
+        tmp_path / "bounds_sweep.csv", delimiter=",", skiprows=1
+    )
+    assert alpha == 0.0008  # the initial Lyapunov value is 0.00079999999999999917
+    assert ratio == 1.2876121587530711
+    run = _config.resolve(_config.load_config(CONFIG))
+    assert ratio == peak_bound(BoundQuery(
+        alloc=run.alloc, params=run.bundle.params, upsilon=2.0, alpha=0.0008,
+        grid=default_grid(run.bundle.strategies, 30),
+    )).peak_ratio
+    assert main(["certify", str(CONFIG), "--out", str(tmp_path), *level, *FAST]) == 0
+    assert json.loads((tmp_path / "certification.json").read_text())["alpha"] == 0.0008
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "certify"])
+def test_start_with_the_wrong_number_of_shares_is_listed(command, tmp_path, capsys):
+    # used to pass validate and crash simulate and certify with a TypeError
+    code = main([
+        command, str(CONFIG), "--out", str(tmp_path), "--json-errors",
+        *EXPLICIT, "--set", "initial.x=[0.5,0.25,0.25]",
+    ])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == [
+        {"name": "initial.x", "detail": "has 3 shares for 2 strategies"},
+    ]
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_start_rate_outside_the_strategies_is_listed(capsys):
+    code = main([
+        "validate", str(CONFIG), "--json-errors",
+        "--set", "initial.x=null", "--set", "initial.B=0.5",
+    ])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == [
+        {"name": "initial.B", "detail": "must be from 0.15 to 0.19, got 0.5"},
+    ]
+
+
+def test_missing_sections_are_listed_together(tmp_path, capsys):
+    path = tmp_path / "params_only.json"
+    path.write_text(json.dumps({"params": {"gamma": 0.1, "delta": 0.005}}))
+    assert main(["validate", str(path), "--json-errors"]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [(v["name"], v["detail"]) for v in violations] == [
+        ("strategies", "is required"), ("policy", "is required"),
+        # the default start is endemic and names neither x nor B
+        ("initial.x", "is required unless initial.B is given"),
+    ]
+
+
 def test_bad_upsilons_are_listed_together(tmp_path, capsys):
     # -1, 0 and inf used to exit 0 with a "certified" ratio (inf: 1/I*)
     code = main([
@@ -211,6 +268,9 @@ def test_upsilons_rows_equal_runs_at_the_configured_gain(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "strategies.betas=0.2", "params.gama=0.1", 'params.gamma="x"',
+    'protocol.kind="imitation"', 'initial.kind="random"', "initial.B=0.16",
+    "initial.x=null", "initial.B=0.5", "initial.x=[0.5,0.25,0.25]",
+    "integrator.step=0", "integrator.output_stride=0",
 ])
 def test_malformed_config_lists_violations_without_traceback(override, capsys):
     code = main(["validate", str(CONFIG), "--set", override])

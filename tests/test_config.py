@@ -57,8 +57,16 @@ def test_defaults_fill_missing_sections(tmp_path):
 def test_missing_required_section_raises(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"params": {"gamma": 0.1, "delta": 0.005}}))
-    with pytest.raises(KeyError):
-        load_config(path)
+    with pytest.raises(ValidationError) as err:
+        resolve(load_config(path))
+    assert {"strategies", "policy"} <= {v.name for v in err.value.violations}
+
+
+def test_start_must_have_one_share_per_strategy():
+    cfg = apply_overrides(load_config(CONFIG), ["initial.x=[0.5,0.25,0.25]"])
+    with pytest.raises(ValidationError) as err:
+        resolve(cfg)
+    assert [v.name for v in err.value.violations] == ["initial.x"]
 
 
 def test_overrides_parse_json_values():

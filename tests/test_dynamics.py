@@ -450,6 +450,13 @@ def test_nan_state_is_rejected(example1):
     assert err.value.__cause__ is None
 
 
+def test_start_with_the_wrong_number_of_shares_is_rejected(example1):
+    # used to reach the kernel, which raised a TypeError on its argument count
+    start = EpgState(I=0.05, R=0.3, x=(0.5, 0.25, 0.25), q=0.0)
+    with pytest.raises(ValueError, match="3 shares for 2 strategies"):
+        simulate(start, 1.0, example1.mech, example1.proto)
+
+
 def test_stride_that_does_not_divide_the_step_count(example1):
     opts = IntegratorOptions(step=0.01, output_stride=7)
     traj = simulate(example1.initial, 1.0, example1.mech, example1.proto, opts)

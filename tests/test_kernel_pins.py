@@ -1,10 +1,12 @@
 """The generated RK4 kernel against the library functions it shares text with.
 
 The kernel inlines the endemic algebra (``equilibrium._ENDEMIC``), the
-feedback law for q (``payoff._QDOT``) and its own unrolled pairwise flow.
+feedback law for q (``payoff._QDOT``) and the pairwise flow
+(``edm._flow_text``).
 These tests pin each part of ``state_derivative`` to the library function
 that computes the same quantity, exactly where the float operations are the
-same, over random states for n = 2 and n = 3 under both protocol classes.
+same, over random states for n = 2 and n = 3 under both protocol classes
+and a duck-typed protocol whose rates are nonzero at gaps <= 0.
 """
 
 from __future__ import annotations
@@ -30,13 +32,20 @@ def _capped(gain: float, cap: float = 0.1):
     return lambda gap: min(gain * gap, cap)
 
 
+class _Leaky:
+    """A duck-typed protocol whose rates are nonzero at gaps <= 0 too."""
+
+    def phi(self, j, gap):
+        return 0.05 + 0.1 * max(gap, 0.0)
+
+
 def _scenarios(example1, three_strategy):
     for scenario in (example1, three_strategy):
         n = scenario.strategies.n
         general = GeneralIPCProtocol(
             phis=tuple(_capped(2.0 * (k + 1)) for k in range(n)), cap=0.1
         )
-        for proto in (scenario.proto, general):
+        for proto in (scenario.proto, general, _Leaky()):
             yield scenario.mech, proto
 
 
@@ -62,7 +71,7 @@ def test_kernel_pieces_equal_the_library(example1, three_strategy):
         n = len(mech.strategies.betas)
         for state in _random_states(rng, n):
             deriv = state_derivative(state, mech, proto)
-            # the unrolled pairwise flow is edm's mean field
+            # the inlined pairwise flow is edm's mean field
             assert np.array_equal(
                 deriv[2:2 + n], mean_field(proto, state.x, mech.payoffs(state.q))
             )
