@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
     AllInfeasible,
@@ -31,6 +33,7 @@ from .dynamics import (
     simulate,
     step_count,
     write_csv,
+    write_table,
 )
 from .equilibrium import endemic_curve
 from .params import AssumptionViolated, ValidationError
@@ -128,10 +131,7 @@ def cmd_equilibrium(args) -> int:
     grid = default_grid(strategies, run.grid_size)
     curve = endemic_curve(grid, params)
     sweep_path = out / "equilibrium_sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        fh.write(",".join(["B", *curve]) + "\n")
-        for row in zip(grid, *curve.values()):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_table(sweep_path, ["B", *curve], [grid, *curve.values()])
     print(f"wrote {sweep_path}")
     return EXIT_OK
 
@@ -222,10 +222,8 @@ def cmd_bounds(args) -> int:
         rows.append((ups, run.alloc.betastar, run.bundle.params.delta,
                      alpha, result.peak_ratio))
         details.append(result.as_dict())
-    with open(path, "w", newline="") as fh:
-        fh.write("upsilon,beta_star,delta,alpha,peak_ratio\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_table(path, ["upsilon", "beta_star", "delta", "alpha", "peak_ratio"],
+                list(np.array(rows).T))
     (out / "bounds_detail.json").write_text(
         json.dumps(details, indent=2) + "\n"
     )

@@ -6,10 +6,10 @@ Schema (all keys optional unless noted; see README for units):
       "params":     {"gamma", "delta", "zeta", "theta", "psi"},     # required
       "strategies": {"betas": [...], "costs": [...]},               # required
       "policy":     {"cstar", "upsilon", "offsupport_margin"},      # required
-      "protocol":   {"kind": "smith", "rate_gain", "cap"},
+      "protocol":   {"rate_gain", "cap"},                           # Smith
       "integrator": {"step", "horizon", "output_stride"},
-      "initial":    {"kind": "endemic", "x" or "B", "q"}
-                  | {"kind": "explicit", "I", "R", "x", "q"},
+      "initial":    {"x" or "B", "q"}                     # endemic at x or B
+                  | {"I", "R", "x", "q"},                 # explicit: I or R given
       "bounds":     {"grid_size", "alpha"}
     }
 
@@ -40,7 +40,7 @@ from .params import (
 )
 from .payoff import PayoffMechanism, build_mechanism
 
-__all__ = ["RunConfig", "ResolvedRun", "load_config", "apply_overrides", "resolve"]
+__all__ = ["ResolvedRun", "load_config", "apply_overrides", "resolve"]
 
 # Largest run a configuration may ask for: integration steps, recorded
 # samples (rows of trajectory.csv) and points of the bound's rate grid.
@@ -49,9 +49,9 @@ MAX_SAMPLES = 200_001
 MAX_GRID_SIZE = 100_000
 
 _DEFAULTS = {
-    "protocol": {"kind": "smith", "rate_gain": 0.1, "cap": 0.1},
+    "protocol": {"rate_gain": 0.1, "cap": 0.1},
     "integrator": {"step": 0.01, "horizon": 1500.0, "output_stride": 10},
-    "initial": {"kind": "endemic", "q": 0.0},
+    "initial": {"q": 0.0},
     "bounds": {"grid_size": 30, "alpha": None},
 }
 
@@ -73,9 +73,8 @@ _INTEGER = ("an integer",
 _NUMBERS = ("a list of finite numbers",
             lambda v: isinstance(v, list) and all(_is_number(e) for e in v))
 _POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
+_NONNEGATIVE = ("a nonnegative finite number", lambda v: _is_number(v) and v >= 0)
 _STRIDE = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
-_SMITH = ("'smith' (other protocols are library-only)", lambda v: v == "smith")
-_START = ("'endemic' or 'explicit'", lambda v: v in ("endemic", "explicit"))
 
 
 def _or_null(kind):
@@ -87,11 +86,11 @@ _SCHEMA = {
     "params": dict.fromkeys(("gamma", "delta", "zeta", "theta", "psi"), _NUMBER),
     "strategies": {"betas": _NUMBERS, "costs": _NUMBERS},
     "policy": dict.fromkeys(("cstar", "upsilon", "offsupport_margin"), _NUMBER),
-    "protocol": {"kind": _SMITH, "rate_gain": _NUMBER, "cap": _NUMBER},
+    "protocol": {"rate_gain": _POSITIVE, "cap": _POSITIVE},
     "integrator": {"step": _POSITIVE, "horizon": _NUMBER, "output_stride": _STRIDE},
-    "initial": {"kind": _START, "x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
+    "initial": {"x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
                 "q": _NUMBER, "I": _NUMBER, "R": _NUMBER},
-    "bounds": {"grid_size": _INTEGER, "alpha": _or_null(_NUMBER)},
+    "bounds": {"grid_size": _INTEGER, "alpha": _or_null(_NONNEGATIVE)},
 }
 _REQUIRED = {
     "params": ("gamma", "delta"),
@@ -100,9 +99,15 @@ _REQUIRED = {
 }
 
 
+def _explicit(start: dict) -> bool:
+    """Whether the ``initial`` section gives ``I`` or ``R``, an explicit start."""
+    return start.get("I") is not None or start.get("R") is not None
+
+
 def _schema_violations(data: dict) -> list[AssumptionViolated]:
     """Every unknown key, missing required section or key and wrongly typed
-    value, and an endemic start given by neither or both of ``x`` and ``B``.
+    value, an explicit start that also gives ``B``, and an endemic start
+    given by neither or both of ``x`` and ``B``.
 
     Named by dotted path; an empty list means the mapping has the shape
     :func:`resolve` needs.
@@ -116,13 +121,16 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
                 section, "must be an object" if section in data else "is required"
             ))
             continue
-        required = _REQUIRED.get(section, ())
-        if section == "initial" and node.get("kind") == "explicit":
-            required = ("I", "R", "x")
+        explicit = section == "initial" and _explicit(node)
+        required = ("I", "R", "x") if explicit else _REQUIRED.get(section, ())
         for key in required:
             if node.get(key) is None:
                 out.append(AssumptionViolated(f"{section}.{key}", "is required"))
-        if section == "initial" and node.get("kind") == "endemic":
+        if explicit and node.get("B") is not None:
+            out.append(AssumptionViolated(
+                "initial.B", "an explicit start takes initial.x, not initial.B"
+            ))
+        elif section == "initial" and not explicit:
             given = [key for key in ("x", "B") if node.get(key) is not None]
             if not given:
                 out.append(AssumptionViolated(
@@ -146,8 +154,9 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
 def _size_violations(data: dict) -> list[AssumptionViolated]:
     """Run sizes beyond ``MAX_STEPS``, ``MAX_SAMPLES`` or ``MAX_GRID_SIZE``,
     a grid of fewer than two rates, a horizon that is not a whole number of
-    steps, a start ``initial.x`` with not one share per strategy, and an
-    ``initial.B`` outside the strategies' rates.
+    steps, fewer than two strategies, ``strategies.costs`` with not one cost
+    per strategy, a start ``initial.x`` with not one share per strategy, and
+    an ``initial.B`` outside the strategies' rates.
 
     Only entries that already have the right type are checked; computes
     the sizes without building anything.
@@ -162,8 +171,16 @@ def _size_violations(data: dict) -> list[AssumptionViolated]:
         out.append(AssumptionViolated(
             "bounds.grid_size", f"must be from 2 to {MAX_GRID_SIZE}, got {grid!r}"
         ))
-    betas = entry("strategies", "betas")
+    betas, costs = entry("strategies", "betas"), entry("strategies", "costs")
     x, B = entry("initial", "x"), entry("initial", "B")
+    if _NUMBERS[1](betas) and len(betas) < 2:
+        out.append(AssumptionViolated(
+            "strategies.betas", f"must name at least two strategies, got {len(betas)}"
+        ))
+    if _NUMBERS[1](betas) and _NUMBERS[1](costs) and len(costs) != len(betas):
+        out.append(AssumptionViolated(
+            "strategies.costs", f"has {len(costs)} costs for {len(betas)} strategies"
+        ))
     if _NUMBERS[1](betas) and betas:
         if _NUMBERS[1](x) and len(x) != len(betas):
             out.append(AssumptionViolated(
@@ -194,21 +211,14 @@ def _size_violations(data: dict) -> list[AssumptionViolated]:
     return out
 
 
-@dataclass
-class RunConfig:
-    """Raw (unvalidated) configuration mapping, with defaults filled in."""
-
-    data: dict
-
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     """Load a JSON run configuration and fill defaults."""
     with open(path) as fh:
         raw = json.load(fh)
     return _from_mapping(raw)
 
 
-def _from_mapping(raw: dict) -> RunConfig:
+def _from_mapping(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError([AssumptionViolated("config", "must be a JSON object")])
     data = copy.deepcopy(raw)
@@ -216,12 +226,12 @@ def _from_mapping(raw: dict) -> RunConfig:
         given = data.get(section, {})
         if isinstance(given, dict):  # anything else is reported by resolve
             data[section] = {**defaults, **given}
-    return RunConfig(data=data)
+    return data
 
 
-def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
+def apply_overrides(config: dict, overrides: list[str]) -> dict:
     """Apply ``section.key=value`` overrides; values are parsed as JSON."""
-    data = copy.deepcopy(cfg.data)
+    data = copy.deepcopy(config)
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key.path=value")
@@ -239,7 +249,7 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
                     f"override {item!r}: {'.'.join(keys[:depth])} is not a section"
                 )
         node[keys[-1]] = value
-    return RunConfig(data=data)
+    return data
 
 
 @dataclass(frozen=True)
@@ -272,17 +282,17 @@ def _mix_for_rate(strategies: StrategySpec, B: float) -> tuple[float, ...]:
     raise AssertionError("unreachable")
 
 
-def resolve(cfg: RunConfig) -> ResolvedRun:
-    """Validate the configuration and build the runnable objects.
+def resolve(d: dict) -> ResolvedRun:
+    """Validate the configuration mapping and build the runnable objects.
 
     Raises :class:`epgtool.params.ValidationError` with the complete list of
-    malformed entries (unknown or missing sections and keys, wrong types or
-    kinds, a start that does not fit the strategies, a horizon that is not
-    a whole number of steps, a run or grid larger than the ``MAX_*`` caps)
-    when the mapping has the wrong shape, and with the complete list of
-    violated model assumptions when the values are invalid.
+    malformed entries (unknown or missing sections and keys, wrong types,
+    a start that does not fit the strategies, a horizon that is not a whole
+    number of steps, a run or grid larger than the ``MAX_*`` caps) when the
+    mapping has the wrong shape, with the complete list of violated model
+    assumptions when the values are invalid, and with one ``initial``
+    entry when the start lies off the state space.
     """
-    d = cfg.data
     problems = _schema_violations(d) + _size_violations(d)
     if problems:
         raise ValidationError(problems)
@@ -304,21 +314,24 @@ def resolve(cfg: RunConfig) -> ResolvedRun:
 
     init_cfg = d["initial"]
     q0 = float(init_cfg.get("q", 0.0))
-    if init_cfg["kind"] == "endemic":
-        if init_cfg.get("x") is not None:
-            x0 = tuple(float(v) for v in init_cfg["x"])
+    try:
+        if _explicit(init_cfg):
+            initial = EpgState(
+                I=float(init_cfg["I"]),
+                R=float(init_cfg["R"]),
+                x=tuple(float(v) for v in init_cfg["x"]),
+                q=q0,
+            )
         else:
-            x0 = _mix_for_rate(strategies, float(init_cfg["B"]))
-        B0 = float(np.dot(x0, strategies.betas))
-        eq = endemic_state(B0, params, strategies)
-        initial = EpgState(I=eq.I_hat, R=eq.R_hat, x=x0, q=q0)
-    else:
-        initial = EpgState(
-            I=float(init_cfg["I"]),
-            R=float(init_cfg["R"]),
-            x=tuple(float(v) for v in init_cfg["x"]),
-            q=q0,
-        )
+            if init_cfg.get("x") is not None:
+                x0 = tuple(float(v) for v in init_cfg["x"])
+            else:
+                x0 = _mix_for_rate(strategies, float(init_cfg["B"]))
+            B0 = float(np.dot(x0, strategies.betas))
+            eq = endemic_state(B0, params, strategies)
+            initial = EpgState(I=eq.I_hat, R=eq.R_hat, x=x0, q=q0)
+    except ValueError as exc:  # a start off the state space
+        raise ValidationError([AssumptionViolated("initial", str(exc))]) from exc
 
     integ = d["integrator"]
     options = IntegratorOptions(

@@ -59,6 +59,7 @@ __all__ = [
     "lyapunov_value",
     "lyapunov_series",
     "write_csv",
+    "write_table",
     "CSV_FLOAT_FORMAT",
 ]
 
@@ -100,7 +101,11 @@ class EpgState:
             raise ValueError(f"I={self.I!r} must be positive")
         if self.I + self.R > 1.0 + PROJECTION_TOL or self.R < -PROJECTION_TOL:
             raise ValueError(f"(I, R)=({self.I!r}, {self.R!r}) not in the state space")
-        _edm.check_simplex(self.x)
+        x = np.asarray(self.x)
+        if np.any(x < -PROJECTION_TOL) or np.any(x > 1.0 + PROJECTION_TOL):
+            raise ValueError(f"population state {x!r} has entries outside [0, 1]")
+        if abs(float(x.sum()) - 1.0) > PROJECTION_TOL:
+            raise ValueError(f"population state {x!r} does not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -284,9 +289,18 @@ def _kernel(n: int):
     return rhs, namespace["integrate"]
 
 
+def _kernel_for(state: EpgState, mech: PayoffMechanism):
+    """:func:`_kernel` for ``mech``, if ``state`` has one share per strategy."""
+    n = len(mech.strategies.betas)
+    if len(state.x) != n:
+        raise ValueError(f"initial state has {len(state.x)} shares for {n} strategies")
+    return _kernel(n)
+
+
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
-    """Time derivative of the packed state ``[I, R, x..., q]``."""
-    rhs, _ = _kernel(len(mech.strategies.betas))
+    """Time derivative of the packed state ``[I, R, x..., q]``; raises
+    ``ValueError`` unless ``state`` has one share per strategy."""
+    rhs, _ = _kernel_for(state, mech)
     return np.array(rhs(state.I, state.R, *state.x, state.q,
                         _constants(mech, proto, 0.0)))
 
@@ -393,9 +407,7 @@ def simulate(
     params = mech.params
     betas = mech.strategies.betas
     n = len(betas)
-    if len(initial.x) != n:
-        raise ValueError(f"initial state has {len(initial.x)} shares for {n} strategies")
-    _, integrate = _kernel(n)
+    _, integrate = _kernel_for(initial, mech)
     samples, peak_I, peak_t, *counts = integrate(
         initial.I, initial.R, *initial.x, initial.q,
         n_steps, stride, _constants(mech, proto, h)
@@ -491,11 +503,9 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
 
 
 def write_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory as CSV.
+    """Write the trajectory as CSV with :func:`write_table`.
 
     Fixed column order: ``t, I, R, x1..xn, q, B, cost, avg_cost, L``.
-    Floats are rendered with ``CSV_FLOAT_FORMAT`` so identical runs produce
-    identical bytes.
     """
     n = traj.x.shape[1]
     header = ["t", "I", "R"] + [f"x{k + 1}" for k in range(n)] + [
@@ -504,11 +514,17 @@ def write_csv(traj: Trajectory, path) -> None:
     cols = [traj.times, traj.I, traj.R] + [traj.x[:, k] for k in range(n)] + [
         traj.q, traj.B, traj.cost, traj.avg_cost, traj.lyapunov,
     ]
+    write_table(path, header, cols)
+
+
+def write_table(path, header: list[str], cols: list[np.ndarray]) -> None:
+    """Write the float columns ``cols`` under ``header`` as CSV, rendered
+    with ``CSV_FLOAT_FORMAT`` so identical runs produce identical bytes."""
     row_format = ",".join([CSV_FLOAT_FORMAT] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         # Python floats format faster than numpy scalars; converting a block
         # of rows at a time keeps the extra memory small
-        for start in range(0, len(traj), _CSV_BLOCK_ROWS):
+        for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
             block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in cols]
             fh.write("".join([row_format % row for row in zip(*block)]))

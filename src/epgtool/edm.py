@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +39,8 @@ __all__ = [
     "mean_field",
     "storage",
     "dissipation",
-    "check_simplex",
 ]
 
-SIMPLEX_TOL = 1e-9
 QUADRATURE_PANELS = 256  # Simpson panels of GeneralIPCProtocol's storage
 
 
@@ -113,16 +111,6 @@ class GeneralIPCProtocol:
         h = gap / (2 * m)
         return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum()
                                 + 2.0 * ys[2:-1:2].sum()))
-
-
-def check_simplex(x: Sequence[float], tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Return ``x`` as an array after checking it lies on the simplex."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
-        raise ValueError(f"population state {x!r} has entries outside [0, 1]")
-    if abs(float(x.sum()) - 1.0) > tol:
-        raise ValueError(f"population state {x!r} does not sum to 1")
-    return x
 
 
 def _rates(rate, j: int, gaps: np.ndarray) -> np.ndarray:

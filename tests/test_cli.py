@@ -164,8 +164,7 @@ def test_certify_reports_pass(tmp_path, capsys):
     assert cert["margin"] > 0
 
 
-EXPLICIT = ["--set", 'initial.kind="explicit"', "--set", "initial.I=0.08",
-            "--set", "initial.R=0.3"]
+EXPLICIT = ["--set", "initial.I=0.08", "--set", "initial.R=0.3"]
 
 
 def test_bounds_level_is_the_initial_lyapunov_value(tmp_path):
@@ -227,6 +226,31 @@ def test_start_rate_outside_the_strategies_is_listed(capsys):
     ]
 
 
+@pytest.mark.parametrize("overrides, violation", [
+    # starts off the state space, listed with the message of their check
+    (["initial.x=[0.5,0.6]"],
+     ("initial", "population state array([0.5, 0.6]) does not sum to 1")),
+    (["initial.x=[0.9,0.9]"],
+     ("initial", "B=0.306 outside strategy range [0.15, 0.19]")),
+    (["initial.I=0.5", "initial.R=0.6"],
+     ("initial", "(I, R)=(0.5, 0.6) not in the state space")),
+    (["initial.I=0", "initial.R=0.3"], ("initial", "I=0.0 must be positive")),
+    (["initial.I=0.08", "initial.R=0.3", "initial.x=[1.5,-0.5]"],
+     ("initial", "population state array([ 1.5, -0.5]) has entries outside [0, 1]")),
+    # a start given by I or R is explicit and takes all of I, R and x
+    (["initial.I=0.08"], ("initial.R", "is required")),
+    (["initial.I=0.08", "initial.R=0.3", "initial.B=0.16"],
+     ("initial.B", "an explicit start takes initial.x, not initial.B")),
+])
+def test_start_errors_are_listed(overrides, violation, capsys):
+    args = ["validate", str(CONFIG), "--json-errors"]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [(v["name"], v["detail"]) for v in violations] == [violation]
+
+
 def test_missing_sections_are_listed_together(tmp_path, capsys):
     path = tmp_path / "params_only.json"
     path.write_text(json.dumps({"params": {"gamma": 0.1, "delta": 0.005}}))
@@ -271,6 +295,10 @@ def test_upsilons_rows_equal_runs_at_the_configured_gain(tmp_path):
     'protocol.kind="imitation"', 'initial.kind="random"', "initial.B=0.16",
     "initial.x=null", "initial.B=0.5", "initial.x=[0.5,0.25,0.25]",
     "integrator.step=0", "integrator.output_stride=0",
+    "bounds.alpha=-1", "protocol.rate_gain=-1", "protocol.cap=0",
+    "strategies.costs=[0.2]", "strategies.betas=[0.15]",
+    # an integer beyond the float range
+    pytest.param("params.gamma=1" + "0" * 400, id="params.gamma=10**400"),
 ])
 def test_malformed_config_lists_violations_without_traceback(override, capsys):
     code = main(["validate", str(CONFIG), "--set", override])
@@ -313,6 +341,20 @@ def test_validate_starts_no_subprocess(monkeypatch, capsys):
     monkeypatch.setattr(subprocess, "run", refuse)
     monkeypatch.setattr(subprocess, "Popen", refuse)
     assert main(["validate", str(CONFIG)]) == 0
+
+
+@pytest.mark.parametrize("outcome", [
+    subprocess.CompletedProcess(["git"], 128, "", "not a git repository"),
+    OSError("git not found"),
+])
+def test_version_without_git_describe_is_the_package_version(outcome, monkeypatch):
+    def describe(*args, **kwargs):
+        if isinstance(outcome, OSError):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(subprocess, "run", describe)
+    assert epgtool.cli._version_string() == f"epgtool {epgtool.__version__}"
 
 
 def test_version_flag_prints_version(capsys):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from epgtool.config import _from_mapping, apply_overrides, load_config, resolve
+from epgtool.config import _SCHEMA, _from_mapping, apply_overrides, load_config, resolve
 from epgtool.params import ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +45,7 @@ def test_defaults_fill_missing_sections(tmp_path):
         "params": {"gamma": 0.1, "delta": 0.005, "psi": 0.011},
         "strategies": {"betas": [0.15, 0.19], "costs": [0.2, 0.0]},
         "policy": {"cstar": 0.1, "upsilon": 2.0},
-        "initial": {"kind": "endemic", "x": [1.0, 0.0]},
+        "initial": {"x": [1.0, 0.0]},
     }
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps(minimal))
@@ -75,7 +76,7 @@ def test_overrides_parse_json_values():
         "policy.upsilon=6",
         "strategies.betas=[0.15, 0.19]",
     ])
-    assert cfg.data["policy"]["upsilon"] == 6
+    assert cfg["policy"]["upsilon"] == 6
     run = resolve(cfg)
     assert run.mech.upsilon == 6
 
@@ -84,6 +85,14 @@ def test_override_rejects_malformed_entry():
     cfg = load_config(CONFIG)
     with pytest.raises(ValueError):
         apply_overrides(cfg, ["policy.upsilon"])
+    with pytest.raises(ValueError, match="policy.upsilon is not a section"):
+        apply_overrides(cfg, ["policy.upsilon.gain=1"])
+
+
+def test_top_level_value_must_be_an_object():
+    with pytest.raises(ValidationError) as err:
+        _from_mapping([1, 2])
+    assert [v.name for v in err.value.violations] == ["config"]
 
 
 def test_invalid_model_surfaces_all_violations():
@@ -109,3 +118,30 @@ def test_endemic_initial_by_rate():
     run = resolve(cfg)
     assert run.initial.x == pytest.approx((0.75, 0.25), abs=1e-15)
     assert run.initial.I == pytest.approx(0.033697, abs=1e-5)
+
+
+# another valid value for every key of example1
+_OTHER = {
+    "params.gamma": 0.11, "params.delta": 0.004, "params.zeta": 0.001,
+    "params.theta": 0.001, "params.psi": 0.012,
+    "strategies.betas": [0.15, 0.2], "strategies.costs": [0.25, 0.0],
+    "policy.cstar": 0.12, "policy.upsilon": 3.0, "policy.offsupport_margin": 0.02,
+    "protocol.rate_gain": 0.2, "protocol.cap": 0.2,
+    "integrator.step": 0.02, "integrator.horizon": 1000.0,
+    "integrator.output_stride": 5,
+    "initial.x": [0.5, 0.5], "initial.B": 0.16, "initial.q": 0.5,
+    "initial.I": 0.05, "initial.R": 0.3,
+    "bounds.grid_size": 40, "bounds.alpha": 0.001,
+}
+
+
+@pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in _SCHEMA.items()
+                                 for key in keys])
+def test_no_key_is_silently_ignored(key):
+    base = resolve(load_config(CONFIG))
+    cfg = apply_overrides(load_config(CONFIG), [f"{key}={json.dumps(_OTHER[key])}"])
+    try:
+        run = resolve(cfg)
+    except ValidationError:
+        return
+    assert dataclasses.replace(run, config={}) != dataclasses.replace(base, config={})

@@ -25,6 +25,7 @@ from epgtool import (
     validate,
     write_csv,
 )
+from epgtool.dynamics import step_count
 from conftest import make_scenario
 
 
@@ -139,6 +140,18 @@ def test_oversized_step_is_rejected(example1):
         simulate(bad_start, 100.0, example1.mech, example1.proto,
                  IntegratorOptions(step=50.0, output_stride=1))
     assert err.value.t > 0.0
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: IntegratorOptions(step=0.0), "step must be positive"),
+    (lambda: IntegratorOptions(output_stride=0), "output_stride must be at least 1"),
+    (lambda: step_count(0.0, 0.01), "horizon must be positive"),
+    (lambda: step_count(math.inf, 0.01), "is not finite"),
+    (lambda: step_count(1e300, 1e-300), "is not finite"),
+])
+def test_bad_integration_settings_are_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_horizon_must_be_step_multiple(example1):
@@ -455,6 +468,8 @@ def test_start_with_the_wrong_number_of_shares_is_rejected(example1):
     start = EpgState(I=0.05, R=0.3, x=(0.5, 0.25, 0.25), q=0.0)
     with pytest.raises(ValueError, match="3 shares for 2 strategies"):
         simulate(start, 1.0, example1.mech, example1.proto)
+    with pytest.raises(ValueError, match="3 shares for 2 strategies"):
+        state_derivative(start, example1.mech, example1.proto)
 
 
 def test_stride_that_does_not_divide_the_step_count(example1):

@@ -185,6 +185,16 @@ def test_general_protocol_quadrature_matches_smith_closed_form():
         )
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SmithProtocol(rate_gain=0.0, cap=0.1),
+    lambda: SmithProtocol(rate_gain=0.1, cap=-0.1),
+    lambda: GeneralIPCProtocol(phis=(lambda g: g, lambda g: g), cap=0.0),
+])
+def test_protocols_reject_a_nonpositive_gain_or_cap(make):
+    with pytest.raises(ValueError, match="must be positive"):
+        make()
+
+
 def test_general_protocol_rejects_nonzero_at_origin():
     with pytest.raises(ValueError):
         GeneralIPCProtocol(phis=(lambda g: 0.1, lambda g: 0.0), cap=0.1)

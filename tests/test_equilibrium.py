@@ -73,6 +73,8 @@ def test_rate_out_of_strategy_range_is_rejected(example1):
         endemic_state(0.20, example1.params, example1.strategies)
     with pytest.raises(OutOfRange):
         endemic_state(0.05, example1.params)  # below sigma even without a menu
+    with pytest.raises(OutOfRange):
+        endemic_curve(np.array([0.15, 0.05]), example1.params)
 
 
 def test_degenerate_discriminant_is_detected():
@@ -173,6 +175,22 @@ def test_allocation_rejects_breakpoint_budget(example1):
         optimal_allocation(
             example1.strategies,
             PolicyConfig(cstar=0.2, upsilon=2.0),
+            example1.params,
+        )
+    with pytest.raises(BudgetAtBreakpoint):  # the last offset, ctilde[-1] = 0
+        optimal_allocation(
+            example1.strategies,
+            PolicyConfig(cstar=0.0, upsilon=2.0),
+            example1.params,
+        )
+
+
+@pytest.mark.parametrize("cstar", [-0.1, 0.3])
+def test_allocation_rejects_budget_outside_the_offsets(example1, cstar):
+    with pytest.raises(OutOfRange, match="no interior mix"):
+        optimal_allocation(
+            example1.strategies,
+            PolicyConfig(cstar=cstar, upsilon=2.0),
             example1.params,
         )
 

@@ -75,6 +75,11 @@ def test_misordered_menus_are_rejected(example1):
     s = StrategySpec(betas=(0.15, 0.19), costs=(0.0, 0.2))
     names = _names(check_assumptions(example1.params, s, example1.policy))
     assert "costs_decreasing" in names
+    # the marginal cost of a misordered menu is not also reported
+    s = StrategySpec(betas=(0.19, 0.15, 0.12), costs=(0.4, 0.3, 0.0))
+    names = _names(check_assumptions(example1.params, s, PolicyConfig(0.2, 2.0)))
+    assert "betas_increasing" in names
+    assert "marginal_cost_decreasing" not in names
 
 
 def test_budget_at_breakpoint_is_flagged(example1):
@@ -101,6 +106,12 @@ def test_budget_and_gain_ranges(example1):
         )
     )
     assert "upsilon>0" in names
+    names = _names(
+        check_assumptions(
+            example1.params, example1.strategies, PolicyConfig(0.1, 2.0, 0.0)
+        )
+    )
+    assert "offsupport_margin>0" in names
 
 
 def test_cost_offsets_decrease_to_zero(three_strategy):
