@@ -203,13 +203,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _number(text: str) -> float:
+    """``text`` as a float, NaN when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def cmd_bounds(args) -> int:
     run = _load(args)
     upsilons = [run.bundle.policy.upsilon]
-    if args.upsilons:  # every gain that is not finite and positive is listed
-        upsilons = [float(u) for u in args.upsilons.split(",")]
-        bad = [AssumptionViolated(f"--upsilons[{k}]", f"{u!r} is not finite and positive")
-               for k, u in enumerate(upsilons) if not (math.isfinite(u) and u > 0)]
+    if args.upsilons:  # every entry that is not a finite positive number is listed
+        entries = args.upsilons.split(",")
+        upsilons = [_number(entry) for entry in entries]
+        bad = [AssumptionViolated(f"--upsilons[{k}]", f"{e!r} is not a finite positive number")
+               for k, (e, u) in enumerate(zip(entries, upsilons))
+               if not (math.isfinite(u) and u > 0)]
         if bad:
             raise ValidationError(bad)
     out = _outdir(args)
@@ -306,9 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        return _emit_error(args, exc, EXIT_VALIDATION)
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ValidationError, bad JSON too
         return _emit_error(args, exc, EXIT_VALIDATION)
     except (StepRejected, AllInfeasible, ArithmeticError, OSError) as exc:
         return _emit_error(args, exc, EXIT_RUNTIME)

@@ -1,6 +1,6 @@
 """Run configuration: one JSON file per run, plus dotted-path overrides.
 
-Schema (all keys optional unless noted; see README for units):
+Schema (see README for units):
 
     {
       "params":     {"gamma", "delta", "zeta", "theta", "psi"},     # required
@@ -13,6 +13,10 @@ Schema (all keys optional unless noted; see README for units):
       "bounds":     {"grid_size", "alpha"}
     }
 
+A section that builds a library object takes its keys, defaults and
+required keys (the fields without a default) from that object's fields.
+Every default is filled, so a resolved mapping names every key.
+
 Overrides use ``section.key=value`` with JSON-parsed values, e.g.
 ``policy.upsilon=6`` or ``strategies.betas=[0.12,0.15,0.19]``.
 """
@@ -22,13 +26,14 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .bounds import DEFAULT_GRID_SIZE
 from .dynamics import EpgState, IntegratorOptions, step_count
 from .edm import SmithProtocol
-from .equilibrium import OptimalAllocation, endemic_state, optimal_allocation
+from .equilibrium import OptimalAllocation, _pair_mix, endemic_state, optimal_allocation
 from .params import (
     AssumptionViolated,
     ModelParams,
@@ -47,14 +52,6 @@ __all__ = ["ResolvedRun", "load_config", "apply_overrides", "resolve"]
 MAX_STEPS = 2_000_000
 MAX_SAMPLES = 200_001
 MAX_GRID_SIZE = 100_000
-
-_DEFAULTS = {
-    "protocol": {"rate_gain": 0.1, "cap": 0.1},
-    "integrator": {"step": 0.01, "horizon": 1500.0, "output_stride": 10},
-    "initial": {"q": 0.0},
-    "bounds": {"grid_size": 30, "alpha": None},
-}
-
 
 def _is_number(v) -> bool:
     """A finite JSON number: ints included, booleans, NaN and infinities not."""
@@ -77,26 +74,38 @@ _NONNEGATIVE = ("a nonnegative finite number", lambda v: _is_number(v) and v >= 
 _STRIDE = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
 
 
-def _or_null(kind):
+def _null_by_default(kind):
+    """The ``(kind, default)`` of a key that may be null, and is by default."""
     desc, ok = kind
-    return (f"{desc} or null", lambda v: v is None or ok(v))
+    return (f"{desc} or null", lambda v: v is None or ok(v)), None
 
 
+def _fields_of(cls, **kinds) -> dict:
+    """``{key: (kind, default)}`` of a section that builds ``cls``: one key
+    per field, with that field's default (``MISSING`` if it has none)."""
+    return {f.name: (kinds[f.name], f.default) for f in fields(cls)}
+
+
+# {section: {key: (kind, default)}}; a key whose default is MISSING is required
 _SCHEMA = {
-    "params": dict.fromkeys(("gamma", "delta", "zeta", "theta", "psi"), _NUMBER),
-    "strategies": {"betas": _NUMBERS, "costs": _NUMBERS},
-    "policy": dict.fromkeys(("cstar", "upsilon", "offsupport_margin"), _NUMBER),
-    "protocol": {"rate_gain": _POSITIVE, "cap": _POSITIVE},
-    "integrator": {"step": _POSITIVE, "horizon": _NUMBER, "output_stride": _STRIDE},
-    "initial": {"x": _or_null(_NUMBERS), "B": _or_null(_NUMBER),
-                "q": _NUMBER, "I": _NUMBER, "R": _NUMBER},
-    "bounds": {"grid_size": _INTEGER, "alpha": _or_null(_NONNEGATIVE)},
+    "params": _fields_of(ModelParams, **dict.fromkeys(
+        ("gamma", "delta", "zeta", "theta", "psi"), _NUMBER)),
+    "strategies": _fields_of(StrategySpec, betas=_NUMBERS, costs=_NUMBERS),
+    "policy": _fields_of(PolicyConfig, **dict.fromkeys(
+        ("cstar", "upsilon", "offsupport_margin"), _NUMBER)),
+    "protocol": _fields_of(SmithProtocol, rate_gain=_POSITIVE, cap=_POSITIVE),
+    "integrator": {**_fields_of(IntegratorOptions, step=_POSITIVE, output_stride=_STRIDE),
+                   "horizon": (_NUMBER, 1500.0)},
+    "initial": {"x": _null_by_default(_NUMBERS), "q": (_NUMBER, 0.0),
+                **dict.fromkeys(("B", "I", "R"), _null_by_default(_NUMBER))},
+    "bounds": {"grid_size": (_INTEGER, DEFAULT_GRID_SIZE),
+               "alpha": _null_by_default(_NONNEGATIVE)},
 }
-_REQUIRED = {
-    "params": ("gamma", "delta"),
-    "strategies": ("betas", "costs"),
-    "policy": ("cstar", "upsilon"),
-}
+
+
+def _required(section: str) -> list[str]:
+    """The keys of ``section`` that have no default."""
+    return [key for key, (_, default) in _SCHEMA[section].items() if default is MISSING]
 
 
 def _explicit(start: dict) -> bool:
@@ -122,7 +131,7 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
             ))
             continue
         explicit = section == "initial" and _explicit(node)
-        required = ("I", "R", "x") if explicit else _REQUIRED.get(section, ())
+        required = ("I", "R", "x") if explicit else _required(section)
         for key in required:
             if node.get(key) is None:
                 out.append(AssumptionViolated(f"{section}.{key}", "is required"))
@@ -144,9 +153,11 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
         for key, value in node.items():
             if key not in keys:
                 out.append(AssumptionViolated(f"{section}.{key}", "unknown key"))
-            elif not keys[key][1](value):
+                continue
+            (desc, ok), _ = keys[key]
+            if not ok(value):
                 out.append(AssumptionViolated(
-                    f"{section}.{key}", f"must be {keys[key][0]}, got {value!r}"
+                    f"{section}.{key}", f"must be {desc}, got {value!r}"
                 ))
     return out
 
@@ -222,9 +233,12 @@ def _from_mapping(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError([AssumptionViolated("config", "must be a JSON object")])
     data = copy.deepcopy(raw)
-    for section, defaults in _DEFAULTS.items():
-        given = data.get(section, {})
+    for section, keys in _SCHEMA.items():
+        # a required section that is missing is reported by resolve
+        given = data.get(section, None if _required(section) else {})
         if isinstance(given, dict):  # anything else is reported by resolve
+            defaults = {key: default for key, (_, default) in keys.items()
+                        if default is not MISSING}
             data[section] = {**defaults, **given}
     return data
 
@@ -268,20 +282,6 @@ class ResolvedRun:
     config: dict = field(repr=False)
 
 
-def _mix_for_rate(strategies: StrategySpec, B: float) -> tuple[float, ...]:
-    """Shares mixing the adjacent strategies that bracket rate ``B``, which
-    :func:`_size_violations` has checked to lie in the strategies' range."""
-    betas = strategies.betas
-    for i in range(strategies.n - 1):
-        if betas[i] <= B <= betas[i + 1]:
-            w = (betas[i + 1] - B) / (betas[i + 1] - betas[i])
-            x = [0.0] * strategies.n
-            x[i] = w
-            x[i + 1] = 1.0 - w
-            return tuple(x)
-    raise AssertionError("unreachable")
-
-
 def resolve(d: dict) -> ResolvedRun:
     """Validate the configuration mapping and build the runnable objects.
 
@@ -291,45 +291,33 @@ def resolve(d: dict) -> ResolvedRun:
     number of steps, a run or grid larger than the ``MAX_*`` caps) when the
     mapping has the wrong shape, with the complete list of violated model
     assumptions when the values are invalid, and with one ``initial``
-    entry when the start lies off the state space.
+    entry when the start lies off the state space.  Fills defaults first,
+    also in a section that an override replaced as a whole.
     """
+    d = _from_mapping(d)
     problems = _schema_violations(d) + _size_violations(d)
     if problems:
         raise ValidationError(problems)
     params = ModelParams(**d["params"])
-    strategies = StrategySpec(
-        betas=tuple(d["strategies"]["betas"]),
-        costs=tuple(d["strategies"]["costs"]),
-    )
+    strategies = StrategySpec(**d["strategies"])
     policy = PolicyConfig(**d["policy"])
     bundle = validate(params, strategies, policy)
-
-    proto_cfg = d["protocol"]
-    proto = SmithProtocol(
-        rate_gain=float(proto_cfg["rate_gain"]), cap=float(proto_cfg["cap"])
-    )
-
+    proto = SmithProtocol(**d["protocol"])
     alloc = optimal_allocation(strategies, policy, params)
     mech = build_mechanism(alloc, strategies, policy, params)
 
-    init_cfg = d["initial"]
-    q0 = float(init_cfg.get("q", 0.0))
+    start = d["initial"]
+    if start["x"] is not None:
+        x0 = tuple(float(v) for v in start["x"])
+    else:
+        _, x0 = _pair_mix(strategies.betas, float(start["B"]))
     try:
-        if _explicit(init_cfg):
-            initial = EpgState(
-                I=float(init_cfg["I"]),
-                R=float(init_cfg["R"]),
-                x=tuple(float(v) for v in init_cfg["x"]),
-                q=q0,
-            )
+        if _explicit(start):
+            I0, R0 = float(start["I"]), float(start["R"])
         else:
-            if init_cfg.get("x") is not None:
-                x0 = tuple(float(v) for v in init_cfg["x"])
-            else:
-                x0 = _mix_for_rate(strategies, float(init_cfg["B"]))
-            B0 = float(np.dot(x0, strategies.betas))
-            eq = endemic_state(B0, params, strategies)
-            initial = EpgState(I=eq.I_hat, R=eq.R_hat, x=x0, q=q0)
+            eq = endemic_state(float(np.dot(x0, strategies.betas)), params, strategies)
+            I0, R0 = eq.I_hat, eq.R_hat
+        initial = EpgState(I=I0, R=R0, x=x0, q=float(start["q"]))
     except ValueError as exc:  # a start off the state space
         raise ValidationError([AssumptionViolated("initial", str(exc))]) from exc
 
@@ -339,7 +327,7 @@ def resolve(d: dict) -> ResolvedRun:
     )
 
     bounds_cfg = d["bounds"]
-    alpha = bounds_cfg.get("alpha")
+    alpha = bounds_cfg["alpha"]
     return ResolvedRun(
         bundle=bundle,
         alloc=alloc,

@@ -214,6 +214,19 @@ class OptimalAllocation:
     endemic: EquilibriumPoint
 
 
+def _pair_mix(values, target: float) -> tuple[int, tuple[float, ...]] | None:
+    """``i`` and the shares that mix ``values[i]`` and ``values[i + 1]`` to
+    ``target``, for the first such pair that brackets it; else ``None``."""
+    for i in range(len(values) - 1):
+        left, right = values[i], values[i + 1]
+        if min(left, right) <= target <= max(left, right):
+            weight = (target - right) / (left - right)
+            x = [0.0] * len(values)
+            x[i], x[i + 1] = weight, 1.0 - weight
+            return i, tuple(x)
+    return None
+
+
 def optimal_allocation(
     strategies: StrategySpec,
     policy: PolicyConfig,
@@ -221,33 +234,23 @@ def optimal_allocation(
 ) -> OptimalAllocation:
     """Cheapest-transmission mix meeting the budget, and its endemic state.
 
-    Locates the adjacent pair with ``ctilde[istar+1] < cstar < ctilde[istar]``
-    and interpolates: the minimizer of average transmission subject to the
+    Rejects a budget at any cost offset ``ctilde[i]``, then locates the
+    adjacent pair with ``ctilde[istar+1] < cstar < ctilde[istar]`` and
+    interpolates: the minimizer of average transmission subject to the
     cost budget puts all mass on that pair.
     """
-    ctilde = strategies.ctilde
-    cstar = policy.cstar
-    istar = None
-    for i in range(strategies.n - 1):
-        if abs(cstar - ctilde[i]) <= BREAKPOINT_TOL:
+    ctilde, cstar = strategies.ctilde, policy.cstar
+    for i, offset in enumerate(ctilde):
+        if abs(cstar - offset) <= BREAKPOINT_TOL:
             raise BudgetAtBreakpoint(cstar, i)
-        if ctilde[i + 1] < cstar < ctilde[i]:
-            istar = i
-            break
-    if abs(cstar - ctilde[-1]) <= BREAKPOINT_TOL:
-        raise BudgetAtBreakpoint(cstar, strategies.n - 1)
-    if istar is None:
+    mix = _pair_mix(ctilde, cstar)
+    if mix is None:
         raise OutOfRange(
             f"cstar={cstar!r} outside (0, {ctilde[0]!r}); no interior mix"
         )
-    weight = (cstar - ctilde[istar + 1]) / (ctilde[istar] - ctilde[istar + 1])
-    x = [0.0] * strategies.n
-    x[istar] = weight
-    x[istar + 1] = 1.0 - weight
+    istar, x = mix
     betastar = float(np.dot(x, strategies.betas))
     eq = endemic_derivatives(
         endemic_state(betastar, params, strategies), params
     )
-    return OptimalAllocation(
-        xstar=tuple(x), betastar=betastar, istar=istar, endemic=eq
-    )
+    return OptimalAllocation(xstar=x, betastar=betastar, istar=istar, endemic=eq)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import subprocess
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,26 @@ def test_simulate_manifest_holds_the_run_stats(tmp_path):
     assert stats["steps"] == 5000
     assert 0 < stats["renormalizations"] <= 5000
     assert 0.0 < stats["worst_renormalization"] <= 1e-15
+
+
+def test_manifest_records_every_setting_of_a_minimal_config(tmp_path):
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps({
+        "params": {"gamma": 0.1, "delta": 0.005, "psi": 0.011},
+        "strategies": {"betas": [0.15, 0.19], "costs": [0.2, 0.0]},
+        "policy": {"cstar": 0.1, "upsilon": 2.0},
+        "initial": {"x": [1.0, 0.0]},
+    }))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out), *FAST]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert {section: set(keys) for section, keys in config.items()} == {
+        section: set(keys) for section, keys in _config._SCHEMA.items()
+    }
+    assert config["params"]["zeta"] == 0.0 and config["params"]["theta"] == 0.0
+    assert config["policy"]["offsupport_margin"] == 0.01
+    assert config["initial"]["I"] is None
+
 
 def test_simulate_is_deterministic(tmp_path):
     digests = []
@@ -446,6 +467,38 @@ def test_fuzzed_overrides_fail_cleanly(overrides):
         code = main(args)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# a gain as number text, or any text over the characters numbers are made of
+_GAIN = (st.floats().map(repr) | st.integers(-10, 10).map(str)
+         | st.text(alphabet="0123456789.-+eEinfaINF _x", max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_GAIN, min_size=1, max_size=4).map(",".join))
+def test_fuzzed_upsilons_fail_cleanly(upsilons):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["bounds", str(CONFIG), "--out", tmp, "--json-errors",
+                         "--set", "bounds.grid_size=2", f"--upsilons={upsilons}"])
+    # 3: a finite gain so large that its storage overflows, a runtime failure
+    assert code in (0, 2, 3)
+    if code == 2:
+        violations = json.loads(out.getvalue())["violations"]
+        assert violations and all(v["name"].startswith("--upsilons[") for v in violations)
+
+
+def test_unparsable_upsilons_are_listed(tmp_path, capsys):
+    code = main(["bounds", str(CONFIG), "--out", str(tmp_path), "--json-errors",
+                 "--upsilons=a,2,,-1"])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [(v["name"], v["detail"]) for v in violations] == [
+        ("--upsilons[0]", "'a' is not a finite positive number"),
+        ("--upsilons[2]", "'' is not a finite positive number"),
+        ("--upsilons[3]", "'-1' is not a finite positive number"),
+    ]
 
 
 @pytest.mark.parametrize("override", [

@@ -55,6 +55,26 @@ def test_defaults_fill_missing_sections(tmp_path):
     assert run.alpha is None
 
 
+def test_null_explicit_keys_leave_the_endemic_start():
+    base = resolve(load_config(CONFIG))
+    run = resolve(apply_overrides(load_config(CONFIG), [
+        "initial.I=null", "initial.R=null",
+    ]))
+    assert run.initial == base.initial
+
+
+@pytest.mark.parametrize("override", [
+    "protocol={}", "integrator={}", "bounds={}", 'initial={"x": [1.0, 0.0]}',
+])
+def test_section_replaced_by_an_override_gets_its_defaults(override):
+    # example1 sets these sections to their defaults; an emptied section
+    # used to stop resolve with a KeyError
+    base = resolve(load_config(CONFIG))
+    run = resolve(apply_overrides(load_config(CONFIG), [override]))
+    assert dataclasses.replace(run, config={}) == dataclasses.replace(base, config={})
+    assert run.config == base.config
+
+
 def test_missing_required_section_raises(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"params": {"gamma": 0.1, "delta": 0.005}}))

@@ -183,6 +183,16 @@ def test_allocation_rejects_breakpoint_budget(example1):
             PolicyConfig(cstar=0.0, upsilon=2.0),
             example1.params,
         )
+    # just inside the first pair's bracket, but within the tolerance of the
+    # middle offset: used to return the degenerate mix (5e-13, 1 - 5e-13, 0)
+    three = StrategySpec(betas=(0.12, 0.15, 0.19), costs=(0.45, 0.25, 0.05))
+    with pytest.raises(BudgetAtBreakpoint) as err:
+        optimal_allocation(
+            three,
+            PolicyConfig(cstar=three.ctilde[1] + 1e-13, upsilon=2.0),
+            example1.params,
+        )
+    assert err.value.index == 1
 
 
 @pytest.mark.parametrize("cstar", [-0.1, 0.3])
