@@ -38,9 +38,18 @@ __all__ = [
 BISECTION_TOL = 1e-10
 DEFAULT_GRID_SIZE = 30
 
+# math.log elementwise: the kernel's log, not numpy's SIMD one
+_log = np.vectorize(math.log, otypes=[float])
+
 
 class AllInfeasible(RuntimeError):
-    """No grid point admits the requested storage level (defensive)."""
+    """No grid point admits the requested storage level.
+
+    At a rate ``B_k`` the level set is empty when ``alpha`` is below the
+    rate penalty ``0.5*upsilon^2*(B_k - betastar)^2``, so this is raised
+    whenever ``alpha < min_k 0.5*upsilon^2*(B_k - betastar)^2``: e.g. for a
+    start at the target (``alpha = 0``) when ``betastar`` is off the grid.
+    """
 
 
 def epidemic_storage(I, R, B, alloc: OptimalAllocation,
@@ -48,17 +57,22 @@ def epidemic_storage(I, R, B, alloc: OptimalAllocation,
     """Epidemic part of the Lyapunov function; elementwise on arrays.
 
     Nonnegative on the state space, and zero exactly at the target
-    equilibrium ``(I_hat_betastar, R_hat_betastar, betastar)``.
+    equilibrium ``(I_hat_betastar, R_hat_betastar, betastar)``.  Every
+    element is evaluated as a Python float would be: ``math.log`` and
+    squares as products.
     """
     I = np.asarray(I, dtype=float)
     if np.any(I <= 0.0):
         raise ValueError("I must be positive")
-    _, _, I_hat, R_hat, a = _point_array(np.asarray(B, dtype=float), params)
+    B = np.asarray(B, dtype=float)
+    _, _, I_hat, R_hat, a = _point_array(B, params)
+    r_dev = R_hat - np.asarray(R, dtype=float)
+    b_dev = B - alloc.betastar
     val = (
-        I_hat * np.log(I_hat / I)
+        I_hat * _log(I_hat / I)
         - (I_hat - I)
-        + 0.5 * a * (R_hat - np.asarray(R, dtype=float)) ** 2
-        + 0.5 * upsilon ** 2 * (np.asarray(B, dtype=float) - alloc.betastar) ** 2
+        + 0.5 * a * (r_dev * r_dev)
+        + 0.5 * (upsilon * upsilon) * (b_dev * b_dev)
     )
     return val if val.ndim else float(val)
 
@@ -137,7 +151,8 @@ def peak_ratio_at(query: BoundQuery, B: float) -> float | None:
     """
     eq = endemic_state(float(B), query.params)
     I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
-    base = 0.5 * query.upsilon ** 2 * (eq.B - query.alloc.betastar) ** 2
+    ups, b_dev = query.upsilon, eq.B - query.alloc.betastar
+    base = 0.5 * (ups * ups) * (b_dev * b_dev)
     alpha = query.alpha
     I_star = query.alloc.endemic.I_hat
 
@@ -166,8 +181,9 @@ def peak_ratio_at(query: BoundQuery, B: float) -> float | None:
 def peak_bound(query: BoundQuery) -> BoundResult:
     """Maximize the per-rate peak ratios over the grid.
 
-    Raises :class:`AllInfeasible` if no grid point is feasible, which cannot
-    happen when the grid comes near ``betastar``.
+    Raises :class:`AllInfeasible` if no grid point is feasible, that is
+    whenever ``alpha < min_k 0.5*upsilon^2*(B_k - betastar)^2`` over the
+    grid rates ``B_k``.
     """
     per_B = tuple((float(B), peak_ratio_at(query, B)) for B in query.grid)
     feasible = [(B, r) for B, r in per_B if r is not None]

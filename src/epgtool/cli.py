@@ -36,7 +36,7 @@ from .dynamics import (
     write_table,
 )
 from .equilibrium import endemic_curve
-from .params import AssumptionViolated, ValidationError
+from .params import AssumptionViolated, ValidationError, usable_gain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -214,12 +214,14 @@ def _number(text: str) -> float:
 def cmd_bounds(args) -> int:
     run = _load(args)
     upsilons = [run.bundle.policy.upsilon]
-    if args.upsilons:  # every entry that is not a finite positive number is listed
+    if args.upsilons:  # every entry that is not a usable gain is listed
         entries = args.upsilons.split(",")
         upsilons = [_number(entry) for entry in entries]
-        bad = [AssumptionViolated(f"--upsilons[{k}]", f"{e!r} is not a finite positive number")
-               for k, (e, u) in enumerate(zip(entries, upsilons))
-               if not (math.isfinite(u) and u > 0)]
+        bad = [AssumptionViolated(
+                   f"--upsilons[{k}]",
+                   f"{e!r} has a square beyond the float range" if 0 < u < math.inf
+                   else f"{e!r} is not a finite positive number")
+               for k, (e, u) in enumerate(zip(entries, upsilons)) if not usable_gain(u)]
         if bad:
             raise ValidationError(bad)
     out = _outdir(args)

@@ -28,12 +28,11 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
 from .bounds import DEFAULT_GRID_SIZE
 from .dynamics import EpgState, IntegratorOptions, step_count
 from .edm import SmithProtocol
-from .equilibrium import OptimalAllocation, _pair_mix, endemic_state, optimal_allocation
+from .equilibrium import (OptimalAllocation, _pair_mix, _sum_products, endemic_state,
+                          optimal_allocation)
 from .params import (
     AssumptionViolated,
     ModelParams,
@@ -315,7 +314,8 @@ def resolve(d: dict) -> ResolvedRun:
         if _explicit(start):
             I0, R0 = float(start["I"]), float(start["R"])
         else:
-            eq = endemic_state(float(np.dot(x0, strategies.betas)), params, strategies)
+            B0 = _sum_products(zip(strategies.betas, x0))
+            eq = endemic_state(B0, params, strategies)
             I0, R0 = eq.I_hat, eq.R_hat
         initial = EpgState(I=I0, R=R0, x=x0, q=float(start["q"]))
     except ValueError as exc:  # a start off the state space

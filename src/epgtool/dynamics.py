@@ -30,6 +30,14 @@ Both take the model constants, ``proto.phi`` and the step sizes as one
 tuple ``K`` and unpack it into locals.  This removes the interpreter's
 call, list and global-lookup overhead but keeps every float operation of
 the loop form, in the same order.
+
+The series derived from the samples afterwards (``B``, the payoffs, the
+storages and the Lyapunov value) follow the kernel's evaluation rule:
+sums over strategies left to right from ``0.0``
+(``equilibrium._sum_products``), squares as products, and ``math.log``.
+So they are the numbers the kernel itself would compute, whatever BLAS or
+SIMD code numpy dispatches to on the host, and :func:`lyapunov_value` of a
+sample equals its ``lyapunov`` entry.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import edm as _edm
-from .equilibrium import _ENDEMIC, _compile_source, _compile_text, _point_array
+from .equilibrium import (_ENDEMIC, _compile_source, _compile_text, _point_array,
+                          _sum_products)
 from .payoff import _QDOT, PayoffMechanism
 
 __all__ = [
@@ -170,7 +179,7 @@ def _constants(mech: PayoffMechanism, proto, h: float) -> tuple:
     """
     params = mech.params
     return (proto.phi, params.delta, params.omega, params.gamma, params.sigma,
-            mech.upsilon ** 2, mech.alloc.betastar,
+            mech.upsilon * mech.upsilon, mech.alloc.betastar,
             *mech.strategies.betas, *mech.r_o, *mech.rstar, h, 0.5 * h, h / 6.0)
 
 
@@ -413,15 +422,12 @@ def simulate(
         n_steps, stride, _constants(mech, proto, h)
     )
 
-    # columns t, I, R, x_0..x_{n-1}, q, cost, avg_cost.  Each series is
-    # copied out contiguous (np.dot rounds a strided vector differently),
-    # the state as rows (I, R, x, q).
+    # columns t, I, R, x_0..x_{n-1}, q, cost, avg_cost.  The derived series
+    # (B, payoffs, storages) are evaluated as the kernel would evaluate them.
     Y = np.frombuffer(samples).reshape(-1, n + 6)
-    times, cost, avg_cost = Y[:, 0].copy(), Y[:, -2].copy(), Y[:, -1].copy()
-    Y = Y[:, 1:-2].copy()
-    I_s, R_s, q_s = Y[:, 0], Y[:, 1], Y[:, 2 + n]
-    x_s = Y[:, 2:2 + n]
-    B_s = x_s @ np.asarray(betas)
+    times, I_s, R_s, q_s, cost, avg_cost = (Y[:, k] for k in (0, 1, 2, 3 + n, -2, -1))
+    x_s = Y[:, 3:3 + n]
+    B_s = _sum_products(zip(betas, x_s.T))
     p_s = mech.payoffs(q_s)
     r_s = mech.rewards(q_s)
     epi = _bounds.epidemic_storage(
@@ -440,8 +446,9 @@ def simulate(
 
 
 def lyapunov_value(state: EpgState, mech: PayoffMechanism, proto) -> float:
-    """Closed-loop Lyapunov value: epidemic storage plus protocol storage."""
-    B = float(np.dot(state.x, mech.strategies.betas))
+    """Closed-loop Lyapunov value: epidemic storage plus protocol storage,
+    at the rate ``B`` summed as the kernel sums it."""
+    B = _sum_products(zip(mech.strategies.betas, state.x))
     epi = _bounds.epidemic_storage(
         state.I, state.R, B, mech.alloc, mech.params, mech.upsilon
     )
@@ -490,8 +497,8 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
     r_dev = R_hat - traj.R
     bound = (
         -_edm.dissipation(traj.proto, traj.x, traj.p)
-        - (curve - params.delta) * i_dev ** 2
-        - a * (params.omega - params.delta * traj.I) * r_dev ** 2
+        - (curve - params.delta) * (i_dev * i_dev)
+        - a * (params.omega - params.delta * traj.I) * (r_dev * r_dev)
     )
     excess = dL - bound
     found = np.flatnonzero(excess[1:-1] > fd_tol) + 1

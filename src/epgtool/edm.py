@@ -17,9 +17,11 @@ payoffs) is the dissipation returned by :func:`dissipation`.
 e.g. every recorded sample of a trajectory at once.  They loop over the
 n(n-1) ordered strategy pairs, never over the samples, and map the
 protocol's scalar ``phi(j, gap)`` / ``phi_integral(j, gap)`` over each
-pair's column of gaps.  Stacked values equal the per-sample values bit for
-bit.  The mean field is one source text, :func:`_flow_text`, which
-:mod:`epgtool.dynamics` inlines in every stage of its RK4 kernel.
+pair's column of gaps.  Sums over strategies run left to right from 0.0,
+as the kernel's do (``equilibrium._sum_products``).  Stacked values equal
+the per-sample values bit for bit.  The mean field is one source text,
+:func:`_flow_text`, which :mod:`epgtool.dynamics` inlines in every stage of
+its RK4 kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibrium import _compile_text
+from .equilibrium import _compile_text, _sum_products
 
 __all__ = [
     "SmithProtocol",
@@ -129,17 +131,6 @@ def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
     return np.atleast_2d(x), np.atleast_2d(p), x.ndim == 1 and p.ndim == 1
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two ``(m, n)`` stacks.
-
-    A stacked vector-vector ``matmul`` runs the kernel of ``np.dot``, so each
-    row rounds exactly as ``np.dot`` of that row would; a plain
-    ``(a * b).sum(axis=1)`` rounds differently where ``dot`` fuses
-    multiply-adds.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _flow_text(n: int) -> str:
     """The mean dynamics of ``n`` strategies as source text: the flow
     ``f_i_j = x_i * phi(j, p_j - p_i)`` of each ordered pair, and ``dx_i``,
@@ -202,7 +193,7 @@ def storage(proto, x, p):
     A ``float`` for one sample, an ``(m,)`` array for a stack of samples.
     """
     X, P, single = _stack(x, p)
-    S = _row_dots(X, _storage_per_strategy(proto, P))
+    S = _sum_products(zip(X.T, _storage_per_strategy(proto, P).T))
     return float(S[0]) if single else S
 
 
@@ -215,5 +206,5 @@ def dissipation(proto, x, p):
     """
     X, P, single = _stack(x, p)
     psi = _storage_per_strategy(proto, P)
-    D = -_row_dots(psi, mean_field(proto, X, P))
+    D = -_sum_products(zip(psi.T, mean_field(proto, X, P).T))
     return float(D[0]) if single else D

@@ -99,6 +99,16 @@ def _compile_text(name, args, text, returns, namespace, checks=None):
     return namespace[name]
 
 
+def _sum_products(pairs):
+    """``0.0 + a_0 * b_0 + a_1 * b_1 + ...``, left to right: every sum over
+    strategies is rounded this way, as the generated kernel writes it.  The
+    factors may be floats or numpy arrays (elementwise, one sum per entry)."""
+    total = 0.0
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
 # The endemic pair at rate B with its weight ``a``, and their B-derivatives.
 # ``{_}`` suffixes every name (the stage in the RK4 kernel); d, w, gam, sig
 # are delta, omega, gamma, sigma.  (dI_dB, dR_dB) solves the equilibrium
@@ -249,7 +259,7 @@ def optimal_allocation(
             f"cstar={cstar!r} outside (0, {ctilde[0]!r}); no interior mix"
         )
     istar, x = mix
-    betastar = float(np.dot(x, strategies.betas))
+    betastar = _sum_products(zip(strategies.betas, x))
     eq = endemic_derivatives(
         endemic_state(betastar, params, strategies), params
     )

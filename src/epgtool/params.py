@@ -21,6 +21,7 @@ __all__ = [
     "ValidationError",
     "BudgetAtBreakpoint",
     "check_assumptions",
+    "usable_gain",
     "validate",
     "BREAKPOINT_TOL",
 ]
@@ -176,6 +177,12 @@ class PolicyConfig:
         )
 
 
+def usable_gain(upsilon: float) -> bool:
+    """Whether ``upsilon`` can be the feedback gain: positive, with
+    ``upsilon * upsilon`` finite (the storage and ``qdot`` weigh by it)."""
+    return upsilon > 0 and math.isfinite(upsilon * upsilon)
+
+
 @dataclass(frozen=True)
 class ValidatedBundle:
     """A (params, strategies, policy) triple that passed every assumption."""
@@ -201,7 +208,8 @@ def check_assumptions(
     * for n >= 3, strictly decreasing marginal cost of transmission
       reduction: ``(c_i - c_{i+1})/(b_{i+1} - b_i)`` strictly decreasing;
     * ``0 < cstar < ctilde[0]`` with ``cstar`` away from every cost
-      breakpoint (tolerance ``BREAKPOINT_TOL``), and ``upsilon > 0``.
+      breakpoint (tolerance ``BREAKPOINT_TOL``), and a gain ``upsilon``
+      that is :func:`usable_gain`.
     """
     p, s, pol = params, strategies, policy
     out: list[AssumptionViolated] = []
@@ -304,9 +312,12 @@ def check_assumptions(
                     f"{BREAKPOINT_TOL:g}",
                 )
             )
-    if not pol.upsilon > 0:
+    if not usable_gain(pol.upsilon):
         out.append(
-            AssumptionViolated("upsilon>0", f"upsilon={pol.upsilon!r}")
+            AssumptionViolated(
+                "upsilon>0",
+                f"upsilon={pol.upsilon!r} must be positive with a finite square",
+            )
         )
     if not pol.offsupport_margin > 0:
         out.append(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import OptimalAllocation, endemic_derivatives, endemic_state
-from .equilibrium import _compile_text
+from .equilibrium import _compile_text, _sum_products
 from .params import ModelParams, PolicyConfig, StrategySpec
 
 __all__ = [
@@ -33,7 +33,7 @@ class EpidemicStateOutOfDomain(ValueError):
 
 
 # Minus the B-sensitivity of the epidemic storage.  ``{i}`` suffixes (I, R),
-# ``{_}`` the values at rate B (``equilibrium._ENDEMIC``); ups2 = upsilon^2.
+# ``{_}`` the values at rate B (``equilibrium._ENDEMIC``); ups2 = upsilon * upsilon.
 _QDOT = """\
 r_dev{_} = R_hat{_} - R{i}
 dq{_} = (log(I{i} / I_hat{_}) * dI_dB{_} - ups2 * (B{_} - bstar)
@@ -85,12 +85,13 @@ class PayoffMechanism:
         )
         return _qdot(
             I, R, eq.B, eq.I_hat, eq.R_hat, eq.a, eq.dI_dB, eq.dR_dB, eq.da_dB,
-            self.upsilon ** 2, self.alloc.betastar,
+            self.upsilon * self.upsilon, self.alloc.betastar,
         )
 
     def qdot(self, I: float, R: float, x, q: float = 0.0) -> float:
-        """Feedback rate for ``q`` at population state ``x``."""
-        B = float(np.dot(np.asarray(x, dtype=float), self.strategies.betas))
+        """Feedback rate for ``q`` at population state ``x``, whose rate
+        ``B`` is summed as the kernel sums it."""
+        B = float(_sum_products(zip(self.strategies.betas, x)))
         return self.qdot_at_B(I, R, B, q)
 
 

@@ -186,3 +186,12 @@ def random_simplex(rng, n):
     """Uniform Dirichlet(1) point on the n-simplex."""
     raw = rng.exponential(scale=1.0, size=n)
     return raw / raw.sum()
+
+
+def kernel_sum(pairs) -> float:
+    """``0.0 + a_0 * b_0 + a_1 * b_1 + ...`` in Python floats, left to right:
+    a sum over strategies as the generated kernel writes it."""
+    total = 0.0
+    for a, b in pairs:
+        total = total + float(a) * float(b)
+    return total

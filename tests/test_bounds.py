@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,22 @@ def test_storage_on_endemic_curve_reduces_to_rate_term(example1):
         )
         expected = 0.5 * 4.0 * (B - example1.alloc.betastar) ** 2
         assert val == pytest.approx(expected, abs=1e-15)
+
+
+def test_stacked_storage_is_the_float_evaluation_bit_for_bit(example1):
+    rng = np.random.default_rng(12)
+    m, ups = 5000, 2.7
+    B = rng.uniform(0.15, 0.19, m)
+    I = rng.uniform(1e-4, 0.5, m)
+    R = rng.uniform(0.0, 1.0, m) * (1.0 - I)
+    stacked = epidemic_storage(I, R, B, example1.alloc, example1.params, ups)
+    for k in range(m):
+        b, i, r = float(B[k]), float(I[k]), float(R[k])
+        eq = endemic_state(b, example1.params)
+        r_dev, b_dev = eq.R_hat - r, b - example1.alloc.betastar
+        expected = (eq.I_hat * math.log(eq.I_hat / i) - (eq.I_hat - i)
+                    + 0.5 * eq.a * (r_dev * r_dev) + 0.5 * (ups * ups) * (b_dev * b_dev))
+        assert stacked[k] == expected, k
 
 
 def test_storage_at_baseline_start(example1):

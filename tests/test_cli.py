@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epgtool.cli
@@ -252,7 +252,7 @@ def test_start_rate_outside_the_strategies_is_listed(capsys):
     (["initial.x=[0.5,0.6]"],
      ("initial", "population state array([0.5, 0.6]) does not sum to 1")),
     (["initial.x=[0.9,0.9]"],
-     ("initial", "B=0.306 outside strategy range [0.15, 0.19]")),
+     ("initial", "B=0.30600000000000005 outside strategy range [0.15, 0.19]")),
     (["initial.I=0.5", "initial.R=0.6"],
      ("initial", "(I, R)=(0.5, 0.6) not in the state space")),
     (["initial.I=0", "initial.R=0.3"], ("initial", "I=0.0 must be positive")),
@@ -270,6 +270,14 @@ def test_start_errors_are_listed(overrides, violation, capsys):
     assert main(args) == 2
     violations = json.loads(capsys.readouterr().out)["violations"]
     assert [(v["name"], v["detail"]) for v in violations] == [violation]
+
+
+def test_certified_level_is_the_first_lyapunov_value_of_the_csv(tmp_path):
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST,
+                 "--set", "initial.x=[0.3,0.7]"]) == 0
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    first_row = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
+    assert cert["alpha"] == float(first_row.split(",")[-1])
 
 
 def test_missing_sections_are_listed_together(tmp_path, capsys):
@@ -469,6 +477,31 @@ def test_fuzzed_overrides_fail_cleanly(overrides):
     assert "Traceback" not in err.getvalue()
 
 
+# the smallest gain whose square overflows, and the largest whose does not
+_OVERFLOWING_GAIN = "1.3407807929942597e+154"
+_LARGEST_GAIN = "1.3407807929942596e+154"
+
+
+@pytest.mark.parametrize("command, name", [
+    (["bounds", f"--upsilons=2,{_OVERFLOWING_GAIN}"], "--upsilons[1]"),
+    (["simulate", "--set", f"policy.upsilon={_OVERFLOWING_GAIN}"], "upsilon>0"),
+    (["validate", "--set", f"policy.upsilon={_OVERFLOWING_GAIN}"], "upsilon>0"),
+])
+def test_gain_whose_square_overflows_is_listed(command, name, tmp_path, capsys):
+    # these used to exit 3 with a bare OverflowError (validate: exit 0)
+    code = main([command[0], str(CONFIG), "--out", str(tmp_path), "--json-errors",
+                 *command[1:]])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [v["name"] for v in violations] == [name]
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_largest_gain_with_a_finite_square_is_accepted(tmp_path):
+    assert main(["bounds", str(CONFIG), "--out", str(tmp_path),
+                 f"--upsilons={_LARGEST_GAIN}"]) == 0
+
+
 # a gain as number text, or any text over the characters numbers are made of
 _GAIN = (st.floats().map(repr) | st.integers(-10, 10).map(str)
          | st.text(alphabet="0123456789.-+eEinfaINF _x", max_size=6))
@@ -476,14 +509,14 @@ _GAIN = (st.floats().map(repr) | st.integers(-10, 10).map(str)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_GAIN, min_size=1, max_size=4).map(",".join))
+@example(_OVERFLOWING_GAIN)
 def test_fuzzed_upsilons_fail_cleanly(upsilons):
     with tempfile.TemporaryDirectory() as tmp:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(["bounds", str(CONFIG), "--out", tmp, "--json-errors",
                          "--set", "bounds.grid_size=2", f"--upsilons={upsilons}"])
-    # 3: a finite gain so large that its storage overflows, a runtime failure
-    assert code in (0, 2, 3)
+    assert code in (0, 2)
     if code == 2:
         violations = json.loads(out.getvalue())["violations"]
         assert violations and all(v["name"].startswith("--upsilons[") for v in violations)

@@ -27,6 +27,7 @@ from epgtool import (
 )
 from epgtool.dynamics import step_count
 from conftest import make_scenario
+from helpers import kernel_sum
 
 
 def test_derivative_vanishes_at_target_equilibrium(example1):
@@ -245,6 +246,20 @@ def test_lyapunov_decreases_along_run(example1):
     assert np.all(series.value <= series.value[0] + tol)
     assert np.all(traj.epi_storage <= traj.lyapunov + 1e-15)
     assert np.all(traj.proto_storage >= 0.0)
+
+
+def test_derived_series_are_the_kernels_numbers(example1):
+    # a start with both shares nonzero, sampled at every step
+    betas = example1.strategies.betas
+    eq0 = endemic_state(kernel_sum(zip(betas, (0.3, 0.7))), example1.params)
+    start = EpgState(I=eq0.I_hat, R=eq0.R_hat, x=(0.3, 0.7), q=0.0)
+    traj = simulate(start, 100.0, example1.mech, example1.proto,
+                    IntegratorOptions(step=0.01, output_stride=1))
+    assert len(traj) == 10001
+    for k in range(len(traj)):
+        state = traj.state_at(k)
+        assert traj.B[k] == kernel_sum(zip(betas, state.x)), k
+        assert traj.lyapunov[k] == lyapunov_value(state, example1.mech, example1.proto), k
 
 
 def test_lyapunov_slope_respects_decrease_bound(example1):

@@ -15,7 +15,7 @@ from epgtool import (
     mean_field,
     storage,
 )
-from helpers import best_response, random_simplex, switch_rates
+from helpers import best_response, kernel_sum, random_simplex, switch_rates
 
 SMITH = SmithProtocol(rate_gain=0.1, cap=0.1)
 
@@ -294,14 +294,14 @@ def test_stacked_storage_equals_per_sample_bit_for_bit(proto, n):
     assert stacked.shape == (len(x),)
     per_sample = np.array([storage(proto, x[k], p[k]) for k in range(len(x))])
     assert np.array_equal(stacked, per_sample)
-    # the per-sample reduction is np.dot's, as the CSV's L column expects
+    # the per-sample reduction is the kernel's: left to right from 0.0
     psi = [
         sum(proto.phi_integral(j, p[k, j] - p[k, i]) for j in range(n) if j != i)
         for k in range(len(x)) for i in range(n)
     ]
     psi = np.array(psi).reshape(len(x), n)
     assert np.array_equal(
-        stacked, np.array([float(np.dot(x[k], psi[k])) for k in range(len(x))])
+        stacked, np.array([kernel_sum(zip(x[k], psi[k])) for k in range(len(x))])
     )
 
 

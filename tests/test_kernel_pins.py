@@ -12,7 +12,6 @@ and a duck-typed protocol whose rates are nonzero at gaps <= 0.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from epgtool import (
     EpgState,
@@ -23,7 +22,7 @@ from epgtool import (
     mean_field,
     state_derivative,
 )
-from helpers import random_simplex
+from helpers import kernel_sum, random_simplex
 
 STATES = 1000
 
@@ -57,14 +56,6 @@ def _random_states(rng, n):
         yield EpgState(I=I, R=R, x=tuple(x), q=float(rng.uniform(-3.0, 3.0)))
 
 
-def _kernel_rate(state, betas) -> float:
-    """The average transmission rate summed as the kernel sums it."""
-    B = 0.0
-    for beta, x in zip(betas, state.x):
-        B = B + beta * x
-    return B
-
-
 def test_kernel_pieces_equal_the_library(example1, three_strategy):
     rng = np.random.default_rng(20240)
     for mech, proto in _scenarios(example1, three_strategy):
@@ -76,12 +67,10 @@ def test_kernel_pieces_equal_the_library(example1, three_strategy):
                 deriv[2:2 + n], mean_field(proto, state.x, mech.payoffs(state.q))
             )
             # the feedback rate is the mechanism's, at the kernel's rate
-            B = _kernel_rate(state, mech.strategies.betas)
+            B = kernel_sum(zip(mech.strategies.betas, state.x))
             assert deriv[2 + n] == mech.qdot_at_B(state.I, state.R, B)
-            # np.dot sums the rate with fused multiply-adds
-            assert deriv[2 + n] == pytest.approx(
-                mech.qdot(state.I, state.R, state.x), rel=1e-12
-            )
+            # and at the share vector, whose rate the mechanism sums likewise
+            assert deriv[2 + n] == mech.qdot(state.I, state.R, state.x)
 
 
 def test_endemic_curve_equals_the_scalar_path_bit_for_bit(example1):
