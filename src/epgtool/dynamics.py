@@ -26,10 +26,15 @@ the whole loop of :func:`simulate`.  ``integrate`` holds
 - a sample every ``output_stride`` steps, packed as doubles into one
   buffer, and the counts of :class:`RunStats`.
 
-Both take the model constants, ``proto.phi`` and the step sizes as one
-tuple ``K`` and unpack it into locals.  This removes the interpreter's
-call, list and global-lookup overhead but keeps every float operation of
-the loop form, in the same order.
+Both take the model constants, the rate and the step sizes as one tuple
+``K`` and unpack it into locals.  This removes the interpreter's call,
+list and global-lookup overhead but keeps every float operation of the
+loop form, in the same order.  The rate of a :class:`~epgtool.edm.
+SmithProtocol` is its law itself, inlined for every ordered pair as a
+conditional expression on ``rg`` and ``cap``, so the kernel makes no
+Python call for it; ``n`` and whether the rate is inlined select the
+compiled pair.  Every other protocol, a subclass of ``SmithProtocol``
+included, is called as ``phi(j, gap)``.
 
 The series derived from the samples afterwards (``B``, the payoffs, the
 storages and the Lyapunov value) follow the kernel's evaluation rule:
@@ -153,32 +158,37 @@ dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 """
 
 
-def _field_template(n: int) -> str:
+def _field_template(n: int, smith: bool) -> str:
     """``_FIELD`` with the sums over the ``n`` strategies unrolled: ``B``
     summed left to right from ``0.0``, the payoffs, and the pairwise flow
-    ``edm._flow_text(n)``."""
+    ``edm._flow_text(n, smith)``."""
     B = " + ".join(["0.0"] + [f"beta_{k} * x_{k}{{i}}" for k in range(n)])
     payoffs = "".join(f"p_{k}{{_}} = q{{i}} * beta_{k} + r_o_{k}\n" for k in range(n))
     # {i} and {_} stay placeholders; they are filled per stage
     return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT,
-                         flow=payoffs + _edm._flow_text(n), i="{i}", _="{_}")
+                         flow=payoffs + _edm._flow_text(n, smith), i="{i}", _="{_}")
 
 
-def _constant_names(n: int) -> list[str]:
+def _constant_names(n: int, smith: bool) -> list[str]:
     """Names the generated functions unpack from ``K``, in the order of
     :func:`_constants`."""
-    return ["phi", "d", "w", "gam", "sig", "ups2", "bstar",
+    rate = ["rg", "cap"] if smith else ["phi"]
+    return [*rate, "d", "w", "gam", "sig", "ups2", "bstar",
             *(f"beta_{k}" for k in range(n)), *(f"r_o_{k}" for k in range(n)),
             *(f"rstar_{k}" for k in range(n)), "h", "half_h", "sixth"]
 
 
 def _constants(mech: PayoffMechanism, proto, h: float) -> tuple:
-    """``K``: ``proto.phi``, the model constants and the step sizes for ``h``.
+    """``K``: the rate, the model constants and the step sizes for ``h``.
 
-    The rate is always called as ``phi(j, gap)``, whatever the protocol.
+    The rate is ``rg`` and ``cap`` of a :class:`~epgtool.edm.SmithProtocol`,
+    whose law the kernel inlines, and ``proto.phi``, called as
+    ``phi(j, gap)``, for every other protocol.
     """
     params = mech.params
-    return (proto.phi, params.delta, params.omega, params.gamma, params.sigma,
+    spec = _edm._smith_spec(proto)
+    rate = (proto.phi,) if spec is None else spec[:2]
+    return (*rate, params.delta, params.omega, params.gamma, params.sigma,
             mech.upsilon * mech.upsilon, mech.alloc.betastar,
             *mech.strategies.betas, *mech.r_o, *mech.rstar, h, 0.5 * h, h / 6.0)
 
@@ -245,7 +255,7 @@ _CLIP = """\
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int):
+def _kernel(n: int, smith: bool):
     """Compile ``rhs(*y, K) -> tuple``, one stage of ``_FIELD``, and
     ``integrate(*y, n_steps, stride, K)`` for the packed state
     ``y = (I, R, x_0..x_{n-1}, q)``.
@@ -260,8 +270,12 @@ def _kernel(n: int):
     per sample.  It returns the samples, the peak and its time, and the
     projection counts of :class:`RunStats`.  The source is registered with
     :mod:`linecache` so tracebacks show the generated lines.
+
+    With ``smith`` the pairwise rates are Smith's law, inlined on the
+    constants ``rg`` and ``cap`` (``edm._flow_text``); without, they are
+    calls ``phi(j, gap)``.
     """
-    template = _field_template(n)
+    template = _field_template(n, smith)
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
     deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
 
@@ -279,10 +293,11 @@ def _kernel(n: int):
     rk4 += [f"{indent}{y} = {y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
             for y, dy in zip(state, deriv)]
     tol = repr(PROJECTION_TOL)
-    args, constants = ", ".join(state), ", ".join(_constant_names(n))
+    args, constants = ", ".join(state), ", ".join(_constant_names(n, smith))
+    called = "" if smith else "_phi"  # a name apart, so linecache keeps both sources
     namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
                  "pack": struct.Struct(f"{len(state) + 3}d").pack}
-    rhs = _compile_text(f"rhs_n{n}", f"{args}, K", f"{constants} = K\n{template}",
+    rhs = _compile_text(f"rhs_n{n}{called}", f"{args}, K", f"{constants} = K\n{template}",
                         ", ".join(deriv), namespace)
     source = _LOOP.format(
         rk4="\n".join(rk4),
@@ -294,22 +309,23 @@ def _kernel(n: int):
         tol=tol, floor=repr(I_FLOOR), ceiling=repr(1.0 + PROJECTION_TOL),
         args=args, constants=constants,
     )
-    exec(_compile_source(source, f"<epgtool kernel n={n}>"), namespace)
+    exec(_compile_source(source, f"<epgtool kernel n={n}{called}>"), namespace)
     return rhs, namespace["integrate"]
 
 
-def _kernel_for(state: EpgState, mech: PayoffMechanism):
-    """:func:`_kernel` for ``mech``, if ``state`` has one share per strategy."""
+def _kernel_for(state: EpgState, mech: PayoffMechanism, proto):
+    """:func:`_kernel` for ``mech`` and ``proto``'s rate, if ``state`` has
+    one share per strategy."""
     n = len(mech.strategies.betas)
     if len(state.x) != n:
         raise ValueError(f"initial state has {len(state.x)} shares for {n} strategies")
-    return _kernel(n)
+    return _kernel(n, _edm._smith_spec(proto) is not None)
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
     """Time derivative of the packed state ``[I, R, x..., q]``; raises
     ``ValueError`` unless ``state`` has one share per strategy."""
-    rhs, _ = _kernel_for(state, mech)
+    rhs, _ = _kernel_for(state, mech, proto)
     return np.array(rhs(state.I, state.R, *state.x, state.q,
                         _constants(mech, proto, 0.0)))
 
@@ -416,7 +432,7 @@ def simulate(
     params = mech.params
     betas = mech.strategies.betas
     n = len(betas)
-    _, integrate = _kernel_for(initial, mech)
+    _, integrate = _kernel_for(initial, mech, proto)
     samples, peak_I, peak_t, *counts = integrate(
         initial.I, initial.R, *initial.x, initial.q,
         n_steps, stride, _constants(mech, proto, h)

@@ -15,13 +15,20 @@ payoffs) is the dissipation returned by :func:`dissipation`.
 :func:`mean_field`, :func:`storage` and :func:`dissipation` take one sample
 (``x``, ``p`` of shape ``(n,)``) or a stack of samples (shape ``(m, n)``),
 e.g. every recorded sample of a trajectory at once.  They loop over the
-n(n-1) ordered strategy pairs, never over the samples, and map the
-protocol's scalar ``phi(j, gap)`` / ``phi_integral(j, gap)`` over each
-pair's column of gaps.  Sums over strategies run left to right from 0.0,
-as the kernel's do (``equilibrium._sum_products``).  Stacked values equal
-the per-sample values bit for bit.  The mean field is one source text,
-:func:`_flow_text`, which :mod:`epgtool.dynamics` inlines in every stage of
-its RK4 kernel.
+n(n-1) ordered strategy pairs, never over the samples, and evaluate the
+rates ``phi(j, gap)`` / ``phi_integral(j, gap)`` on each pair's column of
+gaps.  Sums over strategies run left to right from 0.0, as the kernel's do
+(``equilibrium._sum_products``).  Stacked values equal the per-sample
+values bit for bit.  The mean field is one source text, :func:`_flow_text`,
+which :mod:`epgtool.dynamics` inlines in every stage of its RK4 kernel.
+
+Smith's capped-linear law is written once more as a spec, ``_SMITH_PHI``
+and ``_SMITH_PHI_INTEGRAL``, in the operation order of
+:meth:`SmithProtocol.phi` and :meth:`SmithProtocol.phi_integral`.  For a
+:class:`SmithProtocol` it is rendered as conditional expressions inside the
+kernel's flow and with ``np.where`` on whole gap columns, so no rate is a
+Python call.  Every other protocol, a subclass of :class:`SmithProtocol`
+included, is called through its scalar methods, once per gap.
 """
 
 from __future__ import annotations
@@ -52,7 +59,12 @@ class NotIPC(TypeError):
 
 @dataclass(frozen=True)
 class SmithProtocol:
-    """Capped-linear pairwise comparison: ``phi(g) = min(rate_gain*g, cap)``."""
+    """Capped-linear pairwise comparison: ``phi(g) = min(rate_gain*g, cap)``.
+
+    The integrator and the storage layers run this law from its spec
+    (``_SMITH_PHI``, ``_SMITH_PHI_INTEGRAL``) for this class itself, bit for
+    bit as these methods; a subclass's methods are called instead.
+    """
 
     rate_gain: float = 0.1
     cap: float = 0.1
@@ -115,13 +127,60 @@ class GeneralIPCProtocol:
                                 + 2.0 * ys[2:-1:2].sum()))
 
 
-def _rates(rate, j: int, gaps: np.ndarray) -> np.ndarray:
-    """``rate(j, g)`` for each entry ``g`` of the gap column ``gaps``.
+# Smith's rate at gap {g} and its antiderivative, each a selection
+# (condition, value if true, value if false), with the temporary
+# ``_SMITH_V`` and knee = cap / rg.  ``cap < v`` picks as ``min(v, cap)``
+# does, so a NaN gap gives NaN, as the scalar methods do.
+_SMITH_V = "{v} = rg * {g}"
+_SMITH_PHI = ("{g} <= 0.0", "0.0", ("cap < {v}", "cap", "{v}"))
+_SMITH_PHI_INTEGRAL = ("{g} <= 0.0", "0.0", ("{g} <= knee", "0.5 * rg * {g} * {g}",
+                                             "cap * {g} - cap * cap / (2.0 * rg)"))
 
-    The protocol's scalar method is mapped over the column, so every
-    protocol is called the same way, one sample or many.
+
+def _render(law, form: str) -> str:
+    """``law`` with each selection written as ``form.format(condition, then,
+    otherwise)``."""
+    if isinstance(law, str):
+        return law
+    condition, then, otherwise = law
+    return form.format(condition, _render(then, form), _render(otherwise, form))
+
+
+_KERNEL_SELECT = "({1} if {0} else {2})"
+_SMITH_COLUMNS = {
+    name: _compile_text(f"smith_{name}_array", "g, rg, cap, knee",
+                        temporaries.format(g="g", v="v"),
+                        _render(law, "where({0}, {1}, {2})").format(g="g", v="v"),
+                        {"where": np.where})
+    for name, temporaries, law in (("phi", _SMITH_V + "\n", _SMITH_PHI),
+                                   ("phi_integral", "", _SMITH_PHI_INTEGRAL))
+}
+
+
+def _smith_spec(proto):
+    """``(rg, cap, knee)``, the rate spec of a :class:`SmithProtocol`, or
+    None for any other protocol.  A subclass gets None: it may override
+    ``phi``, so its rates are called, never inlined."""
+    if type(proto) is not SmithProtocol:
+        return None
+    return proto.rate_gain, proto.cap, proto.cap / proto.rate_gain
+
+
+def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
+    """The rate method ``name`` (``phi`` or ``phi_integral``) of ``proto`` at
+    each entry ``g`` of the gap column ``gaps``, bit for bit as
+    ``getattr(proto, name)(j, g)``.
+
+    Smith's law runs on the whole column with ``np.where``; both branches
+    are evaluated, so an overflow in the one not taken is silenced.  Any
+    other protocol's scalar method is mapped over the column.
     """
-    return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
+    spec = _smith_spec(proto)
+    if spec is None:
+        rate = getattr(proto, name)
+        return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
+    with np.errstate(over="ignore"):
+        return _SMITH_COLUMNS[name](gaps, *spec)
 
 
 def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -131,13 +190,28 @@ def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
     return np.atleast_2d(x), np.atleast_2d(p), x.ndim == 1 and p.ndim == 1
 
 
-def _flow_text(n: int) -> str:
+def _flow_text(n: int, smith: bool = False) -> str:
     """The mean dynamics of ``n`` strategies as source text: the flow
     ``f_i_j = x_i * phi(j, p_j - p_i)`` of each ordered pair, and ``dx_i``,
     the sum of ``f_j_i - f_i_j`` over ``j != i`` from ``0.0``, left to right.
-    ``{i}`` suffixes the shares and ``{_}`` the values computed from them."""
-    lines = [f"f_{i}_{j}{{_}} = x_{i}{{i}} * phi({j}, p_{j}{{_}} - p_{i}{{_}})"
-             for i in range(n) for j in range(n) if i != j]
+    ``{i}`` suffixes the shares and ``{_}`` the values computed from them.
+
+    With ``smith``, the rate is ``_SMITH_PHI`` inlined as a conditional
+    expression on the constants ``rg`` and ``cap``, with the gap ``g_i_j``
+    and ``v_i_j = rg * g_i_j`` as temporaries, in place of the call."""
+    lines = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            gap = f"p_{j}{{_}} - p_{i}{{_}}"
+            if smith:
+                g, v = f"g_{i}_{j}{{_}}", f"v_{i}_{j}{{_}}"
+                lines += [f"{g} = {gap}", _SMITH_V.format(g=g, v=v)]
+                rate = _render(_SMITH_PHI, _KERNEL_SELECT).format(g=g, v=v)
+            else:
+                rate = f"phi({j}, {gap})"
+            lines.append(f"f_{i}_{j}{{_}} = x_{i}{{i}} * {rate}")
     lines += [f"dx_{i}{{_}} = 0.0" + "".join(f" + (f_{j}_{i}{{_}} - f_{i}_{j}{{_}})"
                                         for j in range(n) if j != i) for i in range(n)]
     return "\n".join(lines) + "\n"
@@ -161,7 +235,7 @@ def mean_field(proto, x, p) -> np.ndarray:
     the per-component sums otherwise.
     """
     X, P, single = _stack(x, p)
-    v = np.stack(_flow(P.shape[1])(*X.T, *P.T, functools.partial(_rates, proto.phi)),
+    v = np.stack(_flow(P.shape[1])(*X.T, *P.T, functools.partial(_rates, proto, "phi")),
                  axis=1)
     return v[0] if single else v
 
@@ -183,7 +257,7 @@ def _storage_per_strategy(proto, P: np.ndarray) -> np.ndarray:
     for k in range(n):
         for j in range(n):
             if j != k:
-                psi[:, k] += _rates(proto.phi_integral, j, P[:, j] - P[:, k])
+                psi[:, k] += _rates(proto, "phi_integral", j, P[:, j] - P[:, k])
     return psi
 
 

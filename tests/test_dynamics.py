@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import linecache
 import math
 
 import numpy as np
@@ -19,13 +20,15 @@ from epgtool import (
     endemic_state,
     lyapunov_series,
     lyapunov_value,
+    mean_field,
     optimal_allocation,
     simulate,
     state_derivative,
+    storage,
     validate,
     write_csv,
 )
-from epgtool.dynamics import step_count
+from epgtool.dynamics import _kernel_for, step_count
 from conftest import make_scenario
 from helpers import kernel_sum
 
@@ -202,6 +205,54 @@ def test_custom_protocol_reproduces_builtin_states(example1):
     assert np.array_equal(builtin.q, custom.q)
     # storage series differs only by quadrature error in the antiderivative
     assert np.max(np.abs(builtin.lyapunov - custom.lyapunov)) < 1e-8
+
+
+class _DoubledSmith(SmithProtocol):
+    """Smith's law at twice the rate: a subclass whose rates must be called."""
+
+    def phi(self, j, gap):
+        return 2.0 * super().phi(j, gap)
+
+    def phi_integral(self, j, gap):
+        return 2.0 * super().phi_integral(j, gap)
+
+
+def test_a_smith_subclass_gets_its_own_rates(example1, three_strategy):
+    rng = np.random.default_rng(7)
+    for scenario in (example1, three_strategy):
+        mech, smith = scenario.mech, scenario.proto
+        doubled = _DoubledSmith(rate_gain=smith.rate_gain, cap=smith.cap)
+        n = len(mech.strategies.betas)
+        for q in (-2.0, 0.7, 3.0):
+            state = EpgState(I=0.05, R=0.3, x=tuple(rng.dirichlet(np.ones(n))), q=q)
+            p = mech.payoffs(q)
+            field = mean_field(doubled, state.x, p)
+            assert np.any(field != 0.0)
+            # doubling every rate doubles each flow and each sum exactly
+            assert np.array_equal(field, 2.0 * mean_field(smith, state.x, p))
+            assert np.array_equal(state_derivative(state, mech, doubled)[2:2 + n], field)
+            assert storage(doubled, state.x, p) == 2.0 * storage(smith, state.x, p)
+
+
+def test_smith_runs_make_no_rate_call(three_strategy, monkeypatch):
+    """Smith's law is inlined in the kernel and run on whole columns by the
+    storages: a run and its audit never call ``phi`` or ``phi_integral``."""
+    s = three_strategy
+    opts = IntegratorOptions(step=0.01, output_stride=1)
+    expected = simulate(s.initial, 20.0, s.mech, s.proto, opts)
+    expected_bound = lyapunov_series(expected).decrease_bound
+    for compiled in _kernel_for(s.initial, s.mech, s.proto):
+        assert "phi(" not in "".join(linecache.getlines(compiled.__code__.co_filename))
+
+    def refuse(self, j, gap):
+        raise AssertionError("a Smith rate was called")
+
+    monkeypatch.setattr(SmithProtocol, "phi", refuse)
+    monkeypatch.setattr(SmithProtocol, "phi_integral", refuse)
+    traj = simulate(s.initial, 20.0, s.mech, s.proto, opts)
+    for name in ("I", "R", "x", "q", "B", "proto_storage", "lyapunov"):
+        assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
+    assert np.array_equal(lyapunov_series(traj).decrease_bound, expected_bound)
 
 
 def test_non_endemic_start_stays_admissible(example1):

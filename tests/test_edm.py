@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from epgtool import (
     mean_field,
     storage,
 )
+from epgtool import edm
+from epgtool.equilibrium import _compile_text
 from helpers import best_response, kernel_sum, random_simplex, switch_rates
 
 SMITH = SmithProtocol(rate_gain=0.1, cap=0.1)
@@ -342,3 +346,47 @@ def test_non_ipc_protocol_raises_for_stacked_input():
         storage(Imitation(), x, p)
     with pytest.raises(NotIPC):
         dissipation(Imitation(), x, p)
+
+
+def _edge_gaps(proto):
+    knee = proto.cap / proto.rate_gain
+    return [-math.inf, -1.0, -0.0, 0.0, 5e-324, math.nextafter(knee, -math.inf), knee,
+            math.nextafter(knee, math.inf), 1e300, math.inf, math.nan]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("proto", [SMITH, SmithProtocol(rate_gain=3.0, cap=0.7)])
+def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
+    """The rate the kernel inlines and the column forms of both rates return
+    the scalar methods' bits, -0.0 and NaN included."""
+    gaps = _edge_gaps(proto)
+    # the kernel's flow of one pair: share 1.0 at payoff 0.0, so f_0_1 is the rate
+    kernel_flow = _compile_text("flow", "x_0, x_1, p_0, p_1, rg, cap",
+                                edm._flow_text(2, smith=True), "f_0_1", {})
+    inlined = [kernel_flow(1.0, 0.0, 0.0, g, proto.rate_gain, proto.cap) for g in gaps]
+    assert np.array_equal(_bits(inlined), _bits([proto.phi(0, g) for g in gaps]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("phi", "phi_integral"):
+            column = edm._rates(proto, name, 0, np.array(gaps))
+            scalar = [getattr(proto, name)(0, g) for g in gaps]
+            assert np.array_equal(_bits(column), _bits(scalar)), name
+
+
+def test_smith_storage_builds_no_pair_tensor():
+    """Smith's rates run one gap column at a time: the peak memory of a
+    stacked storage is a few columns above its per-strategy sums, below one
+    (m, n, n) tensor of gaps."""
+    m, n = 20000, 6
+    x, p = _stacked_samples(n, m, seed=3)
+    tracemalloc.start()
+    try:
+        storage(SMITH, x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = m * np.dtype(float).itemsize
+    assert peak < (n + 8) * column < n * n * column
