@@ -6,7 +6,6 @@ bounds on peak infection prevalence."""
 __version__ = "0.1.0"
 
 from .bounds import (
-    AllInfeasible,
     BoundQuery,
     BoundResult,
     CertificationReport,

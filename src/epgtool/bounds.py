@@ -10,7 +10,9 @@ value, which itself never exceeds its initial level ``alpha``.  The largest
 infectious fraction compatible with ``storage <= alpha`` therefore bounds
 the trajectory peak.  For fixed B the level-set supremum reduces to a
 one-dimensional convex problem solved by bisection; maximizing over a
-transmission-rate grid yields the certified peak ratio.
+transmission-rate grid and the target rate ``betastar``, whose level set
+holds the target state at every ``alpha >= 0``, yields the certified peak
+ratio.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "BoundQuery",
     "BoundResult",
     "CertificationReport",
-    "AllInfeasible",
     "epidemic_storage",
     "peak_ratio_at",
     "peak_bound",
@@ -40,16 +41,6 @@ DEFAULT_GRID_SIZE = 30
 
 # math.log elementwise: the kernel's log, not numpy's SIMD one
 _log = np.vectorize(math.log, otypes=[float])
-
-
-class AllInfeasible(RuntimeError):
-    """No grid point admits the requested storage level.
-
-    At a rate ``B_k`` the level set is empty when ``alpha`` is below the
-    rate penalty ``0.5*upsilon^2*(B_k - betastar)^2``, so this is raised
-    whenever ``alpha < min_k 0.5*upsilon^2*(B_k - betastar)^2``: e.g. for a
-    start at the target (``alpha = 0``) when ``betastar`` is off the grid.
-    """
 
 
 def epidemic_storage(I, R, B, alloc: OptimalAllocation,
@@ -112,9 +103,10 @@ class BoundResult:
     """Outcome of :func:`peak_bound`.
 
     ``per_B`` pairs each grid rate with its peak ratio or ``None`` when the
-    level is infeasible there; ``peak_ratio`` is the largest feasible value,
-    attained at ``argmax_B``, and ``certified_peak`` the corresponding
-    absolute bound on the infectious fraction.
+    level is infeasible there; ``peak_ratio`` is the largest value over the
+    grid and ``betastar``, attained at ``argmax_B`` (possibly ``betastar``),
+    and ``certified_peak`` the corresponding absolute bound on the infectious
+    fraction.
     """
 
     per_B: tuple[tuple[float, float | None], ...]
@@ -179,18 +171,15 @@ def peak_ratio_at(query: BoundQuery, B: float) -> float | None:
 
 
 def peak_bound(query: BoundQuery) -> BoundResult:
-    """Maximize the per-rate peak ratios over the grid.
+    """Maximize the per-rate peak ratios over the grid and ``betastar``.
 
-    Raises :class:`AllInfeasible` if no grid point is feasible, that is
-    whenever ``alpha < min_k 0.5*upsilon^2*(B_k - betastar)^2`` over the
-    grid rates ``B_k``.
+    ``betastar`` is taken last, so a grid rate wins a tie; its level set is
+    never empty, since its rate penalty is 0 and ``alpha >= 0``.
     """
     per_B = tuple((float(B), peak_ratio_at(query, B)) for B in query.grid)
+    betastar = query.alloc.betastar
     feasible = [(B, r) for B, r in per_B if r is not None]
-    if not feasible:
-        raise AllInfeasible(
-            f"no transmission rate on the grid admits level alpha={query.alpha!r}"
-        )
+    feasible.append((betastar, peak_ratio_at(query, betastar)))
     argmax_B, peak_ratio = max(feasible, key=lambda br: br[1])
     return BoundResult(
         per_B=per_B,

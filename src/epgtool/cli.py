@@ -19,19 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    AllInfeasible,
-    BoundQuery,
-    certify_trajectory,
-    default_grid,
-    peak_bound,
-)
+from .bounds import BoundQuery, certify_trajectory, default_grid, peak_bound
 from .config import apply_overrides, load_config, resolve
 from .dynamics import (
     StepRejected,
     lyapunov_value,
     simulate,
-    step_count,
     write_csv,
     write_table,
 )
@@ -192,8 +185,7 @@ def cmd_simulate(args) -> int:
     })
     report = _certify(run, traj, out)
     k_end = len(traj) - 1
-    print(f"simulated {run.horizon} days "
-          f"({step_count(run.horizon, run.integrator.step)} steps)")
+    print(f"simulated {run.horizon} days ({traj.stats.steps} steps)")
     print(f"terminal state: I={traj.I[k_end]:.6g} R={traj.R[k_end]:.6g} "
           f"x={[round(float(v), 6) for v in traj.x[k_end]]} q={traj.q[k_end]:.6g}")
     print(f"terminal running-average cost: {traj.avg_cost[k_end]:.6g} "
@@ -318,9 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # ValidationError, bad JSON too
+    except ValueError as exc:  # ValidationError
         return _emit_error(args, exc, EXIT_VALIDATION)
-    except (StepRejected, AllInfeasible, ArithmeticError, OSError) as exc:
+    except (StepRejected, ArithmeticError, OSError) as exc:
         return _emit_error(args, exc, EXIT_RUNTIME)
 
 

@@ -222,9 +222,14 @@ def _size_violations(data: dict) -> list[AssumptionViolated]:
 
 
 def load_config(path) -> dict:
-    """Load a JSON run configuration and fill defaults."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    """Load a JSON run configuration and fill defaults; a file that cannot
+    be read or decoded is one ``config`` violation."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        problem = AssumptionViolated("config", f"cannot load {str(path)!r}: {exc}")
+        raise ValidationError([problem]) from exc
     return _from_mapping(raw)
 
 
@@ -243,12 +248,16 @@ def _from_mapping(raw: dict) -> dict:
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
-    """Apply ``section.key=value`` overrides; values are parsed as JSON."""
+    """Apply ``section.key=value`` overrides; values are parsed as JSON.
+    Every override without ``=`` or through a value that is not a section is
+    one violation, named by its text before ``=``."""
     data = copy.deepcopy(config)
+    problems = []
     for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not of the form key.path=value")
-        dotted, _, raw_value = item.partition("=")
+        dotted, eq, raw_value = item.partition("=")
+        if not eq:
+            problems.append(AssumptionViolated(item, "is not of the form key.path=value"))
+            continue
         keys = dotted.strip().split(".")
         try:
             value = json.loads(raw_value)
@@ -258,10 +267,13 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         for depth, key in enumerate(keys[:-1], start=1):
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
-                raise ValueError(
-                    f"override {item!r}: {'.'.join(keys[:depth])} is not a section"
-                )
-        node[keys[-1]] = value
+                problems.append(AssumptionViolated(
+                    dotted, f"{'.'.join(keys[:depth])} is not a section"))
+                break
+        else:
+            node[keys[-1]] = value
+    if problems:
+        raise ValidationError(problems)
     return data
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epgtool import (
-    AllInfeasible,
     BoundQuery,
     EpgState,
     certify_trajectory,
@@ -205,10 +204,33 @@ def test_vanishing_gain_limit(example1):
     assert prev == pytest.approx(cap, abs=1e-3)
 
 
-def test_all_infeasible_raises(example1):
+def test_level_below_every_grid_penalty_is_bounded_at_the_target_rate(example1):
     grid = np.array([0.15, 0.1505])  # far from the target rate
-    with pytest.raises(AllInfeasible):
-        peak_bound(_query(example1, 1e-7, grid=grid))
+    res = peak_bound(_query(example1, 1e-7, grid=grid))
+    assert [r for _, r in res.per_B] == [None, None]
+    assert res.argmax_B == example1.alloc.betastar
+    assert res.peak_ratio > 1.0
+    assert res.certified_peak == res.peak_ratio * example1.alloc.endemic.I_hat
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+    alpha=st.floats(0.0, 0.05),
+)
+def test_bound_exists_and_a_grid_rate_wins_ties(example1, rates, alpha):
+    lo, hi = example1.strategies.betas[0], example1.strategies.betas[-1]
+    grid = np.array([min(hi, lo + u * (hi - lo)) for u in rates])
+    query = _query(example1, alpha, grid=grid)
+    res = peak_bound(query)
+    assert res.peak_ratio >= 1.0
+    grid_ratios = [r for _, r in res.per_B if r is not None]
+    at_target = peak_ratio_at(query, example1.alloc.betastar)
+    if grid_ratios and max(grid_ratios) >= at_target:
+        assert res.peak_ratio == max(grid_ratios)
+        assert res.argmax_B in grid
+    else:
+        assert (res.argmax_B, res.peak_ratio) == (example1.alloc.betastar, at_target)
 
 
 def test_large_level_caps_at_total_infection(example1):

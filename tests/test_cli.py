@@ -48,6 +48,38 @@ def test_missing_config_exits_with_validation_code(capsys):
     assert main(["validate", "no/such/file.json"]) == 2
 
 
+def _config_file(text):
+    def write(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+@pytest.mark.parametrize("config, overrides, names", [
+    (lambda tmp: str(CONFIG), ["foo"], ["foo"]),
+    (lambda tmp: str(CONFIG), ["params.gamma.x=1"], ["params.gamma.x"]),
+    (lambda tmp: str(CONFIG), ["foo", "params.gamma.x=1", "policy.upsilon=3"],
+     ["foo", "params.gamma.x"]),
+    (_config_file("{not json"), [], ["config"]),
+    (_config_file("[" * 100_000), [], ["config"]),  # nested beyond the recursion limit
+    (lambda tmp: str(tmp / "missing.json"), [], ["config"]),
+    (lambda tmp: str(tmp), [], ["config"]),  # a directory
+], ids=["no-equals", "through-a-value", "listed-together", "not-json", "too-deep",
+        "missing", "directory"])
+def test_unreadable_config_and_malformed_overrides_are_listed(
+        config, overrides, names, tmp_path, capsys):
+    args = ["validate", config(tmp_path), "--json-errors"]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["error"] == "ValidationError"
+    assert [v["name"] for v in payload["violations"]] == names
+
+
 def test_equilibrium_summary_and_sweep(tmp_path, capsys):
     code = main(["equilibrium", str(CONFIG), "--out", str(tmp_path)])
     assert code == 0
@@ -175,6 +207,26 @@ def test_initial_state_by_rate(tmp_path, capsys):
     ])
     assert code == 2
     assert "not both" in capsys.readouterr().err
+
+
+def test_start_at_the_target_is_certified(tmp_path, capsys):
+    # level 0 and a target rate off the 30-point grid: this exited 3
+    code = main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST,
+                 "--set", "initial.x=[0.5,0.5]"])
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert (cert["alpha"], cert["peak_ratio"]) == (0.0, 1.0)
+    assert (cert["margin"], cert["passed"]) == (0.0, True)
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--set", "bounds.alpha=0", *FAST],
+    ["bounds", "--set", "bounds.alpha=1e-9", "--upsilons", "1,2"],
+])
+def test_levels_below_every_grid_penalty_are_bounded(command, tmp_path, capsys):
+    code = main([command[0], str(CONFIG), "--out", str(tmp_path), *command[1:]])
+    assert code == 0, capsys.readouterr().err
 
 
 def test_certify_reports_pass(tmp_path, capsys):
