@@ -12,7 +12,10 @@ the trajectory peak.  For fixed B the level-set supremum reduces to a
 one-dimensional convex problem solved by bisection; maximizing over a
 transmission-rate grid and the target rate ``betastar``, whose level set
 holds the target state at every ``alpha >= 0``, yields the certified peak
-ratio.
+ratio.  The per-rate problems are independent, so :func:`peak_ratio_at` is
+elementwise and bisects every rate in lockstep on numpy arrays; each rate
+takes the float operations of a per-rate bisection, in the same order, so
+the ratios are that bisection's bit for bit.
 """
 
 from __future__ import annotations
@@ -130,56 +133,81 @@ class BoundResult:
         }
 
 
-def peak_ratio_at(query: BoundQuery, B: float) -> float | None:
-    """Largest ``I / I_star`` on the storage level set at fixed ``B``.
+def _level(I, I_hat, R_hat, a, base):
+    """Storage minimized over R at infection level ``I``, elementwise: the
+    R-penalty applies only where ``R_hat`` exceeds the room ``1 - I``."""
+    pen = R_hat - (1.0 - I)
+    pen = np.where(pen > 0.0, pen, 0.0)
+    return I_hat * _log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
+
+
+def peak_ratio_at(query: BoundQuery,
+                  B: float | np.ndarray) -> float | None | np.ndarray:
+    """Largest ``I / I_star`` on the storage level set at fixed ``B``;
+    elementwise in ``B``.
 
     For fixed (I, B) the storage is quadratic in R, minimized at the clamp
     of ``R_hat`` into ``[0, 1 - I]``; substituting gives a convex function
     of I alone, minimized at ``I_hat``.  The supremum is the largest
     ``I in [I_hat, 1]`` keeping that function below ``alpha``, found by
     bisection to ``BISECTION_TOL``.  The upper end of the final bracket is
-    returned, so the ratio never understates the supremum (``g >= alpha``
-    there).  Returns ``None`` when even the minimum exceeds ``alpha``.
+    returned, so the ratio never understates the supremum (the minimized
+    storage is at least ``alpha`` there).  A float ``B`` gives a float, or
+    ``None`` when even the minimum exceeds ``alpha``; an array of rates
+    gives an array with NaN there.  All rates are bisected in lockstep,
+    each with the float operations of a per-rate bisection in the same
+    order, so every ratio equals that bisection's bit for bit.  A rate the
+    endemic algebra rejects raises what :func:`endemic_state` raises for
+    the first such rate.
     """
-    eq = endemic_state(float(B), query.params)
-    I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
-    ups, b_dev = query.upsilon, eq.B - query.alloc.betastar
+    Bs = np.atleast_1d(np.asarray(B, dtype=float))
+    params = query.params
+    with np.errstate(invalid="ignore", divide="ignore"):
+        _, disc, I_hat, R_hat, a = _point_array(Bs, params)
+    bad = ~((Bs > params.sigma) & (disc > 0.0))  # NaN rates included
+    if bad.any():
+        endemic_state(float(Bs[bad.argmax()]), params)  # raises
+    ups, b_dev = query.upsilon, Bs - query.alloc.betastar
     base = 0.5 * (ups * ups) * (b_dev * b_dev)
     alpha = query.alpha
     I_star = query.alloc.endemic.I_hat
 
-    def g(I: float) -> float:
-        pen = R_hat - (1.0 - I)
-        pen = pen if pen > 0.0 else 0.0
-        return I_hat * math.log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
-
-    slack = alpha - g(I_hat)
-    if slack < 0.0:
-        return None
-    if slack == 0.0:
-        return I_hat / I_star
-    if g(1.0) <= alpha:
-        return 1.0 / I_star
-    lo, hi = I_hat, 1.0
-    while hi - lo > BISECTION_TOL:
+    slack = alpha - _level(I_hat, I_hat, R_hat, a, base)
+    capped = _level(1.0, I_hat, R_hat, a, base) <= alpha
+    k = np.flatnonzero(~(slack <= 0.0) & ~capped)  # NaN slack is bisected
+    terms = I_hat[k], R_hat[k], a[k], base[k]
+    lo, hi = terms[0], np.ones(k.size)
+    active = hi - lo > BISECTION_TOL
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if g(mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return hi / I_star
+        below = _level(mid, *terms) <= alpha
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > BISECTION_TOL
+    top = np.ones(Bs.shape)
+    top[k] = hi
+    # the first true condition decides, as the branches of one rate do
+    ratio = np.select([slack < 0.0, slack == 0.0, capped],
+                      [np.nan, I_hat / I_star, 1.0 / I_star], top / I_star)
+    if np.ndim(B):
+        return ratio.reshape(np.shape(B))
+    r = float(ratio[0])
+    return None if math.isnan(r) else r
 
 
 def peak_bound(query: BoundQuery) -> BoundResult:
     """Maximize the per-rate peak ratios over the grid and ``betastar``.
 
-    ``betastar`` is taken last, so a grid rate wins a tie; its level set is
-    never empty, since its rate penalty is 0 and ``alpha >= 0``.
+    One :func:`peak_ratio_at` call solves all of them.  ``betastar`` is
+    taken last, so a grid rate wins a tie; its level set is never empty,
+    since its rate penalty is 0 and ``alpha >= 0``.
     """
-    per_B = tuple((float(B), peak_ratio_at(query, B)) for B in query.grid)
     betastar = query.alloc.betastar
+    *ratios, at_target = peak_ratio_at(query, np.append(query.grid, betastar)).tolist()
+    per_B = tuple((B, None if math.isnan(r) else r)
+                  for B, r in zip(query.grid.tolist(), ratios))
     feasible = [(B, r) for B, r in per_B if r is not None]
-    feasible.append((betastar, peak_ratio_at(query, betastar)))
+    feasible.append((betastar, at_target))
     argmax_B, peak_ratio = max(feasible, key=lambda br: br[1])
     return BoundResult(
         per_B=per_B,

@@ -242,7 +242,8 @@ def cmd_certify(args) -> int:
     traj = _run_simulation(run)
     report = _certify(run, traj, _outdir(args))
     print(report.summary())
-    return EXIT_OK
+    # simulate's product is the trajectory; certify's is the verdict
+    return EXIT_OK if report.passed else EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the package's own closed
 forms: equilibria come from a 1-D root bracket on the raw balance
 equations, allocations from a brute-force simplex scan, and peak ratios
-from a dense feasibility grid.
+from a dense feasibility grid or from a scalar bisection run one rate at a
+time.
 """
 
 from __future__ import annotations
@@ -143,6 +144,42 @@ def dense_grid_peak(B, alpha, alloc, params, upsilon, resolution=2000):
             break
     quantum = float(Is[1] - Is[0])
     return best, quantum
+
+
+def peak_ratio_per_rate(query, B):
+    """The peak ratio at one rate by a scalar bisection in Python floats:
+    the per-rate body that ``epgtool.bounds.peak_ratio_at`` replaced with a
+    lockstep array bisection, kept verbatim as its oracle."""
+    from epgtool import endemic_state
+    from epgtool.bounds import BISECTION_TOL
+
+    eq = endemic_state(float(B), query.params)
+    I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
+    ups, b_dev = query.upsilon, eq.B - query.alloc.betastar
+    base = 0.5 * (ups * ups) * (b_dev * b_dev)
+    alpha = query.alpha
+    I_star = query.alloc.endemic.I_hat
+
+    def g(I: float) -> float:
+        pen = R_hat - (1.0 - I)
+        pen = pen if pen > 0.0 else 0.0
+        return I_hat * math.log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
+
+    slack = alpha - g(I_hat)
+    if slack < 0.0:
+        return None
+    if slack == 0.0:
+        return I_hat / I_star
+    if g(1.0) <= alpha:
+        return 1.0 / I_star
+    lo, hi = I_hat, 1.0
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi / I_star
 
 
 def random_bundle(rng, n_choices=(2, 3)):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epgtool import (
     BoundQuery,
+    DegenerateDiscriminant,
     EpgState,
+    ModelParams,
+    OutOfRange,
     certify_trajectory,
     default_grid,
     endemic_state,
@@ -19,7 +22,7 @@ from epgtool import (
     peak_ratio_at,
     simulate,
 )
-from helpers import dense_grid_peak
+from helpers import dense_grid_peak, peak_ratio_per_rate
 
 
 def _query(scenario, alpha, grid_size=30, upsilon=None, grid=None):
@@ -231,6 +234,113 @@ def test_bound_exists_and_a_grid_rate_wins_ties(example1, rates, alpha):
         assert res.argmax_B in grid
     else:
         assert (res.argmax_B, res.peak_ratio) == (example1.alloc.betastar, at_target)
+
+
+def _hex(ratio):
+    """A ratio as ``float.hex``, with NaN and ``None`` (infeasible) as None."""
+    return None if ratio is None or math.isnan(ratio) else float(ratio).hex()
+
+
+def _outcome(query, B, ratio):
+    """Which of the four outcomes of the per-rate bisection gave ``ratio``."""
+    I_star = query.alloc.endemic.I_hat
+    if ratio is None:
+        return "infeasible"
+    if ratio == endemic_state(B, query.params).I_hat / I_star:
+        return "minimum"
+    return "cap" if ratio == 1.0 / I_star else "bisected"
+
+
+# (alpha, upsilon, rates): level 0 is infeasible off the target rate and
+# exactly the minimum at it; level 60 reaches the cap 1/I_star
+OUTCOME_EXAMPLES = [(0.0, 2.0, [0.0, 1.0]), (60.0, 10.0, [0.0, 0.5]),
+                    (0.0008, 2.0, [0.25, 0.75])]
+
+
+def _lockstep_query(scenario, alpha, upsilon, rates):
+    lo, hi = scenario.strategies.betas[0], scenario.strategies.betas[-1]
+    grid = np.array([min(hi, lo + u * (hi - lo)) for u in rates])
+    return _query(scenario, alpha, upsilon=upsilon, grid=grid)
+
+
+def test_outcome_examples_reach_every_outcome(example1):
+    seen = set()
+    for args in OUTCOME_EXAMPLES:
+        query = _lockstep_query(example1, *args)
+        for B in [*query.grid.tolist(), example1.alloc.betastar]:
+            seen.add(_outcome(query, B, peak_ratio_per_rate(query, B)))
+    assert seen == {"infeasible", "minimum", "cap", "bisected"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.one_of(st.just(0.0), st.floats(1e-9, 1e-2), st.floats(0.0, 60.0)),
+    upsilon=st.floats(0.25, 10.0),
+    rates=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40),
+)
+@example(*OUTCOME_EXAMPLES[0])
+@example(*OUTCOME_EXAMPLES[1])
+@example(*OUTCOME_EXAMPLES[2])
+def test_lockstep_ratios_are_the_per_rate_bisection_bit_for_bit(
+        example1, alpha, upsilon, rates):
+    query = _lockstep_query(example1, alpha, upsilon, rates)
+    betastar = example1.alloc.betastar
+    rates = [*query.grid.tolist(), betastar]
+    oracle = [peak_ratio_per_rate(query, B) for B in rates]
+    lockstep = peak_ratio_at(query, np.array(rates))
+    assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+    assert [_hex(peak_ratio_at(query, B)) for B in rates] == [_hex(r) for r in oracle]
+    # the oracle's maximum, a grid rate winning a tie and betastar last
+    feasible = [(B, r) for B, r in zip(rates, oracle) if r is not None]
+    argmax_B, ratio = max(feasible, key=lambda br: br[1])
+    res = peak_bound(query)
+    assert res.per_B == tuple(zip(rates[:-1], oracle[:-1]))
+    assert (res.argmax_B, res.peak_ratio.hex()) == (argmax_B, ratio.hex())
+    assert res.certified_peak == ratio * example1.alloc.endemic.I_hat
+
+
+def test_rates_that_take_different_numbers_of_halvings(example1):
+    # fast waning spreads I_hat over (0.04, 0.87), so the brackets
+    # [I_hat, 1] need 31 to 34 halvings: a rate that is done must stay put
+    params = ModelParams(gamma=0.1, delta=0.005, psi=1.0)
+    rates = np.linspace(0.11, 2.0, 40)
+    cap = 1.0 / example1.alloc.endemic.I_hat
+    for alpha in (0.01, 0.03):
+        query = BoundQuery(alloc=example1.alloc, params=params, upsilon=0.1,
+                           alpha=alpha, grid=rates)
+        oracle = [peak_ratio_per_rate(query, B) for B in rates.tolist()]
+        assert sum(r is not None and r != cap for r in oracle) >= 30  # bisected
+        assert [_hex(r) for r in peak_ratio_at(query, rates)] == [_hex(r) for r in oracle]
+
+
+@pytest.mark.parametrize("rates, first_bad", [
+    ([0.17, 0.05, float("nan")], 0.05),
+    ([0.17, float("nan"), 0.05], float("nan")),
+    ([0.17, 0.16, 0.0], 0.0),
+])
+def test_a_rate_not_above_sigma_raises_as_endemic_state(example1, rates, first_bad):
+    with pytest.raises(OutOfRange) as expected:
+        endemic_state(first_bad, example1.params)
+    query = _query(example1, 0.0008, grid=np.array(rates))
+    for solve in (lambda: peak_ratio_at(query, query.grid), lambda: peak_bound(query)):
+        with pytest.raises(OutOfRange) as raised:
+            solve()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_a_degenerate_discriminant_raises_as_endemic_state(example1):
+    # powers of two make the discriminant exactly zero at B = 0.25, and
+    # B = 0.05 is below sigma: the first of the two decides the error
+    params = ModelParams(gamma=0.0, delta=0.125, zeta=0.0, theta=0.0, psi=0.125)
+    with pytest.raises(DegenerateDiscriminant) as expected:
+        endemic_state(0.25, params)
+    query = BoundQuery(alloc=example1.alloc, params=params, upsilon=2.0,
+                       alpha=0.0008, grid=np.array([0.25, 0.05]))
+    with pytest.raises(DegenerateDiscriminant) as raised:
+        peak_ratio_at(query, query.grid)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(OutOfRange):
+        peak_ratio_at(query, query.grid[::-1])
 
 
 def test_large_level_caps_at_total_infection(example1):

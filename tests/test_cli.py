@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import tempfile
 from pathlib import Path
@@ -220,13 +221,40 @@ def test_start_at_the_target_is_certified(tmp_path, capsys):
     assert (cert["margin"], cert["passed"]) == (0.0, True)
 
 
+# by day 200 the peak at level 0 exceeds that level's bound
+AT_LEVEL_0 = ["--set", "bounds.alpha=0", "--set", "integrator.horizon=200",
+              "--set", "integrator.output_stride=50"]
+
+
 @pytest.mark.parametrize("command", [
-    ["certify", "--set", "bounds.alpha=0", *FAST],
+    ["certify", *AT_LEVEL_0],
     ["bounds", "--set", "bounds.alpha=1e-9", "--upsilons", "1,2"],
 ])
 def test_levels_below_every_grid_penalty_are_bounded(command, tmp_path, capsys):
     code = main([command[0], str(CONFIG), "--out", str(tmp_path), *command[1:]])
-    assert code == 0, capsys.readouterr().err
+    if command[0] == "certify":
+        # level 0 is below the start's Lyapunov value: the bound exists but
+        # the observed peak exceeds it
+        assert code == 3
+        assert "FAIL" in capsys.readouterr().out
+        cert = json.loads((tmp_path / "certification.json").read_text())
+        assert cert["passed"] is False and math.isfinite(cert["certified_peak"])
+    else:
+        assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, code, verdict", [
+    ("0.0008", 0, "PASS"), ("0", 3, "FAIL"),
+])
+def test_certify_exit_code_is_the_verdict(alpha, code, verdict, tmp_path, capsys):
+    args = ["--out", str(tmp_path), *AT_LEVEL_0, "--set", f"bounds.alpha={alpha}"]
+    assert main(["certify", str(CONFIG), *args]) == code
+    assert verdict in capsys.readouterr().out
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert cert["passed"] is (code == 0)
+    # simulate writes the same verdict and exits 0: its product is the run
+    assert main(["simulate", str(CONFIG), *args]) == 0
+    assert verdict in capsys.readouterr().out
 
 
 def test_certify_reports_pass(tmp_path, capsys):
