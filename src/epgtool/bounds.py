@@ -160,7 +160,7 @@ def peak_ratio_at(query: BoundQuery,
     endemic algebra rejects raises what :func:`endemic_state` raises for
     the first such rate.
     """
-    Bs = np.atleast_1d(np.asarray(B, dtype=float))
+    Bs = np.asarray(B, dtype=float).ravel()
     params = query.params
     with np.errstate(invalid="ignore", divide="ignore"):
         _, disc, I_hat, R_hat, a = _point_array(Bs, params)

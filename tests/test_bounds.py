@@ -310,7 +310,11 @@ def test_rates_that_take_different_numbers_of_halvings(example1):
                            alpha=alpha, grid=rates)
         oracle = [peak_ratio_per_rate(query, B) for B in rates.tolist()]
         assert sum(r is not None and r != cap for r in oracle) >= 30  # bisected
-        assert [_hex(r) for r in peak_ratio_at(query, rates)] == [_hex(r) for r in oracle]
+        lockstep = peak_ratio_at(query, rates)
+        assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+        # any shape of rates, elementwise
+        assert np.array_equal(peak_ratio_at(query, rates.reshape(5, 8)),
+                              lockstep.reshape(5, 8), equal_nan=True)
 
 
 @pytest.mark.parametrize("rates, first_bad", [
