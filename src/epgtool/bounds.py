@@ -89,6 +89,8 @@ class BoundQuery:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1:
+            raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
         if grid.size < 2:
             raise ValueError("grid must contain at least two points")
         object.__setattr__(self, "grid", grid)

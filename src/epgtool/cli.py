@@ -146,26 +146,36 @@ def _bound_for(run, alpha: float, upsilon: float | None = None):
     return peak_bound(query)
 
 
-def _alpha_for(run, upsilon: float | None = None) -> float:
-    """Storage level: the configured alpha, else the Lyapunov value of the
-    initial state under the mechanism with gain ``upsilon`` (default: the
-    configured gain)."""
+def _alpha_for(run, upsilon: float) -> float:
+    """Storage level of the bound at gain ``upsilon``: the configured
+    alpha, else the Lyapunov value of the initial state under the mechanism
+    with that gain."""
     if run.alpha is not None:
         return run.alpha
-    mech = run.mech if upsilon is None else dataclasses.replace(run.mech, upsilon=upsilon)
+    mech = dataclasses.replace(run.mech, upsilon=upsilon)
     return lyapunov_value(run.initial, mech, run.proto)
 
 
 def _certify(run, traj, out: Path):
     """Certify ``traj`` against the bound at the run's storage level and
-    write ``certification.json`` to ``out``."""
-    report = certify_trajectory(traj, _bound_for(run, _alpha_for(run)))
+    write ``certification.json`` to ``out``, with the start's Lyapunov
+    value ``start_level`` next to the level ``alpha``.  A configured
+    ``bounds.alpha`` below the start's level is used, with a warning: the
+    bound at that level does not cover this start."""
+    start_level = lyapunov_value(run.initial, run.mech, run.proto)
+    alpha = start_level if run.alpha is None else run.alpha
+    if alpha < start_level:
+        print(f"warning: bounds.alpha={alpha!r} is below the start's level "
+              f"{start_level!r}; the certificate does not cover this start",
+              file=sys.stderr)
+    report = certify_trajectory(traj, _bound_for(run, alpha))
     fields = {
         "observed_peak": report.observed_peak,
         "peak_time_days": report.peak_time,
         "certified_peak": report.certified_peak,
         "peak_ratio": report.peak_ratio,
         "alpha": report.alpha,
+        "start_level": start_level,
         "margin": report.margin,
         "passed": report.passed,
     }

@@ -26,15 +26,16 @@ the whole loop of :func:`simulate`.  ``integrate`` holds
 - a sample every ``output_stride`` steps, packed as doubles into one
   buffer, and the counts of :class:`RunStats`.
 
-Both take the model constants, the rate and the step sizes as one tuple
+Both take the rate, the model constants and the step sizes as one tuple
 ``K`` and unpack it into locals.  This removes the interpreter's call,
 list and global-lookup overhead but keeps every float operation of the
-loop form, in the same order.  The rate of a :class:`~epgtool.edm.
-SmithProtocol` is its law itself, inlined for every ordered pair as a
-conditional expression on ``rg`` and ``cap``, so the kernel makes no
-Python call for it; ``n`` and whether the rate is inlined select the
-compiled pair.  Every other protocol, a subclass of ``SmithProtocol``
-included, is called as ``phi(j, gap)``.
+loop form, in the same order.  ``K`` is the values of one ordered table,
+:func:`_constants`, and the pair is compiled for ``n`` and the table's
+names.  The rate's entries come from ``edm._rate_constants``: the rate of
+a :class:`~epgtool.edm.SmithProtocol` is its law itself, inlined for
+every ordered pair as a conditional expression on ``rg`` and ``cap``, so
+the kernel makes no Python call for it.  Every other protocol, a subclass
+of ``SmithProtocol`` included, is called as ``phi(j, gap)``.
 
 The series derived from the samples afterwards (``B``, the payoffs, the
 storages and the Lyapunov value) follow the kernel's evaluation rule:
@@ -134,8 +135,11 @@ class IntegratorOptions:
     output_stride: int = 10
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
+        if not 0 < self.step < math.inf:  # NaN included
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
+        if not float(self.output_stride).is_integer():
+            raise ValueError(
+                f"output_stride must be a whole number, got {self.output_stride!r}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
 
@@ -169,28 +173,18 @@ def _field_template(n: int, smith: bool) -> str:
                          flow=payoffs + _edm._flow_text(n, smith), i="{i}", _="{_}")
 
 
-def _constant_names(n: int, smith: bool) -> list[str]:
-    """Names the generated functions unpack from ``K``, in the order of
-    :func:`_constants`."""
-    rate = ["rg", "cap"] if smith else ["phi"]
-    return [*rate, "d", "w", "gam", "sig", "ups2", "bstar",
-            *(f"beta_{k}" for k in range(n)), *(f"r_o_{k}" for k in range(n)),
-            *(f"rstar_{k}" for k in range(n)), "h", "half_h", "sixth"]
-
-
-def _constants(mech: PayoffMechanism, proto, h: float) -> tuple:
-    """``K``: the rate, the model constants and the step sizes for ``h``.
-
-    The rate is ``rg`` and ``cap`` of a :class:`~epgtool.edm.SmithProtocol`,
-    whose law the kernel inlines, and ``proto.phi``, called as
-    ``phi(j, gap)``, for every other protocol.
-    """
+def _constants(mech: PayoffMechanism, proto, h: float) -> dict:
+    """``K`` by name, in the order the generated functions unpack it: the
+    rate (``edm._rate_constants``), the model constants and the step sizes
+    for ``h``."""
     params = mech.params
-    spec = _edm._smith_spec(proto)
-    rate = (proto.phi,) if spec is None else spec[:2]
-    return (*rate, params.delta, params.omega, params.gamma, params.sigma,
-            mech.upsilon * mech.upsilon, mech.alloc.betastar,
-            *mech.strategies.betas, *mech.r_o, *mech.rstar, h, 0.5 * h, h / 6.0)
+    return {**_edm._rate_constants(proto), "d": params.delta, "w": params.omega,
+            "gam": params.gamma, "sig": params.sigma,
+            "ups2": mech.upsilon * mech.upsilon, "bstar": mech.alloc.betastar,
+            **{f"beta_{k}": v for k, v in enumerate(mech.strategies.betas)},
+            **{f"r_o_{k}": v for k, v in enumerate(mech.r_o)},
+            **{f"rstar_{k}": v for k, v in enumerate(mech.rstar)},
+            "h": h, "half_h": 0.5 * h, "sixth": h / 6.0}
 
 
 # ``integrate`` around the stages of ``_FIELD``.  The projection
@@ -255,10 +249,11 @@ _CLIP = """\
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int, smith: bool):
+def _kernel(n: int, constants: tuple[str, ...]):
     """Compile ``rhs(*y, K) -> tuple``, one stage of ``_FIELD``, and
     ``integrate(*y, n_steps, stride, K)`` for the packed state
-    ``y = (I, R, x_0..x_{n-1}, q)``.
+    ``y = (I, R, x_0..x_{n-1}, q)``; both unpack ``K`` into the names
+    ``constants``, the keys of :func:`_constants`.
 
     ``integrate`` runs the whole fixed-step loop of :func:`simulate`: the
     four inlined stages of ``_FIELD`` and their combination
@@ -271,10 +266,11 @@ def _kernel(n: int, smith: bool):
     projection counts of :class:`RunStats`.  The source is registered with
     :mod:`linecache` so tracebacks show the generated lines.
 
-    With ``smith`` the pairwise rates are Smith's law, inlined on the
-    constants ``rg`` and ``cap`` (``edm._flow_text``); without, they are
-    calls ``phi(j, gap)``.
+    Without a constant ``phi`` the pairwise rates are Smith's law, inlined
+    on the constants ``rg`` and ``cap`` (``edm._flow_text``); with it, they
+    are calls ``phi(j, gap)``.
     """
+    smith = "phi" not in constants
     template = _field_template(n, smith)
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
     deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
@@ -293,7 +289,7 @@ def _kernel(n: int, smith: bool):
     rk4 += [f"{indent}{y} = {y} + sixth * ({dy}_1 + 2.0 * {dy}_2 + 2.0 * {dy}_3 + {dy}_4)"
             for y, dy in zip(state, deriv)]
     tol = repr(PROJECTION_TOL)
-    args, constants = ", ".join(state), ", ".join(_constant_names(n, smith))
+    args, constants = ", ".join(state), ", ".join(constants)
     called = "" if smith else "_phi"  # a name apart, so linecache keeps both sources
     namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
                  "pack": struct.Struct(f"{len(state) + 3}d").pack}
@@ -314,12 +310,12 @@ def _kernel(n: int, smith: bool):
 
 
 def _kernel_for(state: EpgState, mech: PayoffMechanism, proto):
-    """:func:`_kernel` for ``mech`` and ``proto``'s rate, if ``state`` has
-    one share per strategy."""
+    """:func:`_kernel` for the constants of ``mech`` and ``proto``, if
+    ``state`` has one share per strategy."""
     n = len(mech.strategies.betas)
     if len(state.x) != n:
         raise ValueError(f"initial state has {len(state.x)} shares for {n} strategies")
-    return _kernel(n, _edm._smith_spec(proto) is not None)
+    return _kernel(n, tuple(_constants(mech, proto, 0.0)))
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
@@ -327,7 +323,7 @@ def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarra
     ``ValueError`` unless ``state`` has one share per strategy."""
     rhs, _ = _kernel_for(state, mech, proto)
     return np.array(rhs(state.I, state.R, *state.x, state.q,
-                        _constants(mech, proto, 0.0)))
+                        tuple(_constants(mech, proto, 0.0).values())))
 
 
 @dataclass(frozen=True)
@@ -403,7 +399,8 @@ def step_count(horizon: float, step: float) -> int:
     if not math.isfinite(steps):
         raise ValueError(f"horizon {horizon!r} over step {step!r} is not finite")
     n_steps = int(round(steps))
-    if abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
+    # negated, so that a NaN (0 steps of an infinite step) fails it
+    if not abs(n_steps * step - horizon) <= 1e-9 * max(1.0, horizon):
         raise ValueError(
             f"horizon {horizon!r} is not an integer number of steps of {step!r}"
         )
@@ -435,7 +432,7 @@ def simulate(
     _, integrate = _kernel_for(initial, mech, proto)
     samples, peak_I, peak_t, *counts = integrate(
         initial.I, initial.R, *initial.x, initial.q,
-        n_steps, stride, _constants(mech, proto, h)
+        n_steps, stride, tuple(_constants(mech, proto, h).values())
     )
 
     # columns t, I, R, x_0..x_{n-1}, q, cost, avg_cost.  The derived series

@@ -166,6 +166,14 @@ def _smith_spec(proto):
     return proto.rate_gain, proto.cap, proto.cap / proto.rate_gain
 
 
+def _rate_constants(proto) -> dict:
+    """The constants that :func:`_flow_text` reads ``proto``'s rate from:
+    ``rg`` and ``cap`` of Smith's inlined law, or ``phi``, called as
+    ``phi(j, gap)``, for any other protocol."""
+    spec = _smith_spec(proto)
+    return {"phi": proto.phi} if spec is None else dict(zip(("rg", "cap"), spec))
+
+
 def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
     """The rate method ``name`` (``phi`` or ``phi_integral``) of ``proto`` at
     each entry ``g`` of the gap column ``gaps``, bit for bit as

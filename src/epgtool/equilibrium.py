@@ -9,16 +9,16 @@ which reduces to a quadratic in I_hat.  The smaller quadratic root is the
 valid one; it is evaluated in the cancellation-free form
 ``2*omega*(B - sigma) / (b + sqrt(disc))`` so the delta -> 0 limit is exact.
 This algebra and its B-derivatives are written once, as the source text
-``_ENDEMIC`` (the point, then the slopes), compiled here for Python floats
-and for numpy arrays and inlined by :mod:`epgtool.dynamics` in every stage
-of its RK4 kernel.  The
-module also provides the budget-optimal strategy mix.
+``_ENDEMIC`` (the point, then the slopes).  It is compiled here once,
+elementwise on numpy arrays; the scalar entry points run that form on a
+float64 and check its discriminant and determinant.  :mod:`epgtool.dynamics`
+inlines the text in every stage of its RK4 kernel.  The module also
+provides the budget-optimal strategy mix.
 """
 
 from __future__ import annotations
 
 import linecache
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,16 +84,11 @@ def _compile_source(source: str, filename: str):
     return compile(source, filename, "exec")
 
 
-def _compile_text(name, args, text, returns, namespace, checks=None):
+def _compile_text(name, args, text, returns, namespace):
     """``def name(args): text; return returns``, with the ``{i}``/``{_}``
-    suffixes of ``text`` left empty and ``checks[v]`` run right after the
-    line that assigns ``v``."""
+    suffixes of ``text`` left empty."""
     lines = [f"def {name}({args}):"]
-    for line in text.format(i="", _="").splitlines():
-        lines.append(f"    {line}")
-        check = (checks or {}).get(line.split(" = ", 1)[0])
-        if check:
-            lines.append(f"    {check}")
+    lines += [f"    {line}" for line in text.format(i="", _="").splitlines()]
     lines.append(f"    return {returns}")
     exec(_compile_source("\n".join(lines) + "\n", f"<epgtool {name}>"), namespace)
     return namespace[name]
@@ -131,26 +126,14 @@ da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
 _ENDEMIC_POINT = _ENDEMIC_PAIR + _DENOM + "a{_} = B{_} / denom{_}\n"
 _ENDEMIC = _ENDEMIC_POINT + _ENDEMIC_SLOPES
 _CONSTANTS = "d, w, gam, sig = params.delta, params.omega, params.gamma, params.sigma\n"
-# the float forms check these where they are computed; the array forms and
-# the kernel do not
-_CHECKS = {
-    "disc": "if not disc > 0.0: raise DegenerateDiscriminant(f'{disc=!r}, {B=!r}')",
-    "det": "if abs(det) < SINGULAR_DET_TOL: raise SingularSystem(f'{det=!r}, {B=!r}')",
-}
-
-
-def _float_and_array(name, args, text, returns):
-    """``text`` compiled for Python floats (checked) and for numpy arrays."""
-    text, floats = _CONSTANTS + text, dict(globals(), sqrt=math.sqrt)
-    return (_compile_text(f"{name}_float", args, text, returns, floats, _CHECKS),
-            _compile_text(f"{name}_array", args, text, returns, {"sqrt": np.sqrt}))
-
-
-_point_float, _point_array = _float_and_array(
-    "endemic_point", "B, params", _ENDEMIC_POINT, "b, disc, I_hat, R_hat, a")
-_slopes_float, _slopes_array = _float_and_array(
-    "endemic_slopes", "B, I_hat, R_hat, params", _DENOM + _ENDEMIC_SLOPES,
-    "dI_dB, dR_dB, da_dB")
+# the one compiled form of each text, elementwise on numpy arrays; the
+# scalar entry points run it on a float64 and check ``disc`` and ``det``
+_point_array = _compile_text("endemic_point_array", "B, params",
+                             _CONSTANTS + _ENDEMIC_POINT, "b, disc, I_hat, R_hat, a",
+                             {"sqrt": np.sqrt})
+_slopes_array = _compile_text("endemic_slopes_array", "B, I_hat, R_hat, params",
+                              _CONSTANTS + _DENOM + _ENDEMIC_SLOPES,
+                              "det, dI_dB, dR_dB, da_dB", {"sqrt": np.sqrt})
 
 
 def endemic_state(
@@ -178,7 +161,12 @@ def endemic_state(
             raise OutOfRange(f"B={B!r} outside strategy range [{lo!r}, {hi!r}]")
     if not B > params.sigma:
         raise OutOfRange(f"B={B!r} must exceed sigma={params.sigma!r}")
-    b, disc, I_hat, R_hat, a = _point_float(B, params)
+    # a float64 B makes every division IEEE (inf or NaN, not an exception),
+    # so the checks below see the values the array form computes
+    with np.errstate(all="ignore"):
+        b, disc, I_hat, R_hat, a = map(float, _point_array(np.float64(B), params))
+    if not disc > 0.0:
+        raise DegenerateDiscriminant(f"{disc=!r}, {B=!r}")
     return EquilibriumPoint(B=B, I_hat=I_hat, R_hat=R_hat, a=a, b=b, disc=disc)
 
 
@@ -188,7 +176,12 @@ def endemic_derivatives(
     """Fill the B-derivatives of an equilibrium point from its ``B``,
     ``I_hat`` and ``R_hat``; raises :class:`SingularSystem` when the
     sensitivity determinant is below ``SINGULAR_DET_TOL`` in magnitude."""
-    dI, dR, da = _slopes_float(eq.B, eq.I_hat, eq.R_hat, params)
+    B = eq.B
+    with np.errstate(all="ignore"):
+        det, dI, dR, da = map(float, _slopes_array(np.float64(B), eq.I_hat, eq.R_hat,
+                                                   params))
+    if abs(det) < SINGULAR_DET_TOL:
+        raise SingularSystem(f"{det=!r}, {B=!r}")
     return replace(eq, dI_dB=dI, dR_dB=dR, da_dB=da)
 
 
@@ -204,7 +197,7 @@ def endemic_curve(B: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
     if np.any(B <= params.sigma):
         raise OutOfRange("every B must exceed sigma")
     _, _, I_hat, R_hat, a = _point_array(B, params)
-    dI, dR, da = _slopes_array(B, I_hat, R_hat, params)
+    _, dI, dR, da = _slopes_array(B, I_hat, R_hat, params)
     return dict(I_hat=I_hat, R_hat=R_hat, a=a, dI_dB=dI, dR_dB=dR, da_dB=da)
 
 

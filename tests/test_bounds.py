@@ -406,3 +406,14 @@ def test_ratio_is_an_upper_end_of_the_level_set(example1):
 def test_query_rejects_an_undefined_level(example1):
     with pytest.raises(ValueError, match="nonnegative"):
         _query(example1, float("nan"))
+
+
+def test_grid_that_is_not_one_dimensional_is_rejected(example1):
+    # a 2-D grid used to be zipped row by row against the flat ratios, so
+    # the maximum missed half of the rates
+    rates = [[0.15, 0.16], [0.1705, 0.19]]
+    with pytest.raises(ValueError, match="one-dimensional"):
+        _query(example1, 8e-4, grid=np.array(rates))
+    flat = peak_bound(_query(example1, 8e-4, grid=np.ravel(rates)))
+    assert [B for B, _ in flat.per_B] == [0.15, 0.16, 0.1705, 0.19]
+    assert flat.peak_ratio == pytest.approx(1.22634, abs=1e-5)

@@ -624,3 +624,20 @@ def test_non_finite_numbers_are_rejected(override, monkeypatch, capsys):
     assert main(["validate", str(CONFIG), "--set", override]) == 2
     err = capsys.readouterr().err
     assert override.split("=")[0] in err and "finite" in err
+
+
+def test_certificate_records_the_start_level_and_warns_below_it(tmp_path, capsys):
+    assert main(["certify", str(CONFIG), "--out", str(tmp_path), *FAST]) == 0
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert cert["start_level"] == cert["alpha"] == 0.00079999999999999917
+    assert "warning" not in capsys.readouterr().err
+    code = main(["certify", str(CONFIG), "--out", str(tmp_path), *FAST,
+                 "--set", "bounds.alpha=0"])
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert cert["alpha"] == 0.0
+    assert cert["start_level"] == 0.00079999999999999917
+    # a warning, not a violation: the verdict alone sets the exit code
+    assert code == (0 if cert["passed"] else 3)
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1
+    assert "bounds.alpha=0.0" in err and repr(cert["start_level"]) in err

@@ -28,7 +28,7 @@ from epgtool import (
     validate,
     write_csv,
 )
-from epgtool.dynamics import _kernel_for, step_count
+from epgtool.dynamics import _constants, _kernel_for, step_count
 from conftest import make_scenario
 from helpers import kernel_sum
 
@@ -591,3 +591,43 @@ def test_run_stats_count_the_projection_repairs(example1):
         x_clips=1, i_floors=1, r_clips=1,
     )
     assert traj.I[1] > 1e-12 and traj.R[1] > 0.0 and traj.x[1, 0] > 0.0
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: IntegratorOptions(step=math.inf), "step must be positive and finite"),
+    (lambda: IntegratorOptions(step=math.nan), "step must be positive and finite"),
+    (lambda: IntegratorOptions(output_stride=2.5), "output_stride must be a whole number"),
+    (lambda: IntegratorOptions(output_stride=math.nan),
+     "output_stride must be a whole number"),
+    # 0 steps of an infinite step leave 0 * inf = NaN days unaccounted for
+    (lambda: step_count(1500.0, math.inf), "not an integer number of steps"),
+], ids=["inf_step", "nan_step", "fractional_stride", "nan_stride", "step_count_inf"])
+def test_non_finite_step_and_fractional_stride_are_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_whole_float_stride_samples_as_its_integer(example1):
+    runs = [simulate(example1.initial, 1.0, example1.mech, example1.proto,
+                     IntegratorOptions(step=0.01, output_stride=stride))
+            for stride in (25, 25.0)]
+    assert len(runs[0]) == 5
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert np.array_equal(runs[0].I, runs[1].I)
+
+
+@pytest.mark.parametrize("scenario", ["example1", "three_strategy"])
+@pytest.mark.parametrize("smith", [True, False])
+def test_constant_table_names_are_what_k_unpacks(scenario, smith, request):
+    s = request.getfixturevalue(scenario)
+    n = len(s.strategies.betas)
+    proto = s.proto if smith else GeneralIPCProtocol(
+        phis=[lambda g: min(0.1 * g, 0.1)] * n, cap=0.1)
+    table = _constants(s.mech, proto, 0.01)
+    assert ("rg" in table, "cap" in table, "phi" in table) == (smith, smith, not smith)
+    assert table["h"] == 0.01 and table["ups2"] == s.mech.upsilon * s.mech.upsilon
+    for compiled in _kernel_for(s.initial, s.mech, proto):
+        source = linecache.getlines(compiled.__code__.co_filename)
+        unpack = [line.strip() for line in source if line.strip().endswith(" = K")]
+        assert len(unpack) == 1
+        assert unpack[0][:-len(" = K")].split(", ") == list(table)

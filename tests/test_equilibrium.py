@@ -244,3 +244,31 @@ def test_second_quadratic_root_is_outside_unit_interval():
             2.0 * params.delta * (B - params.delta)
         )
         assert second >= 1.0
+
+
+@pytest.mark.parametrize("B", [0.15, 0.163, 0.17, 0.185, 0.19])
+def test_scalar_entry_points_return_floats_equal_to_the_curve(example1, B):
+    # the scalar entry points run the array form on a float64: their fields
+    # are Python floats with the curve's bits
+    params = example1.params
+    eq = endemic_derivatives(endemic_state(B, params), params)
+    curve = endemic_curve(np.array([B]), params)
+    for name, values in curve.items():
+        value = getattr(eq, name)
+        assert type(value) is float, name
+        assert value == float(values[0]), name
+    for name in ("B", "b", "disc"):
+        assert type(getattr(eq, name)) is float, name
+
+
+def test_degenerate_and_singular_systems_keep_their_messages():
+    params = ModelParams(gamma=0.0, delta=0.125, zeta=0.0, theta=0.0, psi=0.125)
+    with pytest.raises(DegenerateDiscriminant, match=r"^disc=0\.0, B=0\.25$"):
+        endemic_state(0.25, params)
+    params = ModelParams(gamma=0.1, delta=0.1, zeta=0.0, theta=0.0, psi=0.011)
+    eq = EquilibriumPoint(
+        B=0.2, I_hat=params.omega / params.delta, R_hat=-1.0,
+        a=1.0, b=0.0, disc=1.0,
+    )
+    with pytest.raises(SingularSystem, match=r"^det=-0\.0, B=0\.2$"):
+        endemic_derivatives(eq, params)
