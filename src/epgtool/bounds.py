@@ -200,21 +200,21 @@ def peak_ratio_at(query: BoundQuery,
 def peak_bound(query: BoundQuery) -> BoundResult:
     """Maximize the per-rate peak ratios over the grid and ``betastar``.
 
-    One :func:`peak_ratio_at` call solves all of them.  ``betastar`` is
-    taken last, so a grid rate wins a tie; its level set is never empty,
-    since its rate penalty is 0 and ``alpha >= 0``.
+    One :func:`peak_ratio_at` call solves all of them, and ``nanargmax``
+    picks the first largest ratio of its array.  ``betastar`` is taken
+    last, so a grid rate wins a tie; its ratio is never NaN, since its
+    level set holds the target state at every ``alpha >= 0``.
     """
-    betastar = query.alloc.betastar
-    *ratios, at_target = peak_ratio_at(query, np.append(query.grid, betastar)).tolist()
+    rates = np.append(query.grid, query.alloc.betastar)
+    ratios = peak_ratio_at(query, rates)
+    k = int(np.nanargmax(ratios))
     per_B = tuple((B, None if math.isnan(r) else r)
-                  for B, r in zip(query.grid.tolist(), ratios))
-    feasible = [(B, r) for B, r in per_B if r is not None]
-    feasible.append((betastar, at_target))
-    argmax_B, peak_ratio = max(feasible, key=lambda br: br[1])
+                  for B, r in zip(query.grid.tolist(), ratios[:-1].tolist()))
+    peak_ratio = float(ratios[k])
     return BoundResult(
         per_B=per_B,
         peak_ratio=peak_ratio,
-        argmax_B=argmax_B,
+        argmax_B=float(rates[k]),
         certified_peak=peak_ratio * query.alloc.endemic.I_hat,
         alpha=query.alpha,
         upsilon=query.upsilon,

@@ -4,6 +4,9 @@ Subcommands: ``validate``, ``equilibrium``, ``simulate``, ``bounds``,
 ``certify``.  All take a JSON config file plus ``--set section.key=value``
 overrides.  Exit codes: 0 success, 2 validation failure, 3 runtime failure.
 Outputs are deterministic for a fixed configuration.
+
+``bounds``, ``simulate`` and ``certify`` all take their bound, and its
+level, from :func:`_bound_for`.
 """
 
 from __future__ import annotations
@@ -133,42 +136,32 @@ def _run_simulation(run):
     return simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
 
 
-def _bound_for(run, alpha: float, upsilon: float | None = None):
-    """Peak bound at storage level ``alpha`` and gain ``upsilon`` (default:
-    the configured gain) on the run's rate grid."""
-    query = BoundQuery(
-        alloc=run.alloc,
-        params=run.bundle.params,
-        upsilon=run.bundle.policy.upsilon if upsilon is None else upsilon,
-        alpha=alpha,
-        grid=default_grid(run.bundle.strategies, run.grid_size),
-    )
-    return peak_bound(query)
+def _bound_for(run, upsilon: float):
+    """Peak bound of the run's start at gain ``upsilon`` on the run's rate
+    grid, and the start's Lyapunov value under that gain.
 
-
-def _alpha_for(run, upsilon: float) -> float:
-    """Storage level of the bound at gain ``upsilon``: the configured
-    alpha, else the Lyapunov value of the initial state under the mechanism
-    with that gain."""
-    if run.alpha is not None:
-        return run.alpha
-    mech = dataclasses.replace(run.mech, upsilon=upsilon)
-    return lyapunov_value(run.initial, mech, run.proto)
-
-
-def _certify(run, traj, out: Path):
-    """Certify ``traj`` against the bound at the run's storage level and
-    write ``certification.json`` to ``out``, with the start's Lyapunov
-    value ``start_level`` next to the level ``alpha``.  A configured
-    ``bounds.alpha`` below the start's level is used, with a warning: the
-    bound at that level does not cover this start."""
-    start_level = lyapunov_value(run.initial, run.mech, run.proto)
+    The bound's level is the configured ``bounds.alpha``, else the start's
+    value.  A configured level below the start's is used, with a warning
+    that names the gain: the bound at that level does not cover this start.
+    """
+    start_level = lyapunov_value(
+        run.initial, dataclasses.replace(run.mech, upsilon=upsilon), run.proto)
     alpha = start_level if run.alpha is None else run.alpha
     if alpha < start_level:
         print(f"warning: bounds.alpha={alpha!r} is below the start's level "
-              f"{start_level!r}; the certificate does not cover this start",
-              file=sys.stderr)
-    report = certify_trajectory(traj, _bound_for(run, alpha))
+              f"{start_level!r} at upsilon={upsilon!r}; the certificate does "
+              "not cover this start", file=sys.stderr)
+    grid = default_grid(run.bundle.strategies, run.grid_size)
+    return peak_bound(BoundQuery(alloc=run.alloc, params=run.bundle.params,
+                                 upsilon=upsilon, alpha=alpha, grid=grid)), start_level
+
+
+def _certify(run, traj, out: Path):
+    """Certify ``traj`` against the bound at the configured gain and write
+    ``certification.json`` to ``out``, with the start's Lyapunov value
+    ``start_level`` next to the level ``alpha``."""
+    result, start_level = _bound_for(run, run.bundle.policy.upsilon)
+    report = certify_trajectory(traj, result)
     fields = {
         "observed_peak": report.observed_peak,
         "peak_time_days": report.peak_time,
@@ -231,10 +224,9 @@ def cmd_bounds(args) -> int:
     rows = []
     details = []
     for ups in upsilons:
-        alpha = _alpha_for(run, ups)
-        result = _bound_for(run, alpha, ups)
+        result, _ = _bound_for(run, ups)
         rows.append((ups, run.alloc.betastar, run.bundle.params.delta,
-                     alpha, result.peak_ratio))
+                     result.alpha, result.peak_ratio))
         details.append(result.as_dict())
     write_table(path, ["upsilon", "beta_star", "delta", "alpha", "peak_ratio"],
                 list(np.array(rows).T))

@@ -391,7 +391,7 @@ def step_count(horizon: float, step: float) -> int:
     """Number of fixed steps of size ``step`` that make up ``horizon`` days.
 
     Raises ``ValueError`` unless ``horizon`` is positive and a whole number
-    of steps (to 1e-9 relative).
+    of steps (to 1e-9 relative), and that number is at least one.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -404,6 +404,8 @@ def step_count(horizon: float, step: float) -> int:
         raise ValueError(
             f"horizon {horizon!r} is not an integer number of steps of {step!r}"
         )
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon!r} is shorter than one step of {step!r}")
     return n_steps
 
 

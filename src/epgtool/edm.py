@@ -128,12 +128,13 @@ class GeneralIPCProtocol:
 
 
 # Smith's rate at gap {g} and its antiderivative, each a selection
-# (condition, value if true, value if false), with the temporary
-# ``_SMITH_V`` and knee = cap / rg.  ``cap < v`` picks as ``min(v, cap)``
-# does, so a NaN gap gives NaN, as the scalar methods do.
+# (condition, value if true, value if false) on the constants ``rg`` and
+# ``cap``, with the temporary ``_SMITH_V`` and the knee written as
+# ``cap / rg``.  ``cap < v`` picks as ``min(v, cap)`` does, so a NaN gap
+# gives NaN, as the scalar methods do.
 _SMITH_V = "{v} = rg * {g}"
 _SMITH_PHI = ("{g} <= 0.0", "0.0", ("cap < {v}", "cap", "{v}"))
-_SMITH_PHI_INTEGRAL = ("{g} <= 0.0", "0.0", ("{g} <= knee", "0.5 * rg * {g} * {g}",
+_SMITH_PHI_INTEGRAL = ("{g} <= 0.0", "0.0", ("{g} <= cap / rg", "0.5 * rg * {g} * {g}",
                                              "cap * {g} - cap * cap / (2.0 * rg)"))
 
 
@@ -148,7 +149,7 @@ def _render(law, form: str) -> str:
 
 _KERNEL_SELECT = "({1} if {0} else {2})"
 _SMITH_COLUMNS = {
-    name: _compile_text(f"smith_{name}_array", "g, rg, cap, knee",
+    name: _compile_text(f"smith_{name}_array", "g, rg, cap",
                         temporaries.format(g="g", v="v"),
                         _render(law, "where({0}, {1}, {2})").format(g="g", v="v"),
                         {"where": np.where})
@@ -157,21 +158,15 @@ _SMITH_COLUMNS = {
 }
 
 
-def _smith_spec(proto):
-    """``(rg, cap, knee)``, the rate spec of a :class:`SmithProtocol`, or
-    None for any other protocol.  A subclass gets None: it may override
-    ``phi``, so its rates are called, never inlined."""
-    if type(proto) is not SmithProtocol:
-        return None
-    return proto.rate_gain, proto.cap, proto.cap / proto.rate_gain
-
-
 def _rate_constants(proto) -> dict:
-    """The constants that :func:`_flow_text` reads ``proto``'s rate from:
-    ``rg`` and ``cap`` of Smith's inlined law, or ``phi``, called as
-    ``phi(j, gap)``, for any other protocol."""
-    spec = _smith_spec(proto)
-    return {"phi": proto.phi} if spec is None else dict(zip(("rg", "cap"), spec))
+    """The constants that :func:`_flow_text` and :func:`_rates` read
+    ``proto``'s rate from: ``rg`` and ``cap`` of Smith's law for an exact
+    :class:`SmithProtocol`, or ``phi``, called as ``phi(j, gap)``, for any
+    other protocol.  A subclass gets ``phi``: it may override it, so its
+    rates are called, never inlined."""
+    if type(proto) is SmithProtocol:
+        return {"rg": proto.rate_gain, "cap": proto.cap}
+    return {"phi": proto.phi}
 
 
 def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
@@ -183,12 +178,12 @@ def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
     are evaluated, so an overflow in the one not taken is silenced.  Any
     other protocol's scalar method is mapped over the column.
     """
-    spec = _smith_spec(proto)
-    if spec is None:
+    constants = _rate_constants(proto)
+    if "phi" in constants:
         rate = getattr(proto, name)
         return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
     with np.errstate(over="ignore"):
-        return _SMITH_COLUMNS[name](gaps, *spec)
+        return _SMITH_COLUMNS[name](gaps, **constants)
 
 
 def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from epgtool import (
     peak_ratio_at,
     simulate,
 )
+from epgtool.config import apply_overrides, load_config, resolve
 from helpers import dense_grid_peak, peak_ratio_per_rate
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
 
 
 def _query(scenario, alpha, grid_size=30, upsilon=None, grid=None):
@@ -417,3 +421,26 @@ def test_grid_that_is_not_one_dimensional_is_rejected(example1):
     flat = peak_bound(_query(example1, 8e-4, grid=np.ravel(rates)))
     assert [B for B, _ in flat.per_B] == [0.15, 0.16, 0.1705, 0.19]
     assert flat.peak_ratio == pytest.approx(1.22634, abs=1e-5)
+
+
+# example1's state at t = 1030 d, taken as the start (ROADMAP item 1)
+_RESTART = ["initial.I=0.03771212157199002", "initial.R=0.347402600465981",
+            "initial.x=[0.48914177555305044,0.5108582244469496]",
+            "initial.q=0.03478462779315343"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the grid bound is a lower estimate of "
+                          "the supremum over B, not an upper bound")
+def test_the_bound_covers_its_own_start_at_grid_30():
+    run = resolve(apply_overrides(load_config(CONFIG), _RESTART))
+    level = lyapunov_value(run.initial, run.mech, run.proto)
+    if level != 7.030753273408278e-07:  # not an AssertionError: no xfail
+        pytest.fail(f"the start's level moved to {level!r}")
+    result = peak_bound(BoundQuery(
+        alloc=run.alloc, params=run.bundle.params, upsilon=run.bundle.policy.upsilon,
+        alpha=level, grid=default_grid(run.bundle.strategies, 30),
+    ))
+    # the start lies in its own level set, so the supremum is at least its I;
+    # grid 30 certifies 0.03764651221384317 (grid 300 covers it by +1.12e-5)
+    assert result.certified_peak >= run.initial.I

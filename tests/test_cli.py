@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import epgtool.cli
 from epgtool import config as _config
 from epgtool.bounds import BoundQuery, default_grid, peak_bound
 from epgtool.cli import main
+from epgtool.dynamics import lyapunov_value
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
 
@@ -641,3 +643,42 @@ def test_certificate_records_the_start_level_and_warns_below_it(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("warning") == 1
     assert "bounds.alpha=0.0" in err and repr(cert["start_level"]) in err
+
+
+def test_horizon_shorter_than_one_step_is_listed(tmp_path, capsys):
+    code = main(["simulate", str(CONFIG), "--out", str(tmp_path), "--json-errors",
+                 "--set", "integrator.horizon=1e-12"])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [(v["name"], v["detail"]) for v in violations] == [
+        ("integrator.horizon", "horizon 1e-12 is shorter than one step of 0.01")]
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_bounds_warns_once_per_gain_below_the_start(tmp_path, capsys):
+    code = main(["bounds", str(CONFIG), "--out", str(tmp_path),
+                 "--set", "bounds.alpha=1e-9", "--upsilons", "1,2"])
+    assert code == 0
+    run = _config.resolve(_config.load_config(CONFIG))
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    for line, ups in zip(warnings, (1.0, 2.0)):
+        level = lyapunov_value(
+            run.initial, dataclasses.replace(run.mech, upsilon=ups), run.proto)
+        assert line.startswith("warning: bounds.alpha=1e-09 ")
+        assert repr(level) in line and f"upsilon={ups!r}" in line
+    assert [float(row.split(",")[3]) for row in
+            (tmp_path / "bounds_sweep.csv").read_text().splitlines()[1:]] == [1e-9, 1e-9]
+
+
+def test_bounds_and_simulate_take_the_same_start_level(tmp_path, capsys):
+    assert main(["bounds", str(CONFIG), "--out", str(tmp_path), "--upsilons", "2"]) == 0
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST]) == 0
+    assert "warning" not in capsys.readouterr().err
+    detail = json.loads((tmp_path / "bounds_detail.json").read_text())
+    sweep_row = (tmp_path / "bounds_sweep.csv").read_text().splitlines()[1]
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    first_row = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
+    alpha = detail[0]["alpha"]
+    assert alpha == float(sweep_row.split(",")[3])
+    assert alpha == cert["alpha"] == cert["start_level"] == float(first_row.split(",")[-1])

@@ -631,3 +631,12 @@ def test_constant_table_names_are_what_k_unpacks(scenario, smith, request):
         unpack = [line.strip() for line in source if line.strip().endswith(" = K")]
         assert len(unpack) == 1
         assert unpack[0][:-len(" = K")].split(", ") == list(table)
+
+
+@pytest.mark.parametrize("horizon", [1e-12, 1e-9])
+def test_horizon_shorter_than_one_step_is_rejected(horizon, example1):
+    with pytest.raises(ValueError, match="shorter than one step"):
+        step_count(horizon, 0.01)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        simulate(example1.initial, horizon, example1.mech, example1.proto)
+    assert step_count(0.01, 0.01) == 1
