@@ -16,6 +16,13 @@ ratio.  The per-rate problems are independent, so :func:`peak_ratio_at` is
 elementwise and bisects every rate in lockstep on numpy arrays; each rate
 takes the float operations of a per-rate bisection, in the same order, so
 the ratios are that bisection's bit for bit.
+
+Every value is computed with ``math.log``.  numpy's log, faster on arrays
+but free to differ in the last bit, is used for decisions only: each
+halving asks whether the level lies below ``alpha``, and
+:func:`_level_below` answers from numpy's log widened by a room far larger
+than that last bit, calling ``math.log`` only where the room cannot tell.
+The answers, and so the ratios, are ``math.log``'s.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ DEFAULT_GRID_SIZE = 30
 
 # math.log elementwise: the kernel's log, not numpy's SIMD one
 _log = np.vectorize(math.log, otypes=[float])
+# numpy's log, for the decisions of _level_below only
+_fast_log = np.log
+# math.log's value lies within this of _fast_log's: 2**-40 relative, about
+# 4096 times their largest disagreement (1 ulp), and an absolute floor so
+# that a log of 0 has room too
+_LOG_ROOM = 2.0 ** -40
+_LOG_FLOOR = 2.0 ** -1000
 
 
 def epidemic_storage(I, R, B, alloc: OptimalAllocation,
@@ -143,6 +157,34 @@ def _level(I, I_hat, R_hat, a, base):
     return I_hat * _log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
 
 
+def _level_below(I, I_hat, R_hat, a, base, alpha):
+    """``_level(I, ...) <= alpha`` elementwise, decided as ``math.log``
+    decides it but mostly on numpy's log; arrays of one shape.
+
+    For ``I > 0``, as every midpoint is, a finite log means ``I_hat > 0``,
+    so every float operation of the level after the log is nondecreasing
+    in the log's value.  The level is evaluated at numpy's log minus and
+    plus ``room``, which holds ``math.log``'s value between them: where
+    both ends lie below ``alpha``, or both above, so does the level at
+    ``math.log``'s value.  An element whose ends disagree, or whose log is
+    not finite, goes to :func:`_level`, which takes ``math.log`` and raises
+    where it raises.
+    """
+    with np.errstate(all="ignore"):
+        L = _fast_log(I_hat / I)
+        room = _LOG_ROOM * np.abs(L) + _LOG_FLOOR
+        pen = R_hat - (1.0 - I)
+        pen = np.where(pen > 0.0, pen, 0.0)
+        quad = 0.5 * a * pen * pen
+        # _level's operations after its log, in its order, at each end
+        below = I_hat * (L + room) + I - I_hat + quad + base <= alpha
+        above = I_hat * (L - room) + I - I_hat + quad + base > alpha
+    k = np.flatnonzero(~((below | above) & np.isfinite(L)))
+    if k.size:
+        below[k] = _level(I[k], I_hat[k], R_hat[k], a[k], base[k]) <= alpha
+    return below
+
+
 def peak_ratio_at(query: BoundQuery,
                   B: float | np.ndarray) -> float | None | np.ndarray:
     """Largest ``I / I_star`` on the storage level set at fixed ``B``;
@@ -158,7 +200,11 @@ def peak_ratio_at(query: BoundQuery,
     ``None`` when even the minimum exceeds ``alpha``; an array of rates
     gives an array with NaN there.  All rates are bisected in lockstep,
     each with the float operations of a per-rate bisection in the same
-    order, so every ratio equals that bisection's bit for bit.  A rate the
+    order, so every ratio equals that bisection's bit for bit.  The two
+    end values (``I_hat`` and 1) are evaluated with ``math.log``; each
+    halving's decision comes from :func:`_level_below`, whose answers are
+    ``math.log``'s, so the brackets are those of a ``math.log`` bisection
+    and numpy's log never enters a value.  A rate the
     endemic algebra rejects raises what :func:`endemic_state` raises for
     the first such rate.
     """
@@ -182,7 +228,7 @@ def peak_ratio_at(query: BoundQuery,
     active = hi - lo > BISECTION_TOL
     while active.any():
         mid = 0.5 * (lo + hi)
-        below = _level(mid, *terms) <= alpha
+        below = _level_below(mid, *terms, alpha)
         lo = np.where(active & below, mid, lo)
         hi = np.where(active & ~below, mid, hi)
         active = hi - lo > BISECTION_TOL

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import subprocess
 import sys
 from pathlib import Path
 
@@ -40,7 +39,12 @@ EXIT_RUNTIME = 3
 
 
 def _version_string() -> str:
-    """Package version, refined with git describe when run from a checkout."""
+    """Package version, refined with git describe when run from a checkout.
+
+    ``subprocess`` is imported here, so the library never loads it.
+    """
+    import subprocess
+
     here = Path(__file__).resolve()
     try:
         described = subprocess.run(

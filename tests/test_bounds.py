@@ -23,6 +23,7 @@ from epgtool import (
     peak_ratio_at,
     simulate,
 )
+from epgtool import bounds
 from epgtool.config import apply_overrides, load_config, resolve
 from helpers import dense_grid_peak, peak_ratio_per_rate
 
@@ -349,6 +350,105 @@ def test_a_degenerate_discriminant_raises_as_endemic_state(example1):
     assert str(raised.value) == str(expected.value)
     with pytest.raises(OutOfRange):
         peak_ratio_at(query, query.grid[::-1])
+
+
+@pytest.mark.parametrize("rates, first_bad", [
+    ([0.17, math.inf], math.inf),
+    ([0.17, -math.inf, math.inf], -math.inf),
+])
+def test_an_infinite_rate_raises_as_endemic_state(example1, rates, first_bad):
+    with pytest.raises((OutOfRange, DegenerateDiscriminant)) as expected:
+        endemic_state(first_bad, example1.params)
+    query = _query(example1, 0.0008, grid=np.array(rates))
+    with pytest.raises(type(expected.value)) as raised:
+        peak_ratio_at(query, query.grid)
+    assert str(raised.value) == str(expected.value)
+
+
+# the levels of the bit-for-bit checks: the workload's, the corners, and
+# ROADMAP item 1's counterexample start
+_LEVELS = (0.0008, 0.0, 1e-9, 3e-4, 7.03e-7)
+
+
+@pytest.mark.parametrize("grid_size", [30, 3000])
+def test_a_log_anywhere_inside_half_the_room_decides_as_math_log(
+        example1, grid_size, monkeypatch):
+    # numpy's log nudged by half the room (2**-40 relative, 2**-1000
+    # absolute), up or down at random: the guard must still take every
+    # decision as math.log does
+    rng = np.random.default_rng(grid_size)
+
+    def nudged(x):
+        L = np.log(x)
+        half_room = 2.0 ** -41 * np.abs(L) + 2.0 ** -1001
+        return L + rng.choice([-1.0, 1.0], size=L.shape) * half_room
+
+    monkeypatch.setattr(bounds, "_fast_log", nudged)
+    for alpha in _LEVELS:
+        query = _query(example1, alpha, grid_size=grid_size)
+        rates = [*query.grid.tolist(), example1.alloc.betastar]
+        oracle = [peak_ratio_per_rate(query, B) for B in rates]
+        lockstep = peak_ratio_at(query, np.array(rates))
+        assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+
+
+@pytest.mark.parametrize("index", [0, 14, 29])
+def test_a_halving_the_room_cannot_decide_falls_back_to_math_log(
+        example1, index, monkeypatch):
+    # the level at the first midpoint of one rate's bracket, taken as alpha:
+    # numpy's log widened by the room lands on both sides of it
+    grid = default_grid(example1.strategies, 30)
+    eq = endemic_state(float(grid[index]), example1.params)
+    ups, b_dev = example1.policy.upsilon, eq.B - example1.alloc.betastar
+    terms = [np.array([v]) for v in
+             (eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev))]
+    mid = 0.5 * (eq.I_hat + 1.0)
+    alpha = float(bounds._level(np.array([mid]), *terms)[0])
+    query = _query(example1, alpha, grid=grid)
+
+    seen = []
+    level = bounds._level
+
+    def counted(I, *rest):
+        seen.append(np.ravel(I).tolist())
+        return level(I, *rest)
+
+    monkeypatch.setattr(bounds, "_level", counted)
+    rates = [*grid.tolist(), example1.alloc.betastar]
+    lockstep = peak_ratio_at(query, np.array(rates))
+    # slack and capped are the first two calls; any further one is a fallback
+    assert len(seen) > 2 and [mid] in seen[2:]
+    oracle = [peak_ratio_per_rate(query, B) for B in rates]
+    assert oracle[index] not in (None, 1.0 / example1.alloc.endemic.I_hat)
+    assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+
+
+def test_numpy_log_stays_far_inside_the_room():
+    # the guard's assumption, checked where the suite runs: numpy's log is
+    # within a quarter of the room of math.log on the arguments a bisection
+    # takes
+    rng = np.random.default_rng(18)
+    x = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-6), 0.0, 90_000)),
+        rng.uniform(0.99, 1.0, 9_000),
+        1.0 - np.arange(1_000) * 2.0 ** -53,  # 1 and the floats just below
+    ])
+    fast = bounds._fast_log(x)
+    exact = np.array([math.log(v) for v in x.tolist()])
+    room = bounds._LOG_ROOM * np.abs(fast) + bounds._LOG_FLOOR
+    assert np.all(np.abs(fast - exact) <= room / 4)
+
+
+def test_a_nan_slack_is_bisected_as_per_rate(example1):
+    # a NaN gain makes every base, slack and level NaN: no halving is below
+    # alpha, so each bracket closes onto I_hat, every decision by _level
+    for grid_size in (30, 300):
+        query = _query(example1, 0.0008, grid_size=grid_size, upsilon=math.nan)
+        rates = [*query.grid.tolist(), example1.alloc.betastar]
+        oracle = [peak_ratio_per_rate(query, B) for B in rates]
+        assert None not in oracle
+        lockstep = peak_ratio_at(query, np.array(rates))
+        assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
 
 
 def test_large_level_caps_at_total_infection(example1):

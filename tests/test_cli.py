@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -452,6 +454,19 @@ def test_validate_starts_no_subprocess(monkeypatch, capsys):
     monkeypatch.setattr(subprocess, "run", refuse)
     monkeypatch.setattr(subprocess, "Popen", refuse)
     assert main(["validate", str(CONFIG)]) == 0
+
+
+def test_the_library_never_loads_subprocess():
+    # only _version_string imports it, for the manifest and --version
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, epgtool, epgtool.cli, epgtool.bounds; "
+            "print('subprocess' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("outcome", [
