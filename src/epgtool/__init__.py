@@ -41,9 +41,7 @@ from .equilibrium import (
     EquilibriumPoint,
     OptimalAllocation,
     OutOfRange,
-    SingularSystem,
     endemic_curve,
-    endemic_derivatives,
     endemic_state,
     optimal_allocation,
 )

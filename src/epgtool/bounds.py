@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import OptimalAllocation, _point_array, endemic_state
-from .params import ModelParams
+from .params import ModelParams, usable_gain
 
 __all__ = [
     "BoundQuery",
@@ -70,7 +70,7 @@ def epidemic_storage(I, R, B, alloc: OptimalAllocation,
     squares as products.
     """
     I = np.asarray(I, dtype=float)
-    if np.any(I <= 0.0):
+    if not np.all(I > 0.0):  # NaN included
         raise ValueError("I must be positive")
     B = np.asarray(B, dtype=float)
     _, _, I_hat, R_hat, a = _point_array(B, params)
@@ -92,7 +92,8 @@ class BoundQuery:
     ``alpha`` is the storage level (typically the Lyapunov value of the
     initial state); ``grid`` the transmission rates at which the per-rate
     convex problems are solved (defaults to ``grid_size`` equidistant points
-    spanning the strategy range).
+    spanning the strategy range).  ``upsilon`` is the feedback gain, which
+    :func:`epgtool.params.usable_gain` must accept.
     """
 
     alloc: OptimalAllocation
@@ -110,6 +111,8 @@ class BoundQuery:
         object.__setattr__(self, "grid", grid)
         if not self.alpha >= 0.0:  # NaN included
             raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not usable_gain(self.upsilon):
+            raise ValueError(f"upsilon must be a usable gain, got {self.upsilon!r}")
 
 
 def default_grid(strategies, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:

@@ -10,16 +10,17 @@ valid one; it is evaluated in the cancellation-free form
 ``2*omega*(B - sigma) / (b + sqrt(disc))`` so the delta -> 0 limit is exact.
 This algebra and its B-derivatives are written once, as the source text
 ``_ENDEMIC`` (the point, then the slopes).  It is compiled here once,
-elementwise on numpy arrays; the scalar entry points run that form on a
-float64 and check its discriminant and determinant.  :mod:`epgtool.dynamics`
-inlines the text in every stage of its RK4 kernel.  The module also
-provides the budget-optimal strategy mix.
+elementwise on numpy arrays; :func:`endemic_state` runs that form on a
+float64 and checks its discriminant.  That one check covers the slopes too:
+at the smaller root the determinant of the linearized equations is
+``-sqrt(disc)``.  :mod:`epgtool.dynamics` inlines the text in every stage of
+its RK4 kernel.  The module also provides the budget-optimal strategy mix.
 """
 
 from __future__ import annotations
 
 import linecache
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +37,10 @@ __all__ = [
     "OptimalAllocation",
     "OutOfRange",
     "DegenerateDiscriminant",
-    "SingularSystem",
     "endemic_state",
-    "endemic_derivatives",
     "endemic_curve",
     "optimal_allocation",
 ]
-
-SINGULAR_DET_TOL = 1e-14
 
 
 class OutOfRange(ValueError):
@@ -54,17 +51,13 @@ class DegenerateDiscriminant(ArithmeticError):
     """Quadratic discriminant <= 0; signals corrupted parameters."""
 
 
-class SingularSystem(ArithmeticError):
-    """The 2x2 sensitivity system is numerically singular."""
-
-
 @dataclass(frozen=True)
 class EquilibriumPoint:
     """Endemic equilibrium at transmission rate ``B``.
 
     ``a`` is the recovered-deviation weight ``B / (gamma + delta*R_hat)``;
-    ``b`` and ``disc`` are the quadratic coefficient and discriminant. The
-    B-derivatives are ``None`` until filled by :func:`endemic_derivatives`.
+    ``b`` and ``disc`` are the quadratic coefficient and discriminant, and
+    ``dI_dB``, ``dR_dB``, ``da_dB`` the B-derivatives of the pair and weight.
     """
 
     B: float
@@ -73,9 +66,9 @@ class EquilibriumPoint:
     a: float
     b: float
     disc: float
-    dI_dB: float | None = None
-    dR_dB: float | None = None
-    da_dB: float | None = None
+    dI_dB: float
+    dR_dB: float
+    da_dB: float
 
 
 def _compile_source(source: str, filename: str):
@@ -107,7 +100,8 @@ def _sum_products(pairs):
 # The endemic pair at rate B with its weight ``a``, and their B-derivatives.
 # ``{_}`` suffixes every name (the stage in the RK4 kernel); d, w, gam, sig
 # are delta, omega, gamma, sigma.  (dI_dB, dR_dB) solves the equilibrium
-# equations linearized in B.
+# equations linearized in B; their determinant ``det`` is -sq at the smaller
+# root, so ``disc > 0`` makes it negative.
 _ENDEMIC_PAIR = """\
 b{_} = gam * B{_} + w * (B{_} - d) + d * (B{_} - sig)
 disc{_} = b{_} * b{_} - 4.0 * d * w * (B{_} - d) * (B{_} - sig)
@@ -126,14 +120,14 @@ da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
 _ENDEMIC_POINT = _ENDEMIC_PAIR + _DENOM + "a{_} = B{_} / denom{_}\n"
 _ENDEMIC = _ENDEMIC_POINT + _ENDEMIC_SLOPES
 _CONSTANTS = "d, w, gam, sig = params.delta, params.omega, params.gamma, params.sigma\n"
-# the one compiled form of each text, elementwise on numpy arrays; the
-# scalar entry points run it on a float64 and check ``disc`` and ``det``
+# the one compiled form of each text, elementwise on numpy arrays;
+# endemic_state runs both on a float64 and checks ``disc``
 _point_array = _compile_text("endemic_point_array", "B, params",
                              _CONSTANTS + _ENDEMIC_POINT, "b, disc, I_hat, R_hat, a",
                              {"sqrt": np.sqrt})
 _slopes_array = _compile_text("endemic_slopes_array", "B, I_hat, R_hat, params",
                               _CONSTANTS + _DENOM + _ENDEMIC_SLOPES,
-                              "det, dI_dB, dR_dB, da_dB", {"sqrt": np.sqrt})
+                              "dI_dB, dR_dB, da_dB", {"sqrt": np.sqrt})
 
 
 def endemic_state(
@@ -141,7 +135,8 @@ def endemic_state(
     params: ModelParams,
     strategies: StrategySpec | None = None,
 ) -> EquilibriumPoint:
-    """Closed-form endemic equilibrium at transmission rate ``B``.
+    """Closed-form endemic equilibrium at transmission rate ``B``, with its
+    B-derivatives.
 
     ``B`` must exceed ``params.sigma``; when ``strategies`` is given, ``B``
     must additionally lie in ``[betas[0], betas[-1]]``.
@@ -162,27 +157,14 @@ def endemic_state(
     if not B > params.sigma:
         raise OutOfRange(f"B={B!r} must exceed sigma={params.sigma!r}")
     # a float64 B makes every division IEEE (inf or NaN, not an exception),
-    # so the checks below see the values the array form computes
+    # so the check below sees the values the array form computes
     with np.errstate(all="ignore"):
         b, disc, I_hat, R_hat, a = map(float, _point_array(np.float64(B), params))
+        dI, dR, da = map(float, _slopes_array(np.float64(B), I_hat, R_hat, params))
     if not disc > 0.0:
         raise DegenerateDiscriminant(f"{disc=!r}, {B=!r}")
-    return EquilibriumPoint(B=B, I_hat=I_hat, R_hat=R_hat, a=a, b=b, disc=disc)
-
-
-def endemic_derivatives(
-    eq: EquilibriumPoint, params: ModelParams
-) -> EquilibriumPoint:
-    """Fill the B-derivatives of an equilibrium point from its ``B``,
-    ``I_hat`` and ``R_hat``; raises :class:`SingularSystem` when the
-    sensitivity determinant is below ``SINGULAR_DET_TOL`` in magnitude."""
-    B = eq.B
-    with np.errstate(all="ignore"):
-        det, dI, dR, da = map(float, _slopes_array(np.float64(B), eq.I_hat, eq.R_hat,
-                                                   params))
-    if abs(det) < SINGULAR_DET_TOL:
-        raise SingularSystem(f"{det=!r}, {B=!r}")
-    return replace(eq, dI_dB=dI, dR_dB=dR, da_dB=da)
+    return EquilibriumPoint(B=B, I_hat=I_hat, R_hat=R_hat, a=a, b=b, disc=disc,
+                            dI_dB=dI, dR_dB=dR, da_dB=da)
 
 
 def endemic_curve(B: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
@@ -190,14 +172,17 @@ def endemic_curve(B: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
 
     Returns arrays ``I_hat``, ``R_hat``, ``a``, ``dI_dB``, ``dR_dB``,
     ``da_dB`` (same shape as ``B``), equal to the per-rate results of
-    :func:`endemic_derivatives` bit for bit.  No range checks beyond
-    ``B > sigma``.
+    :func:`endemic_state` bit for bit.  No strategy-range check; a rate
+    the endemic algebra rejects raises what :func:`endemic_state` raises
+    for the first such rate.
     """
     B = np.asarray(B, dtype=float)
-    if np.any(B <= params.sigma):
-        raise OutOfRange("every B must exceed sigma")
-    _, _, I_hat, R_hat, a = _point_array(B, params)
-    _, dI, dR, da = _slopes_array(B, I_hat, R_hat, params)
+    with np.errstate(all="ignore"):
+        _, disc, I_hat, R_hat, a = _point_array(B, params)
+        dI, dR, da = _slopes_array(B, I_hat, R_hat, params)
+    bad = ~((B > params.sigma) & (disc > 0.0))  # NaN rates included
+    if bad.any():
+        endemic_state(float(B.ravel()[bad.argmax()]), params)  # raises
     return dict(I_hat=I_hat, R_hat=R_hat, a=a, dI_dB=dI, dR_dB=dR, da_dB=da)
 
 
@@ -207,8 +192,7 @@ class OptimalAllocation:
 
     ``xstar`` has at most two nonzero entries, at adjacent (0-based) indices
     ``istar`` and ``istar + 1``; ``betastar`` is the induced average
-    transmission rate, and ``endemic`` the equilibrium point at ``betastar``
-    (with derivatives filled).
+    transmission rate, and ``endemic`` the equilibrium point at ``betastar``.
     """
 
     xstar: tuple[float, ...]
@@ -253,7 +237,5 @@ def optimal_allocation(
         )
     istar, x = mix
     betastar = _sum_products(zip(strategies.betas, x))
-    eq = endemic_derivatives(
-        endemic_state(betastar, params, strategies), params
-    )
+    eq = endemic_state(betastar, params, strategies)
     return OptimalAllocation(xstar=x, betastar=betastar, istar=istar, endemic=eq)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import OptimalAllocation, endemic_derivatives, endemic_state
+from .equilibrium import OptimalAllocation, endemic_state
 from .equilibrium import _compile_text, _sum_products
 from .params import ModelParams, PolicyConfig, StrategySpec
 
@@ -80,9 +80,7 @@ class PayoffMechanism:
             raise EpidemicStateOutOfDomain(f"I={I!r} must be positive")
         if I > 1.0 or R < 0.0 or R > 1.0:
             raise EpidemicStateOutOfDomain(f"(I, R)=({I!r}, {R!r}) outside domain")
-        eq = endemic_derivatives(
-            endemic_state(B, self.params, self.strategies), self.params
-        )
+        eq = endemic_state(B, self.params, self.strategies)
         return _qdot(
             I, R, eq.B, eq.I_hat, eq.R_hat, eq.a, eq.dI_dB, eq.dR_dB, eq.da_dB,
             self.upsilon * self.upsilon, self.alloc.betastar,

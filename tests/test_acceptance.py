@@ -30,7 +30,6 @@ from epgtool import (
     certify_trajectory,
     default_grid,
     dissipation,
-    endemic_derivatives,
     endemic_state,
     epidemic_storage,
     lyapunov_series,
@@ -283,7 +282,7 @@ def test_c8b_sensitivities_match_central_differences():
         params, strategies, _ = random_bundle(rng)
         lo, hi = strategies.betas[0], strategies.betas[-1]
         for B in rng.uniform(lo + 2 * h, hi - 2 * h, size=2):
-            eq = endemic_derivatives(endemic_state(float(B), params), params)
+            eq = endemic_state(float(B), params)
             up = endemic_state(float(B) + h, params)
             dn = endemic_state(float(B) - h, params)
             fd_I = (up.I_hat - dn.I_hat) / (2 * h)

@@ -25,6 +25,7 @@ from epgtool import (
 )
 from epgtool import bounds
 from epgtool.config import apply_overrides, load_config, resolve
+from epgtool.params import usable_gain
 from helpers import dense_grid_peak, peak_ratio_per_rate
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
@@ -103,6 +104,12 @@ def test_storage_positive_away_from_target(example1):
 def test_storage_rejects_nonpositive_infection(example1):
     with pytest.raises(ValueError):
         epidemic_storage(0.0, 0.3, 0.17, example1.alloc, example1.params, 2.0)
+
+
+def test_storage_rejects_a_nan_infection(example1):
+    for I in (math.nan, np.array([0.03, math.nan])):
+        with pytest.raises(ValueError, match="I must be positive"):
+            epidemic_storage(I, 0.3, 0.17, example1.alloc, example1.params, 2.0)
 
 
 def test_ratio_at_target_rate_is_at_least_one(example1):
@@ -439,16 +446,12 @@ def test_numpy_log_stays_far_inside_the_room():
     assert np.all(np.abs(fast - exact) <= room / 4)
 
 
-def test_a_nan_slack_is_bisected_as_per_rate(example1):
-    # a NaN gain makes every base, slack and level NaN: no halving is below
-    # alpha, so each bracket closes onto I_hat, every decision by _level
-    for grid_size in (30, 300):
-        query = _query(example1, 0.0008, grid_size=grid_size, upsilon=math.nan)
-        rates = [*query.grid.tolist(), example1.alloc.betastar]
-        oracle = [peak_ratio_per_rate(query, B) for B in rates]
-        assert None not in oracle
-        lockstep = peak_ratio_at(query, np.array(rates))
-        assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+@pytest.mark.parametrize("upsilon", [math.nan, math.inf, 1e200, 0.0, -2.0])
+def test_a_gain_usable_gain_rejects_is_rejected(example1, upsilon):
+    # each of these used to certify a ratio (NaN: 1.1666 against 1.2876)
+    assert not usable_gain(upsilon)
+    with pytest.raises(ValueError, match="upsilon must be a usable gain"):
+        _query(example1, 0.0008, upsilon=upsilon)
 
 
 def test_large_level_caps_at_total_infection(example1):

@@ -96,6 +96,17 @@ def test_equilibrium_summary_and_sweep(tmp_path, capsys):
     assert np.all(np.diff(sweep[:, 1]) > 0)  # infectious share grows with B
 
 
+def test_a_model_in_a_small_time_unit_is_valid(tmp_path, capsys):
+    # example1 with every rate x 1e-7 (a time unit of 1e-7 d) is the same
+    # model: its sensitivity determinant is about -1.9e-16, as small as the
+    # rates squared, and the endemic pair is example1's
+    scaled = ["--set", "params.gamma=1e-8", "--set", "params.delta=5e-10",
+              "--set", "params.psi=1.1e-9", "--set", "strategies.betas=[1.5e-8,1.9e-8]"]
+    assert main(["validate", str(CONFIG), *scaled]) == 0
+    assert main(["equilibrium", str(CONFIG), "--out", str(tmp_path), *scaled]) == 0
+    assert "I* = 0.0374167 (3.74%), R* = 0.346037" in capsys.readouterr().out
+
+
 def test_simulate_outputs(tmp_path, capsys):
     code = main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST])
     assert code == 0

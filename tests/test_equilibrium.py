@@ -8,14 +8,11 @@ import pytest
 from epgtool import (
     BudgetAtBreakpoint,
     DegenerateDiscriminant,
-    EquilibriumPoint,
     ModelParams,
     OutOfRange,
     PolicyConfig,
-    SingularSystem,
     StrategySpec,
     endemic_curve,
-    endemic_derivatives,
     endemic_state,
     optimal_allocation,
 )
@@ -84,20 +81,10 @@ def test_degenerate_discriminant_is_detected():
         endemic_state(0.25, params)
 
 
-def test_singular_sensitivity_system_is_detected():
-    params = ModelParams(gamma=0.1, delta=0.1, zeta=0.0, theta=0.0, psi=0.011)
-    eq = EquilibriumPoint(
-        B=0.2, I_hat=params.omega / params.delta, R_hat=-1.0,
-        a=1.0, b=0.0, disc=1.0,
-    )
-    with pytest.raises(SingularSystem):
-        endemic_derivatives(eq, params)
-
-
 @pytest.mark.parametrize("B", [0.152, 0.17, 0.188])
 def test_sensitivities_match_central_differences(example1, B):
     params = example1.params
-    eq = endemic_derivatives(endemic_state(B, params), params)
+    eq = endemic_state(B, params)
     h = 1e-6
     hi = endemic_state(B + h, params)
     lo = endemic_state(B - h, params)
@@ -122,7 +109,7 @@ def test_sensitivity_determinant_is_negative_across_grid(example1):
 def test_weight_sensitivity_collapses_without_disease_deaths():
     # with delta = 0 the weight is B/gamma and its slope exactly 1/gamma
     params = ModelParams(gamma=0.1, delta=0.0, zeta=0.0, theta=0.0, psi=0.011)
-    eq = endemic_derivatives(endemic_state(0.17, params), params)
+    eq = endemic_state(0.17, params)
     assert eq.a == pytest.approx(0.17 / 0.1, rel=1e-14)
     assert eq.da_dB == pytest.approx(1.0 / 0.1, rel=1e-14)
 
@@ -251,7 +238,7 @@ def test_scalar_entry_points_return_floats_equal_to_the_curve(example1, B):
     # the scalar entry points run the array form on a float64: their fields
     # are Python floats with the curve's bits
     params = example1.params
-    eq = endemic_derivatives(endemic_state(B, params), params)
+    eq = endemic_state(B, params)
     curve = endemic_curve(np.array([B]), params)
     for name, values in curve.items():
         value = getattr(eq, name)
@@ -261,14 +248,29 @@ def test_scalar_entry_points_return_floats_equal_to_the_curve(example1, B):
         assert type(getattr(eq, name)) is float, name
 
 
-def test_degenerate_and_singular_systems_keep_their_messages():
+def test_degenerate_discriminant_keeps_its_message():
+    # the curve raises what endemic_state raises for its first bad rate
     params = ModelParams(gamma=0.0, delta=0.125, zeta=0.0, theta=0.0, psi=0.125)
     with pytest.raises(DegenerateDiscriminant, match=r"^disc=0\.0, B=0\.25$"):
         endemic_state(0.25, params)
-    params = ModelParams(gamma=0.1, delta=0.1, zeta=0.0, theta=0.0, psi=0.011)
-    eq = EquilibriumPoint(
-        B=0.2, I_hat=params.omega / params.delta, R_hat=-1.0,
-        a=1.0, b=0.0, disc=1.0,
-    )
-    with pytest.raises(SingularSystem, match=r"^det=-0\.0, B=0\.2$"):
-        endemic_derivatives(eq, params)
+    with pytest.raises(DegenerateDiscriminant, match=r"^disc=0\.0, B=0\.25$"):
+        endemic_curve(np.array([0.25]), params)
+    # B = 0.05 is below sigma: the first bad rate decides the error
+    with pytest.raises(OutOfRange, match=r"^B=0\.05 must exceed sigma"):
+        endemic_curve(np.array([[0.05], [0.25]]), params)
+    with pytest.raises(DegenerateDiscriminant):
+        endemic_curve(np.array([[0.25], [0.05]]), params)
+
+
+def test_sensitivity_determinant_is_minus_the_root_of_the_discriminant():
+    # so the discriminant check is the determinant check: disc > 0 makes
+    # the linearized system regular, at any scale of the rates
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        params, strategies, _ = random_bundle(rng)
+        d, w, gam = params.delta, params.omega, params.gamma
+        for B in rng.uniform(strategies.betas[0], strategies.betas[-1], size=10):
+            eq = endemic_state(float(B), params, strategies)
+            det = -(B - d) * (w - d * eq.I_hat) - B * (gam + d * eq.R_hat)
+            root = math.sqrt(eq.disc)
+            assert abs(det + root) <= 1e-15 * root

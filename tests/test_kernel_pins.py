@@ -17,7 +17,6 @@ from epgtool import (
     EpgState,
     GeneralIPCProtocol,
     endemic_curve,
-    endemic_derivatives,
     endemic_state,
     mean_field,
     state_derivative,
@@ -78,6 +77,6 @@ def test_endemic_curve_equals_the_scalar_path_bit_for_bit(example1):
     grid = np.linspace(example1.strategies.betas[0], example1.strategies.betas[-1], 3000)
     curve = endemic_curve(grid, params)
     for k, B in enumerate(grid):
-        eq = endemic_derivatives(endemic_state(float(B), params), params)
+        eq = endemic_state(float(B), params)
         for name, values in curve.items():
             assert values[k] == getattr(eq, name), (name, B)
