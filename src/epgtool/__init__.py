@@ -41,7 +41,6 @@ from .equilibrium import (
     EquilibriumPoint,
     OptimalAllocation,
     OutOfRange,
-    endemic_curve,
     endemic_state,
     optimal_allocation,
 )

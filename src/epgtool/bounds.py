@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import OptimalAllocation, _point_array, endemic_state
+from .equilibrium import OptimalAllocation, endemic_state
 from .params import ModelParams, usable_gain
 
 __all__ = [
@@ -67,19 +67,19 @@ def epidemic_storage(I, R, B, alloc: OptimalAllocation,
     Nonnegative on the state space, and zero exactly at the target
     equilibrium ``(I_hat_betastar, R_hat_betastar, betastar)``.  Every
     element is evaluated as a Python float would be: ``math.log`` and
-    squares as products.
+    squares as products.  A rate that :func:`endemic_state` rejects raises
+    what it raises.
     """
     I = np.asarray(I, dtype=float)
     if not np.all(I > 0.0):  # NaN included
         raise ValueError("I must be positive")
-    B = np.asarray(B, dtype=float)
-    _, _, I_hat, R_hat, a = _point_array(B, params)
-    r_dev = R_hat - np.asarray(R, dtype=float)
-    b_dev = B - alloc.betastar
+    eq = endemic_state(B, params)
+    r_dev = eq.R_hat - np.asarray(R, dtype=float)
+    b_dev = eq.B - alloc.betastar
     val = (
-        I_hat * _log(I_hat / I)
-        - (I_hat - I)
-        + 0.5 * a * (r_dev * r_dev)
+        eq.I_hat * _log(eq.I_hat / I)
+        - (eq.I_hat - I)
+        + 0.5 * eq.a * (r_dev * r_dev)
         + 0.5 * (upsilon * upsilon) * (b_dev * b_dev)
     )
     return val if val.ndim else float(val)
@@ -207,17 +207,12 @@ def peak_ratio_at(query: BoundQuery,
     end values (``I_hat`` and 1) are evaluated with ``math.log``; each
     halving's decision comes from :func:`_level_below`, whose answers are
     ``math.log``'s, so the brackets are those of a ``math.log`` bisection
-    and numpy's log never enters a value.  A rate the
-    endemic algebra rejects raises what :func:`endemic_state` raises for
-    the first such rate.
+    and numpy's log never enters a value.  A rate that
+    :func:`endemic_state` rejects raises what it raises.
     """
     Bs = np.asarray(B, dtype=float).ravel()
-    params = query.params
-    with np.errstate(invalid="ignore", divide="ignore"):
-        _, disc, I_hat, R_hat, a = _point_array(Bs, params)
-    bad = ~((Bs > params.sigma) & (disc > 0.0))  # NaN rates included
-    if bad.any():
-        endemic_state(float(Bs[bad.argmax()]), params)  # raises
+    eq = endemic_state(Bs, query.params)
+    I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
     ups, b_dev = query.upsilon, Bs - query.alloc.betastar
     base = 0.5 * (ups * ups) * (b_dev * b_dev)
     alpha = query.alpha

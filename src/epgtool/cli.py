@@ -30,7 +30,7 @@ from .dynamics import (
     write_csv,
     write_table,
 )
-from .equilibrium import endemic_curve
+from .equilibrium import endemic_state
 from .params import AssumptionViolated, ValidationError, usable_gain
 
 EXIT_OK = 0
@@ -129,9 +129,10 @@ def cmd_equilibrium(args) -> int:
           f"R* = {eq.R_hat:.6g} ({100 * eq.R_hat:.2f}%)")
     out = _outdir(args)
     grid = default_grid(strategies, run.grid_size)
-    curve = endemic_curve(grid, params)
+    curve = endemic_state(grid, params)
+    columns = ["B", "I_hat", "R_hat", "a", "dI_dB", "dR_dB", "da_dB"]
     sweep_path = out / "equilibrium_sweep.csv"
-    write_table(sweep_path, ["B", *curve], [grid, *curve.values()])
+    write_table(sweep_path, columns, [getattr(curve, name) for name in columns])
     print(f"wrote {sweep_path}")
     return EXIT_OK
 

@@ -57,8 +57,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import edm as _edm
-from .equilibrium import (_ENDEMIC, _compile_source, _compile_text, _point_array,
-                          _sum_products)
+from .equilibrium import (_ENDEMIC, _compile_source, _compile_text, _sum_products,
+                          endemic_state)
 from .payoff import _QDOT, PayoffMechanism
 
 __all__ = [
@@ -312,10 +312,8 @@ def _kernel(n: int, constants: tuple[str, ...]):
 def _kernel_for(state: EpgState, mech: PayoffMechanism, proto):
     """:func:`_kernel` for the constants of ``mech`` and ``proto``, if
     ``state`` has one share per strategy."""
-    n = len(mech.strategies.betas)
-    if len(state.x) != n:
-        raise ValueError(f"initial state has {len(state.x)} shares for {n} strategies")
-    return _kernel(n, tuple(_constants(mech, proto, 0.0)))
+    mech.rate(state.x)  # raises unless there is one share per strategy
+    return _kernel(len(state.x), tuple(_constants(mech, proto, 0.0)))
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
@@ -462,10 +460,10 @@ def simulate(
 
 def lyapunov_value(state: EpgState, mech: PayoffMechanism, proto) -> float:
     """Closed-loop Lyapunov value: epidemic storage plus protocol storage,
-    at the rate ``B`` summed as the kernel sums it."""
-    B = _sum_products(zip(mech.strategies.betas, state.x))
+    at the rate ``B`` summed as the kernel sums it; raises ``ValueError``
+    unless ``state`` has one share per strategy."""
     epi = _bounds.epidemic_storage(
-        state.I, state.R, B, mech.alloc, mech.params, mech.upsilon
+        state.I, state.R, mech.rate(state.x), mech.alloc, mech.params, mech.upsilon
     )
     return float(epi) + _edm.storage(proto, state.x, mech.payoffs(state.q))
 
@@ -506,14 +504,13 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
         dL[1:-1] = (L[2:] - L[:-2]) / (t[2:] - t[:-2])
 
     params = traj.mech.params
-    curve = np.asarray(traj.B, dtype=float)
-    _, _, I_hat, R_hat, a = _point_array(curve, params)
-    i_dev = I_hat - traj.I
-    r_dev = R_hat - traj.R
+    eq = endemic_state(traj.B, params)
+    i_dev = eq.I_hat - traj.I
+    r_dev = eq.R_hat - traj.R
     bound = (
         -_edm.dissipation(traj.proto, traj.x, traj.p)
-        - (curve - params.delta) * (i_dev * i_dev)
-        - a * (params.omega - params.delta * traj.I) * (r_dev * r_dev)
+        - (eq.B - params.delta) * (i_dev * i_dev)
+        - eq.a * (params.omega - params.delta * traj.I) * (r_dev * r_dev)
     )
     excess = dL - bound
     found = np.flatnonzero(excess[1:-1] > fd_tol) + 1

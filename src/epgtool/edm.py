@@ -187,10 +187,14 @@ def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
 
 
 def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
-    """``x`` and ``p`` as ``(m, n)`` stacks, and whether both were one sample."""
+    """``x`` and ``p`` as ``(m, n)`` stacks, and whether both were one sample;
+    raises ``ValueError`` unless both have the same number of strategies."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    return np.atleast_2d(x), np.atleast_2d(p), x.ndim == 1 and p.ndim == 1
+    X, P = np.atleast_2d(x), np.atleast_2d(p)
+    if X.shape[-1] != P.shape[-1]:
+        raise ValueError(f"x has {X.shape[-1]} shares but p has {P.shape[-1]} payoffs")
+    return X, P, x.ndim == 1 and p.ndim == 1
 
 
 def _flow_text(n: int, smith: bool = False) -> str:

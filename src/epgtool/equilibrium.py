@@ -10,9 +10,10 @@ valid one; it is evaluated in the cancellation-free form
 ``2*omega*(B - sigma) / (b + sqrt(disc))`` so the delta -> 0 limit is exact.
 This algebra and its B-derivatives are written once, as the source text
 ``_ENDEMIC`` (the point, then the slopes).  It is compiled here once,
-elementwise on numpy arrays; :func:`endemic_state` runs that form on a
-float64 and checks its discriminant.  That one check covers the slopes too:
-at the smaller root the determinant of the linearized equations is
+elementwise on numpy arrays, and run by :func:`endemic_state` alone, on a
+rate or an array of rates, whose fields are then floats or arrays.  It
+checks each rate and its discriminant once; that check covers the slopes
+too: at the smaller root the determinant of the linearized equations is
 ``-sqrt(disc)``.  :mod:`epgtool.dynamics` inlines the text in every stage of
 its RK4 kernel.  The module also provides the budget-optimal strategy mix.
 """
@@ -38,7 +39,6 @@ __all__ = [
     "OutOfRange",
     "DegenerateDiscriminant",
     "endemic_state",
-    "endemic_curve",
     "optimal_allocation",
 ]
 
@@ -53,7 +53,8 @@ class DegenerateDiscriminant(ArithmeticError):
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
-    """Endemic equilibrium at transmission rate ``B``.
+    """Endemic equilibrium at transmission rate ``B``: every field is a float,
+    or for an array of rates an array of ``B``'s shape.
 
     ``a`` is the recovered-deviation weight ``B / (gamma + delta*R_hat)``;
     ``b`` and ``disc`` are the quadratic coefficient and discriminant, and
@@ -121,7 +122,7 @@ _ENDEMIC_POINT = _ENDEMIC_PAIR + _DENOM + "a{_} = B{_} / denom{_}\n"
 _ENDEMIC = _ENDEMIC_POINT + _ENDEMIC_SLOPES
 _CONSTANTS = "d, w, gam, sig = params.delta, params.omega, params.gamma, params.sigma\n"
 # the one compiled form of each text, elementwise on numpy arrays;
-# endemic_state runs both on a float64 and checks ``disc``
+# endemic_state alone runs them, and checks ``disc``
 _point_array = _compile_text("endemic_point_array", "B, params",
                              _CONSTANTS + _ENDEMIC_POINT, "b, disc, I_hat, R_hat, a",
                              {"sqrt": np.sqrt})
@@ -131,59 +132,50 @@ _slopes_array = _compile_text("endemic_slopes_array", "B, I_hat, R_hat, params",
 
 
 def endemic_state(
-    B: float,
+    B,
     params: ModelParams,
     strategies: StrategySpec | None = None,
 ) -> EquilibriumPoint:
     """Closed-form endemic equilibrium at transmission rate ``B``, with its
-    B-derivatives.
+    B-derivatives; elementwise in ``B``.
 
-    ``B`` must exceed ``params.sigma``; when ``strategies`` is given, ``B``
-    must additionally lie in ``[betas[0], betas[-1]]``.
+    A float ``B`` gives a point of Python floats; an array of rates gives a
+    point whose fields are arrays of ``B``'s shape.  Every rate must exceed
+    ``params.sigma``; when ``strategies`` is given, every rate must also lie
+    in ``[betas[0], betas[-1]]``.  The first rate in flat order that fails a
+    check raises, for the first check it fails: the strategy range, then
+    ``sigma``, then the discriminant.
 
     Raises
     ------
     OutOfRange
-        If ``B`` is outside the admissible range.
+        If a rate is outside the admissible range.
     DegenerateDiscriminant
         If the quadratic discriminant is not positive (cannot happen for
         validated parameters).
     """
-    B = float(B)
+    # a float64 scalar for a float, else an array: float64 rates make every
+    # division IEEE (inf or NaN, not an exception), so the checks see every value
+    B = np.asarray(B, dtype=float)[()]
+    with np.errstate(all="ignore"):
+        b, disc, I_hat, R_hat, a = _point_array(B, params)
+        slopes = _slopes_array(B, I_hat, R_hat, params)
+    # each check: which rates pass it, and the error for a rate that fails it
+    checks = []
     if strategies is not None:
         lo, hi = strategies.betas[0], strategies.betas[-1]
-        if not lo <= B <= hi:
-            raise OutOfRange(f"B={B!r} outside strategy range [{lo!r}, {hi!r}]")
-    if not B > params.sigma:
-        raise OutOfRange(f"B={B!r} must exceed sigma={params.sigma!r}")
-    # a float64 B makes every division IEEE (inf or NaN, not an exception),
-    # so the check below sees the values the array form computes
-    with np.errstate(all="ignore"):
-        b, disc, I_hat, R_hat, a = map(float, _point_array(np.float64(B), params))
-        dI, dR, da = map(float, _slopes_array(np.float64(B), I_hat, R_hat, params))
-    if not disc > 0.0:
-        raise DegenerateDiscriminant(f"{disc=!r}, {B=!r}")
-    return EquilibriumPoint(B=B, I_hat=I_hat, R_hat=R_hat, a=a, b=b, disc=disc,
-                            dI_dB=dI, dR_dB=dR, da_dB=da)
-
-
-def endemic_curve(B: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
-    """Vectorized endemic quantities over an array of transmission rates.
-
-    Returns arrays ``I_hat``, ``R_hat``, ``a``, ``dI_dB``, ``dR_dB``,
-    ``da_dB`` (same shape as ``B``), equal to the per-rate results of
-    :func:`endemic_state` bit for bit.  No strategy-range check; a rate
-    the endemic algebra rejects raises what :func:`endemic_state` raises
-    for the first such rate.
-    """
-    B = np.asarray(B, dtype=float)
-    with np.errstate(all="ignore"):
-        _, disc, I_hat, R_hat, a = _point_array(B, params)
-        dI, dR, da = _slopes_array(B, I_hat, R_hat, params)
-    bad = ~((B > params.sigma) & (disc > 0.0))  # NaN rates included
-    if bad.any():
-        endemic_state(float(B.ravel()[bad.argmax()]), params)  # raises
-    return dict(I_hat=I_hat, R_hat=R_hat, a=a, dI_dB=dI, dR_dB=dR, da_dB=da)
+        checks.append(((lo <= B) & (B <= hi), lambda B, disc: OutOfRange(
+            f"B={B!r} outside strategy range [{lo!r}, {hi!r}]")))
+    checks.append((B > params.sigma, lambda B, disc: OutOfRange(
+        f"B={B!r} must exceed sigma={params.sigma!r}")))
+    checks.append((disc > 0.0, lambda B, disc: DegenerateDiscriminant(f"{disc=!r}, {B=!r}")))
+    valid = np.logical_and.reduce([passed for passed, _ in checks])
+    if not valid.all():  # NaN rates included
+        k = np.flatnonzero(~valid)[0]
+        first = float(np.ravel(B)[k]), float(np.ravel(disc)[k])
+        raise next(error(*first) for passed, error in checks if not np.ravel(passed)[k])
+    values = (B, I_hat, R_hat, a, b, disc, *slopes)
+    return EquilibriumPoint(*(map(float, values) if B.ndim == 0 else values))
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,18 @@ class PayoffMechanism:
 
     def qdot(self, I: float, R: float, x, q: float = 0.0) -> float:
         """Feedback rate for ``q`` at population state ``x``, whose rate
-        ``B`` is summed as the kernel sums it."""
-        B = float(_sum_products(zip(self.strategies.betas, x)))
-        return self.qdot_at_B(I, R, B, q)
+        ``B`` is summed as the kernel sums it; raises ``ValueError`` unless
+        ``x`` has one share per strategy."""
+        return self.qdot_at_B(I, R, self.rate(x), q)
+
+    def rate(self, x) -> float:
+        """Average transmission rate of the shares ``x``, summed as the
+        kernel sums it; raises ``ValueError`` unless ``x`` has one share per
+        strategy."""
+        n = len(self.strategies.betas)
+        if len(x) != n:
+            raise ValueError(f"initial state has {len(x)} shares for {n} strategies")
+        return float(_sum_products(zip(self.strategies.betas, x)))
 
 
 def build_mechanism(

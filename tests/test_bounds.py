@@ -372,6 +372,15 @@ def test_an_infinite_rate_raises_as_endemic_state(example1, rates, first_bad):
     assert str(raised.value) == str(expected.value)
 
 
+def test_epidemic_storage_rejects_a_rate_not_above_sigma(example1):
+    # used to fail on a bare math domain error inside the log
+    with pytest.raises(OutOfRange, match=r"^B=0\.05 must exceed sigma"):
+        epidemic_storage(0.04, 0.3, 0.05, example1.alloc, example1.params, 2.0)
+    with pytest.raises(OutOfRange, match=r"^B=0\.05 must exceed sigma"):
+        epidemic_storage(np.array([0.04, 0.04]), np.array([0.3, 0.3]),
+                         np.array([0.17, 0.05]), example1.alloc, example1.params, 2.0)
+
+
 # the levels of the bit-for-bit checks: the workload's, the corners, and
 # ROADMAP item 1's counterexample start
 _LEVELS = (0.0008, 0.0, 1e-9, 3e-4, 7.03e-7)

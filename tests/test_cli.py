@@ -166,6 +166,47 @@ def test_simulate_is_deterministic(tmp_path):
     assert digests[0] == digests[1]
 
 
+# example1's outputs with the default settings, by subcommand and file
+PINNED_OUTPUTS = {
+    ("equilibrium",): {
+        "equilibrium_sweep.csv":
+            "89c860e0ccd400c35c953ae721a943d44bb0525e9e99b804084d64aa6f6a9a4f",
+    },
+    ("bounds", "--upsilons", "0.5,1,2,6"): {
+        "bounds_sweep.csv":
+            "487b63fa51b4bc7c56e24c1f87430bdb4f60d2ba14b47ce6b892f09c97fdb35d",
+        "bounds_detail.json":
+            "d08cdb51d5fc346bd19a5654187f3cebd3c0cce433a5aa1dac39ec873c11c049",
+    },
+    ("simulate",): {
+        "trajectory.csv":
+            "4cddf43cbdb0376305b9a12940901e4afbeef8371917c8825d26c3ec5dc8c595",
+        "certification.json":
+            "189a064bc0c92624a80eb7f4adf830b58e7754f632eb9d65ba8e971a9f0b5acf",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_OUTPUTS), ids=lambda c: c[0])
+def test_example1_outputs_are_pinned(command, tmp_path, capsys):
+    """The full sha256 of each output file of example1.
+
+    A change that moves one of them changes the program's results, and has
+    to say so.  ``manifest.json`` holds the git version and is not pinned.
+    The bytes of ``trajectory.csv`` (and so of the level and the bound
+    derived from its start) follow ``math.log``, which glibc implements in
+    more than one variant, picked by the host's CPU features.  ROADMAP
+    item 5 records a kernel fingerprint whose ``L`` column moves in 2 of
+    4001 rows under glibc's non-FMA ``log``; on a host that selects it,
+    these pins may move too while the program has not.
+    """
+    name, *options = command
+    assert main([name, str(CONFIG), "--out", str(tmp_path), *options]) == 0
+    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+               for file in PINNED_OUTPUTS[command]}
+    assert digests == PINNED_OUTPUTS[command]
+
+
 def test_oversized_step_exits_with_runtime_code(tmp_path, capsys):
     code = main([
         "simulate", str(CONFIG), "--out", str(tmp_path),

@@ -538,6 +538,16 @@ def test_start_with_the_wrong_number_of_shares_is_rejected(example1):
         state_derivative(start, example1.mech, example1.proto)
 
 
+@pytest.mark.parametrize("x", [(1.0,), (0.5, 0.3, 0.2)])
+def test_lyapunov_value_rejects_the_wrong_number_of_shares(example1, x):
+    # one share used to give a value, summing the rate over the first
+    # strategy alone
+    start = EpgState(I=0.04, R=0.3, x=x, q=0.0)
+    with pytest.raises(ValueError,
+                       match=rf"^initial state has {len(x)} shares for 2 strategies$"):
+        lyapunov_value(start, example1.mech, example1.proto)
+
+
 def test_stride_that_does_not_divide_the_step_count(example1):
     opts = IntegratorOptions(step=0.01, output_stride=7)
     traj = simulate(example1.initial, 1.0, example1.mech, example1.proto, opts)

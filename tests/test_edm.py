@@ -336,6 +336,19 @@ def test_one_sample_keeps_scalar_types():
     assert mean_field(SMITH, x, p).shape == (3,)
 
 
+@pytest.mark.parametrize("layer", [storage, mean_field, dissipation])
+@pytest.mark.parametrize("x, p, widths", [
+    ([0.5, 0.3, 0.2], [0.1, 0.2], "x has 3 shares but p has 2 payoffs"),
+    ([0.5, 0.5], [0.1, 0.2, 0.3], "x has 2 shares but p has 3 payoffs"),
+    ([[0.5, 0.5]] * 4, [[0.1, 0.2, 0.3]] * 4, "x has 2 shares but p has 3 payoffs"),
+])
+def test_shares_and_payoffs_of_different_widths_are_rejected(layer, x, p, widths):
+    # a storage used to be summed over the shorter of the two; the field
+    # and the dissipation failed on the flow's argument count
+    with pytest.raises(ValueError, match=f"^{widths}$"):
+        layer(SMITH, x, p)
+
+
 def test_non_ipc_protocol_raises_for_stacked_input():
     class Imitation:
         def phi(self, j, gap):

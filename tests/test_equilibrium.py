@@ -12,7 +12,6 @@ from epgtool import (
     OutOfRange,
     PolicyConfig,
     StrategySpec,
-    endemic_curve,
     endemic_state,
     optimal_allocation,
 )
@@ -59,7 +58,7 @@ def test_endemic_pair_stays_in_admissible_region(example1):
 
 def test_infectious_share_increases_with_transmission_rate(example1):
     grid = np.linspace(0.15, 0.19, 100)
-    I_hats = endemic_curve(grid, example1.params)["I_hat"]
+    I_hats = endemic_state(grid, example1.params).I_hat
     assert np.all(np.diff(I_hats) > 0)
 
 
@@ -71,7 +70,7 @@ def test_rate_out_of_strategy_range_is_rejected(example1):
     with pytest.raises(OutOfRange):
         endemic_state(0.05, example1.params)  # below sigma even without a menu
     with pytest.raises(OutOfRange):
-        endemic_curve(np.array([0.15, 0.05]), example1.params)
+        endemic_state(np.array([0.15, 0.05]), example1.params)
 
 
 def test_degenerate_discriminant_is_detected():
@@ -233,14 +232,18 @@ def test_second_quadratic_root_is_outside_unit_interval():
         assert second >= 1.0
 
 
+CURVE_FIELDS = ("I_hat", "R_hat", "a", "dI_dB", "dR_dB", "da_dB")
+
+
 @pytest.mark.parametrize("B", [0.15, 0.163, 0.17, 0.185, 0.19])
 def test_scalar_entry_points_return_floats_equal_to_the_curve(example1, B):
-    # the scalar entry points run the array form on a float64: their fields
-    # are Python floats with the curve's bits
+    # a float rate runs the array form on a float64: its fields are Python
+    # floats with the bits of the same rate in an array
     params = example1.params
     eq = endemic_state(B, params)
-    curve = endemic_curve(np.array([B]), params)
-    for name, values in curve.items():
+    curve = endemic_state(np.array([B]), params)
+    for name in CURVE_FIELDS:
+        values = getattr(curve, name)
         value = getattr(eq, name)
         assert type(value) is float, name
         assert value == float(values[0]), name
@@ -249,17 +252,36 @@ def test_scalar_entry_points_return_floats_equal_to_the_curve(example1, B):
 
 
 def test_degenerate_discriminant_keeps_its_message():
-    # the curve raises what endemic_state raises for its first bad rate
+    # an array raises what a float raises for its first bad rate
     params = ModelParams(gamma=0.0, delta=0.125, zeta=0.0, theta=0.0, psi=0.125)
     with pytest.raises(DegenerateDiscriminant, match=r"^disc=0\.0, B=0\.25$"):
         endemic_state(0.25, params)
     with pytest.raises(DegenerateDiscriminant, match=r"^disc=0\.0, B=0\.25$"):
-        endemic_curve(np.array([0.25]), params)
+        endemic_state(np.array([0.25]), params)
     # B = 0.05 is below sigma: the first bad rate decides the error
     with pytest.raises(OutOfRange, match=r"^B=0\.05 must exceed sigma"):
-        endemic_curve(np.array([[0.05], [0.25]]), params)
+        endemic_state(np.array([[0.05], [0.25]]), params)
     with pytest.raises(DegenerateDiscriminant):
-        endemic_curve(np.array([[0.25], [0.05]]), params)
+        endemic_state(np.array([[0.25], [0.05]]), params)
+
+
+def test_an_array_with_strategies_names_its_first_rate_out_of_range(example1):
+    rates = np.array([0.15, 0.17, 0.205, 0.14, 0.05])
+    with pytest.raises(OutOfRange, match=r"^B=0\.205 outside strategy range \[0\.15, 0\.19\]$"):
+        endemic_state(rates, example1.params, example1.strategies)
+    # the range is checked before sigma, as for a float
+    with pytest.raises(OutOfRange, match=r"^B=0\.05 outside strategy range"):
+        endemic_state(rates[::-1], example1.params, example1.strategies)
+    with pytest.raises(OutOfRange, match=r"^B=nan outside strategy range"):
+        endemic_state(np.array([0.16, np.nan]), example1.params, example1.strategies)
+
+
+def test_an_array_of_rates_gives_arrays_of_its_shape(example1):
+    grid = np.linspace(0.15, 0.19, 6).reshape(2, 3)
+    eq = endemic_state(grid, example1.params, example1.strategies)
+    for name in ("B", "b", "disc", *CURVE_FIELDS):
+        value = getattr(eq, name)
+        assert isinstance(value, np.ndarray) and value.shape == (2, 3), name
 
 
 def test_sensitivity_determinant_is_minus_the_root_of_the_discriminant():

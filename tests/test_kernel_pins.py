@@ -16,7 +16,6 @@ import numpy as np
 from epgtool import (
     EpgState,
     GeneralIPCProtocol,
-    endemic_curve,
     endemic_state,
     mean_field,
     state_derivative,
@@ -75,8 +74,9 @@ def test_kernel_pieces_equal_the_library(example1, three_strategy):
 def test_endemic_curve_equals_the_scalar_path_bit_for_bit(example1):
     params = example1.params
     grid = np.linspace(example1.strategies.betas[0], example1.strategies.betas[-1], 3000)
-    curve = endemic_curve(grid, params)
+    curve = endemic_state(grid, params)
     for k, B in enumerate(grid):
         eq = endemic_state(float(B), params)
-        for name, values in curve.items():
+        for name in ("I_hat", "R_hat", "a", "dI_dB", "dR_dB", "da_dB"):
+            values = getattr(curve, name)
             assert values[k] == getattr(eq, name), (name, B)

@@ -34,6 +34,15 @@ def test_offsupport_reward_sits_below_offset(three_strategy):
     assert mech.r_o[1] == pytest.approx(-cn, abs=1e-15)
 
 
+@pytest.mark.parametrize("x", [(1.0,), (0.5, 0.3, 0.2)])
+def test_qdot_rejects_the_wrong_number_of_shares(example1, x):
+    # one share used to give a rate; three were reported as a rate outside
+    # the strategy range
+    with pytest.raises(ValueError,
+                       match=rf"^initial state has {len(x)} shares for 2 strategies$"):
+        example1.mech.qdot(0.04, 0.3, x)
+
+
 def test_payoffs_at_zero_mechanism_state(example1):
     p = example1.mech.payoffs(0.0)
     assert np.all(p == np.asarray(example1.mech.r_o))
