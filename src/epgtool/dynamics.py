@@ -162,15 +162,15 @@ dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 """
 
 
-def _field_template(n: int, smith: bool) -> str:
+def _field_template(n: int, select: str | None) -> str:
     """``_FIELD`` with the sums over the ``n`` strategies unrolled: ``B``
     summed left to right from ``0.0``, the payoffs, and the pairwise flow
-    ``edm._flow_text(n, smith)``."""
+    ``edm._flow_text(n, select)``."""
     B = " + ".join(["0.0"] + [f"beta_{k} * x_{k}{{i}}" for k in range(n)])
     payoffs = "".join(f"p_{k}{{_}} = q{{i}} * beta_{k} + r_o_{k}\n" for k in range(n))
     # {i} and {_} stay placeholders; they are filled per stage
     return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT,
-                         flow=payoffs + _edm._flow_text(n, smith), i="{i}", _="{_}")
+                         flow=payoffs + _edm._flow_text(n, select), i="{i}", _="{_}")
 
 
 def _constants(mech: PayoffMechanism, proto, h: float) -> dict:
@@ -271,7 +271,7 @@ def _kernel(n: int, constants: tuple[str, ...]):
     are calls ``phi(j, gap)``.
     """
     smith = "phi" not in constants
-    template = _field_template(n, smith)
+    template = _field_template(n, _edm._KERNEL_SELECT if smith else None)
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
     deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
 

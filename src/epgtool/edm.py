@@ -15,20 +15,21 @@ payoffs) is the dissipation returned by :func:`dissipation`.
 :func:`mean_field`, :func:`storage` and :func:`dissipation` take one sample
 (``x``, ``p`` of shape ``(n,)``) or a stack of samples (shape ``(m, n)``),
 e.g. every recorded sample of a trajectory at once.  They loop over the
-n(n-1) ordered strategy pairs, never over the samples, and evaluate the
-rates ``phi(j, gap)`` / ``phi_integral(j, gap)`` on each pair's column of
-gaps.  Sums over strategies run left to right from 0.0, as the kernel's do
+strategy pairs, never over the samples, and evaluate the rates
+``phi(j, gap)`` / ``phi_integral(j, gap)`` on each pair's column of gaps.
+Sums over strategies run left to right from 0.0, as the kernel's do
 (``equilibrium._sum_products``).  Stacked values equal the per-sample
 values bit for bit.  The mean field is one source text, :func:`_flow_text`,
-which :mod:`epgtool.dynamics` inlines in every stage of its RK4 kernel.
+run on columns here and in every RK4 stage of :mod:`epgtool.dynamics`.
 
 Smith's capped-linear law is written once more as a spec, ``_SMITH_PHI``
 and ``_SMITH_PHI_INTEGRAL``, in the operation order of
 :meth:`SmithProtocol.phi` and :meth:`SmithProtocol.phi_integral`.  For a
-:class:`SmithProtocol` it is rendered as conditional expressions inside the
-kernel's flow and with ``np.where`` on whole gap columns, so no rate is a
-Python call.  Every other protocol, a subclass of :class:`SmithProtocol`
-included, is called through its scalar methods, once per gap.
+:class:`SmithProtocol` the flow text writes the rate as conditional
+expressions in the kernel and with ``np.where`` on gap columns, and the
+antiderivative runs with ``np.where`` too, so no rate is a Python call.
+Every other protocol, a subclass of :class:`SmithProtocol` included, is
+called through its scalar methods, once per gap.
 """
 
 from __future__ import annotations
@@ -148,22 +149,19 @@ def _render(law, form: str) -> str:
 
 
 _KERNEL_SELECT = "({1} if {0} else {2})"
-_SMITH_COLUMNS = {
-    name: _compile_text(f"smith_{name}_array", "g, rg, cap",
-                        temporaries.format(g="g", v="v"),
-                        _render(law, "where({0}, {1}, {2})").format(g="g", v="v"),
-                        {"where": np.where})
-    for name, temporaries, law in (("phi", _SMITH_V + "\n", _SMITH_PHI),
-                                   ("phi_integral", "", _SMITH_PHI_INTEGRAL))
-}
+_COLUMN_SELECT = "where({0}, {1}, {2})"
+# Smith's antiderivative on a gap column (its rate runs in the flow text)
+_smith_integral = _compile_text(
+    "smith_phi_integral_array", "g, rg, cap", "",
+    _render(_SMITH_PHI_INTEGRAL, _COLUMN_SELECT).format(g="g"), {"where": np.where})
 
 
 def _rate_constants(proto) -> dict:
-    """The constants that :func:`_flow_text` and :func:`_rates` read
-    ``proto``'s rate from: ``rg`` and ``cap`` of Smith's law for an exact
-    :class:`SmithProtocol`, or ``phi``, called as ``phi(j, gap)``, for any
-    other protocol.  A subclass gets ``phi``: it may override it, so its
-    rates are called, never inlined."""
+    """The constants that :func:`_flow_text` reads ``proto``'s rate from:
+    ``rg`` and ``cap`` of Smith's law for an exact :class:`SmithProtocol`,
+    or ``phi``, called as ``phi(j, gap)``, for any other protocol.  A
+    subclass gets ``phi``: it may override it, so its rates are called,
+    never inlined."""
     if type(proto) is SmithProtocol:
         return {"rg": proto.rate_gain, "cap": proto.cap}
     return {"phi": proto.phi}
@@ -174,62 +172,73 @@ def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
     each entry ``g`` of the gap column ``gaps``, bit for bit as
     ``getattr(proto, name)(j, g)``.
 
-    Smith's law runs on the whole column with ``np.where``; both branches
-    are evaluated, so an overflow in the one not taken is silenced.  Any
-    other protocol's scalar method is mapped over the column.
+    Smith's antiderivative runs on the whole column with ``np.where``; both
+    branches are evaluated, so an overflow in the one not taken is silenced.
+    Any other method is mapped over the column.
     """
-    constants = _rate_constants(proto)
-    if "phi" in constants:
-        rate = getattr(proto, name)
-        return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
-    with np.errstate(over="ignore"):
-        return _SMITH_COLUMNS[name](gaps, **constants)
+    if name == "phi_integral" and type(proto) is SmithProtocol:
+        with np.errstate(over="ignore"):
+            return _smith_integral(gaps, proto.rate_gain, proto.cap)
+    rate = getattr(proto, name)
+    return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
 
 
 def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
     """``x`` and ``p`` as ``(m, n)`` stacks, and whether both were one sample;
-    raises ``ValueError`` unless both have the same number of strategies."""
+    raises ``ValueError`` unless each is one sample or a stack, both have the
+    same number of strategies, and two stacks have the same number of
+    samples."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    for name, v in (("x", x), ("p", p)):
+        if v.ndim > 2:
+            raise ValueError(f"{name} has {v.ndim} dimensions, more than a stack")
     X, P = np.atleast_2d(x), np.atleast_2d(p)
     if X.shape[-1] != P.shape[-1]:
         raise ValueError(f"x has {X.shape[-1]} shares but p has {P.shape[-1]} payoffs")
+    if x.ndim == p.ndim == 2 and len(X) != len(P):
+        raise ValueError(f"x has {len(X)} samples but p has {len(P)}")
     return X, P, x.ndim == 1 and p.ndim == 1
 
 
-def _flow_text(n: int, smith: bool = False) -> str:
-    """The mean dynamics of ``n`` strategies as source text: the flow
-    ``f_i_j = x_i * phi(j, p_j - p_i)`` of each ordered pair, and ``dx_i``,
-    the sum of ``f_j_i - f_i_j`` over ``j != i`` from ``0.0``, left to right.
-    ``{i}`` suffixes the shares and ``{_}`` the values computed from them.
+def _flow_text(n: int, select: str | None) -> str:
+    """The mean dynamics of ``n`` strategies as source text: ``dx_i``, the
+    sum over ``j != i`` of ``f_j_i - f_i_j`` from ``0.0``, left to right, of
+    the flows ``f_i_j = x_i * phi(j, p_j - p_i)``.  ``{i}`` suffixes the
+    shares and ``{_}`` the values computed from them.  The pairs ``i < j``
+    come in order, each adding its flows ``f_ij`` and ``f_ji`` to ``dx_i``
+    and ``dx_j`` at once, so one pair's temporaries are live at a time.
 
-    With ``smith``, the rate is ``_SMITH_PHI`` inlined as a conditional
-    expression on the constants ``rg`` and ``cap``, with the gap ``g_i_j``
-    and ``v_i_j = rg * g_i_j`` as temporaries, in place of the call."""
-    lines = []
+    With a ``select`` form, ``_KERNEL_SELECT`` or ``_COLUMN_SELECT``, the
+    rate is ``_SMITH_PHI`` in that form on ``rg`` and ``cap``, with the
+    temporaries ``g`` (the gap) and ``v = rg * g``; with ``None`` it is the
+    call ``phi(j, gap)``."""
+    lines, started = [], set()
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gap = f"p_{j}{{_}} - p_{i}{{_}}"
-            if smith:
-                g, v = f"g_{i}_{j}{{_}}", f"v_{i}_{j}{{_}}"
-                lines += [f"{g} = {gap}", _SMITH_V.format(g=g, v=v)]
-                rate = _render(_SMITH_PHI, _KERNEL_SELECT).format(g=g, v=v)
-            else:
-                rate = f"phi({j}, {gap})"
-            lines.append(f"f_{i}_{j}{{_}} = x_{i}{{i}} * {rate}")
-    lines += [f"dx_{i}{{_}} = 0.0" + "".join(f" + (f_{j}_{i}{{_}} - f_{i}_{j}{{_}})"
-                                        for j in range(n) if j != i) for i in range(n)]
+        for j in range(i + 1, n):
+            for flow, src, dst in (("f_ij", i, j), ("f_ji", j, i)):
+                gap = f"p_{dst}{{_}} - p_{src}{{_}}"
+                if select is None:
+                    rate = f"phi({dst}, {gap})"
+                else:
+                    lines += [f"g{{_}} = {gap}", _SMITH_V.format(g="g{_}", v="v{_}")]
+                    rate = _render(_SMITH_PHI, select).format(g="g{_}", v="v{_}")
+                lines.append(f"{flow}{{_}} = x_{src}{{i}} * {rate}")
+            for k, net in ((i, "f_ji{_} - f_ij{_}"), (j, "f_ij{_} - f_ji{_}")):
+                total = f"dx_{k}{{_}}" if k in started else "0.0"
+                lines.append(f"dx_{k}{{_}} = {total} + ({net})")
+                started.add(k)
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _flow(n: int):
-    """``_flow_text(n)`` compiled as ``flow(x_0.., p_0.., phi) -> (dx_0, ..)``."""
+def _flow(n: int, select: str | None):
+    """``_flow_text(n, select)`` compiled as ``flow(x_0.., p_0.., *constants)
+    -> (dx_0, ..)``: the constants are ``rg, cap``, or ``phi`` for ``None``."""
     x, p, dx = ([f"{v}_{k}" for k in range(n)] for v in ("x", "p", "dx"))
-    return _compile_text(f"flow_n{n}", ", ".join(x + p + ["phi"]), _flow_text(n),
-                         ", ".join(dx), {})
+    constants, called = (["phi"], "_phi") if select is None else (["rg", "cap"], "")
+    return _compile_text(f"flow_n{n}{called}", ", ".join(x + p + constants),
+                         _flow_text(n, select), ", ".join(dx), {"where": np.where})
 
 
 def mean_field(proto, x, p) -> np.ndarray:
@@ -237,13 +246,17 @@ def mean_field(proto, x, p) -> np.ndarray:
 
     Takes one sample (``x``, ``p`` of shape ``(n,)``, returns ``(n,)``) or a
     stack of samples (shape ``(m, n)``, returns ``(m, n)``).  Runs
-    :func:`_flow_text` on the columns of the stacks.  The total of the
-    components is exactly zero for n = 2 and carries only the roundings of
-    the per-component sums otherwise.
+    :func:`_flow_text` on the columns of the stacks, with Smith's law in
+    ``np.where`` form or ``phi`` mapped over each gap column.  The total of
+    the components is exactly zero for n = 2 and carries only the roundings
+    of the per-component sums otherwise.
     """
     X, P, single = _stack(x, p)
-    v = np.stack(_flow(P.shape[1])(*X.T, *P.T, functools.partial(_rates, proto, "phi")),
-                 axis=1)
+    constants, select = _rate_constants(proto), _COLUMN_SELECT
+    if "phi" in constants:
+        constants, select = {"phi": functools.partial(_rates, proto, "phi")}, None
+    with np.errstate(over="ignore"):  # in the branch of a selection not taken
+        v = np.stack(_flow(P.shape[1], select)(*X.T, *P.T, **constants), axis=1)
     return v[0] if single else v
 
 

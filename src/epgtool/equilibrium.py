@@ -103,32 +103,25 @@ def _sum_products(pairs):
 # are delta, omega, gamma, sigma.  (dI_dB, dR_dB) solves the equilibrium
 # equations linearized in B; their determinant ``det`` is -sq at the smaller
 # root, so ``disc > 0`` makes it negative.
-_ENDEMIC_PAIR = """\
+_ENDEMIC = """\
 b{_} = gam * B{_} + w * (B{_} - d) + d * (B{_} - sig)
 disc{_} = b{_} * b{_} - 4.0 * d * w * (B{_} - d) * (B{_} - sig)
 sq{_} = sqrt(disc{_})
 I_hat{_} = 2.0 * w * (B{_} - sig) / (b{_} + sq{_})
 R_hat{_} = (1.0 - sig / B{_}) - (1.0 - d / B{_}) * I_hat{_}
-"""
-_DENOM = "denom{_} = gam + d * R_hat{_}\n"
-_ENDEMIC_SLOPES = """\
+denom{_} = gam + d * R_hat{_}
+a{_} = B{_} / denom{_}
 det{_} = -(B{_} - d) * (w - d * I_hat{_}) - B{_} * denom{_}
 free{_} = 1.0 - I_hat{_} - R_hat{_}
 dI_dB{_} = -(w - d * I_hat{_}) * free{_} / det{_}
 dR_dB{_} = -denom{_} * free{_} / det{_}
 da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
 """
-_ENDEMIC_POINT = _ENDEMIC_PAIR + _DENOM + "a{_} = B{_} / denom{_}\n"
-_ENDEMIC = _ENDEMIC_POINT + _ENDEMIC_SLOPES
-_CONSTANTS = "d, w, gam, sig = params.delta, params.omega, params.gamma, params.sigma\n"
-# the one compiled form of each text, elementwise on numpy arrays;
-# endemic_state alone runs them, and checks ``disc``
-_point_array = _compile_text("endemic_point_array", "B, params",
-                             _CONSTANTS + _ENDEMIC_POINT, "b, disc, I_hat, R_hat, a",
-                             {"sqrt": np.sqrt})
-_slopes_array = _compile_text("endemic_slopes_array", "B, I_hat, R_hat, params",
-                              _CONSTANTS + _DENOM + _ENDEMIC_SLOPES,
-                              "dI_dB, dR_dB, da_dB", {"sqrt": np.sqrt})
+# its one compiled form, elementwise on numpy arrays, returning the fields
+# of EquilibriumPoint in order; endemic_state alone runs it, and checks ``disc``
+_endemic_array = _compile_text("endemic_array", "B, d, w, gam, sig", _ENDEMIC,
+                               "B, I_hat, R_hat, a, b, disc, dI_dB, dR_dB, da_dB",
+                               {"sqrt": np.sqrt})
 
 
 def endemic_state(
@@ -158,8 +151,8 @@ def endemic_state(
     # division IEEE (inf or NaN, not an exception), so the checks see every value
     B = np.asarray(B, dtype=float)[()]
     with np.errstate(all="ignore"):
-        b, disc, I_hat, R_hat, a = _point_array(B, params)
-        slopes = _slopes_array(B, I_hat, R_hat, params)
+        values = _endemic_array(B, params.delta, params.omega, params.gamma, params.sigma)
+    disc = values[5]
     # each check: which rates pass it, and the error for a rate that fails it
     checks = []
     if strategies is not None:
@@ -174,7 +167,6 @@ def endemic_state(
         k = np.flatnonzero(~valid)[0]
         first = float(np.ravel(B)[k]), float(np.ravel(disc)[k])
         raise next(error(*first) for passed, error in checks if not np.ravel(passed)[k])
-    values = (B, I_hat, R_hat, a, b, disc, *slopes)
     return EquilibriumPoint(*(map(float, values) if B.ndim == 0 else values))
 
 

@@ -341,10 +341,16 @@ def test_one_sample_keeps_scalar_types():
     ([0.5, 0.3, 0.2], [0.1, 0.2], "x has 3 shares but p has 2 payoffs"),
     ([0.5, 0.5], [0.1, 0.2, 0.3], "x has 2 shares but p has 3 payoffs"),
     ([[0.5, 0.5]] * 4, [[0.1, 0.2, 0.3]] * 4, "x has 2 shares but p has 3 payoffs"),
+    ([[0.5, 0.5]], [[0.1, 0.2]] * 3, "x has 1 samples but p has 3"),
+    ([[0.5, 0.5]] * 4, [[0.1, 0.2]] * 3, "x has 4 samples but p has 3"),
+    ([[[0.5, 0.5]] * 2] * 2, [[0.1, 0.2]] * 2, "x has 3 dimensions, more than a stack"),
+    ([0.5, 0.5], [[[0.1, 0.2]] * 2] * 2, "p has 3 dimensions, more than a stack"),
 ])
 def test_shares_and_payoffs_of_different_widths_are_rejected(layer, x, p, widths):
     # a storage used to be summed over the shorter of the two; the field
-    # and the dissipation failed on the flow's argument count
+    # and the dissipation failed on the flow's argument count.  Stacks of
+    # different lengths were broadcast, or failed in numpy, and a stack of
+    # stacks gave a stack of values
     with pytest.raises(ValueError, match=f"^{widths}$"):
         layer(SMITH, x, p)
 
@@ -373,33 +379,73 @@ def _bits(values):
 
 @pytest.mark.parametrize("proto", [SMITH, SmithProtocol(rate_gain=3.0, cap=0.7)])
 def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
-    """The rate the kernel inlines and the column forms of both rates return
-    the scalar methods' bits, -0.0 and NaN included."""
+    """The rate that the flow text inlines, as the kernel's conditional and
+    with ``where`` on columns, and the column form of the antiderivative
+    return the scalar methods' bits, -0.0 and NaN included."""
     gaps = _edge_gaps(proto)
-    # the kernel's flow of one pair: share 1.0 at payoff 0.0, so f_0_1 is the rate
-    kernel_flow = _compile_text("flow", "x_0, x_1, p_0, p_1, rg, cap",
-                                edm._flow_text(2, smith=True), "f_0_1", {})
-    inlined = [kernel_flow(1.0, 0.0, 0.0, g, proto.rate_gain, proto.cap) for g in gaps]
-    assert np.array_equal(_bits(inlined), _bits([proto.phi(0, g) for g in gaps]))
+    constants = proto.rate_gain, proto.cap
+    scalar = _bits([proto.phi(0, g) for g in gaps])
+    # the flow of one pair: share 1.0 at payoff 0.0, so f_ij is the rate at gap p_1
+    kernel_flow, column_flow = (
+        _compile_text(f"pair_flow_{form}", "x_0, x_1, p_0, p_1, rg, cap",
+                      edm._flow_text(2, select), "f_ij", {"where": np.where})
+        for form, select in (("kernel", edm._KERNEL_SELECT), ("columns", edm._COLUMN_SELECT)))
+    inlined = [kernel_flow(1.0, 0.0, 0.0, g, *constants) for g in gaps]
+    assert np.array_equal(_bits(inlined), scalar)
+    ones = np.ones(len(gaps))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name in ("phi", "phi_integral"):
-            column = edm._rates(proto, name, 0, np.array(gaps))
-            scalar = [getattr(proto, name)(0, g) for g in gaps]
-            assert np.array_equal(_bits(column), _bits(scalar)), name
+        column = column_flow(ones, 0.0 * ones, 0.0 * ones, np.array(gaps), *constants)
+        assert np.array_equal(_bits(column), scalar)
+        column = edm._rates(proto, "phi_integral", 0, np.array(gaps))
+        assert np.array_equal(_bits(column), _bits([proto.phi_integral(0, g) for g in gaps]))
+
+
+def _general(n):
+    return GeneralIPCProtocol(phis=tuple(GENERAL.phis[k % 2] for k in range(n)), cap=0.2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("proto", [SMITH, SmithProtocol(rate_gain=3.0, cap=0.7), _general],
+                         ids=["smith", "smith_steep", "general"])
+def test_mean_field_sums_the_pair_flows_left_to_right_bit_for_bit(proto, n):
+    """Component i is ``0.0 + (f_j_i - f_i_j) + ...`` over ``j != i`` in
+    order, with ``f_i_j = x_i * phi(j, p_j - p_i)``, for a stack and for
+    each of its samples alone."""
+    if proto is _general:
+        proto = _general(n)
+    x, p = _stacked_samples(n, 60 if isinstance(proto, GeneralIPCProtocol) else 400,
+                            seed=30 + n)
+    stacked = mean_field(proto, x, p)
+    oracle = np.empty_like(x)
+    for k in range(len(x)):
+        flow = x[k][:, None] * switch_rates(proto, x[k], p[k])
+        for i in range(n):
+            total = 0.0
+            for j in range(n):
+                if j != i:
+                    total = total + (float(flow[j, i]) - float(flow[i, j]))
+            oracle[k, i] = total
+    assert np.array_equal(_bits(stacked), _bits(oracle))
+    for k in range(0, len(x), 17):
+        assert np.array_equal(_bits(mean_field(proto, x[k], p[k])), _bits(oracle[k]))
 
 
 def test_smith_storage_builds_no_pair_tensor():
-    """Smith's rates run one gap column at a time: the peak memory of a
-    stacked storage is a few columns above its per-strategy sums, below one
-    (m, n, n) tensor of gaps."""
+    """Smith's rates run one gap column at a time, and the mean field holds
+    one pair's flows at a time: the peak memory of a stacked storage is a
+    few columns above its per-strategy sums, and that of the mean field and
+    the dissipation a few columns above those sums and the field's result,
+    below one (m, n, n) tensor of gaps."""
     m, n = 20000, 6
     x, p = _stacked_samples(n, m, seed=3)
-    tracemalloc.start()
-    try:
-        storage(SMITH, x, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     column = m * np.dtype(float).itemsize
-    assert peak < (n + 8) * column < n * n * column
+    for layer, columns in ((storage, n + 8), (mean_field, 2 * n + 8),
+                           (dissipation, 2 * n + 8)):
+        tracemalloc.start()
+        try:
+            layer(SMITH, x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns * column < n * n * column, layer.__name__
