@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .bounds import BoundQuery, certify_trajectory, default_grid, peak_bound
 from .config import apply_overrides, load_config, resolve
 from .dynamics import (
     StepRejected,
+    lyapunov_series,
     lyapunov_value,
     simulate,
     write_csv,
@@ -181,17 +183,36 @@ def _certify(run, traj, out: Path):
     return report
 
 
+def _audit(traj) -> dict:
+    """The Lyapunov audit of ``traj`` (:func:`lyapunov_series`): the worst
+    excess of the sampled slope over its decrease bound (``None`` with
+    fewer than three samples), the count of violations, and ``fd_tol``."""
+    series = lyapunov_series(traj)
+    excess = (series.dvalue_dt - series.decrease_bound)[1:-1]
+    return {"worst_excess": float(excess.max()) if excess.size else None,
+            "violations": len(series.violations), "fd_tol": series.fd_tol}
+
+
 def cmd_simulate(args) -> int:
     run = _load(args)
+    start = time.perf_counter()
     traj = _run_simulation(run)
+    integrated = time.perf_counter()
     out = _outdir(args)
     csv_path = out / "trajectory.csv"
     write_csv(traj, csv_path)
+    written = time.perf_counter()
+    audit = _audit(traj)
+    audited = time.perf_counter()
+    report = _certify(run, traj, out)
+    phases = {"integrate": integrated - start, "write_csv": written - integrated,
+              "bound": time.perf_counter() - audited}
     _write_manifest(run, out / "manifest.json", {
         "csv_columns": "t,I,R,x1..xn,q,B,cost,avg_cost,L",
         "run_stats": dataclasses.asdict(traj.stats),
+        "phases_s": phases,
+        "audit": audit,
     })
-    report = _certify(run, traj, out)
     k_end = len(traj) - 1
     print(f"simulated {run.horizon} days ({traj.stats.steps} steps)")
     print(f"terminal state: I={traj.I[k_end]:.6g} R={traj.R[k_end]:.6g} "

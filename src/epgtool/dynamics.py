@@ -57,8 +57,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import edm as _edm
-from .equilibrium import (_ENDEMIC, _compile_source, _compile_text, _sum_products,
-                          endemic_state)
+from .equilibrium import (_ENDEMIC, _compile_source, _compile_text, _endemic_constants,
+                          _sum_products, endemic_state)
 from .payoff import _QDOT, PayoffMechanism
 
 __all__ = [
@@ -106,7 +106,11 @@ class EpgState:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        # ``+ 0.0`` turns a -0.0 into 0.0 and keeps every other value's bits,
+        # so a start of -0.0 is written as 0
+        object.__setattr__(self, "R", self.R + 0.0)
+        object.__setattr__(self, "x", tuple(float(v) + 0.0 for v in self.x))
+        object.__setattr__(self, "q", self.q + 0.0)
         if not all(math.isfinite(v) for v in (self.I, self.R, *self.x, self.q)):
             raise ValueError(
                 f"state (I={self.I!r}, R={self.R!r}, x={self.x!r}, q={self.q!r}) "
@@ -156,7 +160,7 @@ B{_} = {B}
 {endemic}
 i_dev{_} = I_hat{_} - I{i}
 {qdot}
-dI{_} = (B{_} * r_dev{_} + (B{_} - d) * i_dev{_}) * I{i}
+dI{_} = (B{_} * r_dev{_} + Bd{_} * i_dev{_}) * I{i}
 dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 {flow}
 """
@@ -175,11 +179,9 @@ def _field_template(n: int, select: str | None) -> str:
 
 def _constants(mech: PayoffMechanism, proto, h: float) -> dict:
     """``K`` by name, in the order the generated functions unpack it: the
-    rate (``edm._rate_constants``), the model constants and the step sizes
-    for ``h``."""
-    params = mech.params
-    return {**_edm._rate_constants(proto), "d": params.delta, "w": params.omega,
-            "gam": params.gamma, "sig": params.sigma,
+    rate (``edm._rate_constants``), the endemic text's constants
+    (``equilibrium._endemic_constants``), the others and the steps for ``h``."""
+    return {**_edm._rate_constants(proto), **_endemic_constants(mech.params),
             "ups2": mech.upsilon * mech.upsilon, "bstar": mech.alloc.betastar,
             **{f"beta_{k}": v for k, v in enumerate(mech.strategies.betas)},
             **{f"r_o_{k}": v for k, v in enumerate(mech.r_o)},

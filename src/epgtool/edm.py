@@ -130,11 +130,11 @@ class GeneralIPCProtocol:
 
 # Smith's rate at gap {g} and its antiderivative, each a selection
 # (condition, value if true, value if false) on the constants ``rg`` and
-# ``cap``, with the temporary ``_SMITH_V`` and the knee written as
-# ``cap / rg``.  ``cap < v`` picks as ``min(v, cap)`` does, so a NaN gap
-# gives NaN, as the scalar methods do.
-_SMITH_V = "{v} = rg * {g}"
-_SMITH_PHI = ("{g} <= 0.0", "0.0", ("cap < {v}", "cap", "{v}"))
+# ``cap``, with ``v = rg * g`` bound in the inner condition (the kernel
+# multiplies only past the zero branch) and the knee written as ``cap / rg``.
+# ``cap < v`` picks as ``min(v, cap)`` does, so a NaN gap gives NaN, as the
+# scalar methods do.
+_SMITH_PHI = ("{g} <= 0.0", "0.0", ("cap < ({v} := rg * {g})", "cap", "{v}"))
 _SMITH_PHI_INTEGRAL = ("{g} <= 0.0", "0.0", ("{g} <= cap / rg", "0.5 * rg * {g} * {g}",
                                              "cap * {g} - cap * cap / (2.0 * rg)"))
 
@@ -206,8 +206,9 @@ def _flow_text(n: int, select: str | None) -> str:
     sum over ``j != i`` of ``f_j_i - f_i_j`` from ``0.0``, left to right, of
     the flows ``f_i_j = x_i * phi(j, p_j - p_i)``.  ``{i}`` suffixes the
     shares and ``{_}`` the values computed from them.  The pairs ``i < j``
-    come in order, each adding its flows ``f_ij`` and ``f_ji`` to ``dx_i``
-    and ``dx_j`` at once, so one pair's temporaries are live at a time.
+    come in order, each adding ``net = f_ji - f_ij`` to ``dx_i`` and taking
+    it from ``dx_j`` at once, so one pair's temporaries are live at a time;
+    ``dx_j - net`` rounds as ``dx_j + (f_ij - f_ji)``: no running sum is -0.0.
 
     With a ``select`` form, ``_KERNEL_SELECT`` or ``_COLUMN_SELECT``, the
     rate is ``_SMITH_PHI`` in that form on ``rg`` and ``cap``, with the
@@ -221,12 +222,13 @@ def _flow_text(n: int, select: str | None) -> str:
                 if select is None:
                     rate = f"phi({dst}, {gap})"
                 else:
-                    lines += [f"g{{_}} = {gap}", _SMITH_V.format(g="g{_}", v="v{_}")]
+                    lines.append(f"g{{_}} = {gap}")
                     rate = _render(_SMITH_PHI, select).format(g="g{_}", v="v{_}")
                 lines.append(f"{flow}{{_}} = x_{src}{{i}} * {rate}")
-            for k, net in ((i, "f_ji{_} - f_ij{_}"), (j, "f_ij{_} - f_ji{_}")):
+            lines.append("net{_} = f_ji{_} - f_ij{_}")
+            for k, sign in ((i, "+"), (j, "-")):
                 total = f"dx_{k}{{_}}" if k in started else "0.0"
-                lines.append(f"dx_{k}{{_}} = {total} + ({net})")
+                lines.append(f"dx_{k}{{_}} = {total} {sign} net{{_}}")
                 started.add(k)
     return "\n".join(lines) + "\n"
 

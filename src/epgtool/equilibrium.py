@@ -13,9 +13,9 @@ This algebra and its B-derivatives are written once, as the source text
 elementwise on numpy arrays, and run by :func:`endemic_state` alone, on a
 rate or an array of rates, whose fields are then floats or arrays.  It
 checks each rate and its discriminant once; that check covers the slopes
-too: at the smaller root the determinant of the linearized equations is
-``-sqrt(disc)``.  :mod:`epgtool.dynamics` inlines the text in every stage of
-its RK4 kernel.  The module also provides the budget-optimal strategy mix.
+too: at the smaller root the linearized equations' determinant is
+``-sqrt(disc)``, carried negated as ``pdet``.  :mod:`epgtool.dynamics` inlines
+the text in every RK4 stage.  The module also provides the budget-optimal mix.
 """
 
 from __future__ import annotations
@@ -99,29 +99,39 @@ def _sum_products(pairs):
 
 
 # The endemic pair at rate B with its weight ``a``, and their B-derivatives.
-# ``{_}`` suffixes every name (the stage in the RK4 kernel); d, w, gam, sig
-# are delta, omega, gamma, sigma.  (dI_dB, dR_dB) solves the equilibrium
-# equations linearized in B; their determinant ``det`` is -sq at the smaller
-# root, so ``disc > 0`` makes it negative.
+# ``{_}`` suffixes every name (the stage in the RK4 kernel); the constants
+# are :func:`_endemic_constants`'s.  Each repeated value is computed once.
+# (dI_dB, dR_dB) solves the equilibrium equations linearized in B; ``pdet``,
+# minus their determinant, is +sq at the smaller root, so positive.
 _ENDEMIC = """\
-b{_} = gam * B{_} + w * (B{_} - d) + d * (B{_} - sig)
-disc{_} = b{_} * b{_} - 4.0 * d * w * (B{_} - d) * (B{_} - sig)
+Bd{_} = B{_} - d
+Bs{_} = B{_} - sig
+b{_} = gam * B{_} + w * Bd{_} + d * Bs{_}
+disc{_} = b{_} * b{_} - d4w * Bd{_} * Bs{_}
 sq{_} = sqrt(disc{_})
-I_hat{_} = 2.0 * w * (B{_} - sig) / (b{_} + sq{_})
+I_hat{_} = w2 * Bs{_} / (b{_} + sq{_})
 R_hat{_} = (1.0 - sig / B{_}) - (1.0 - d / B{_}) * I_hat{_}
 denom{_} = gam + d * R_hat{_}
 a{_} = B{_} / denom{_}
-det{_} = -(B{_} - d) * (w - d * I_hat{_}) - B{_} * denom{_}
+wI{_} = w - d * I_hat{_}
+pdet{_} = Bd{_} * wI{_} + B{_} * denom{_}
 free{_} = 1.0 - I_hat{_} - R_hat{_}
-dI_dB{_} = -(w - d * I_hat{_}) * free{_} / det{_}
-dR_dB{_} = -denom{_} * free{_} / det{_}
+dI_dB{_} = wI{_} * free{_} / pdet{_}
+dR_dB{_} = denom{_} * free{_} / pdet{_}
 da_dB{_} = (gam + d * (R_hat{_} - B{_} * dR_dB{_})) / (denom{_} * denom{_})
 """
 # its one compiled form, elementwise on numpy arrays, returning the fields
 # of EquilibriumPoint in order; endemic_state alone runs it, and checks ``disc``
-_endemic_array = _compile_text("endemic_array", "B, d, w, gam, sig", _ENDEMIC,
+_endemic_array = _compile_text("endemic_array", "B, d, w, gam, sig, d4w, w2", _ENDEMIC,
                                "B, I_hat, R_hat, a, b, disc, dI_dB, dR_dB, da_dB",
                                {"sqrt": np.sqrt})
+
+
+def _endemic_constants(params: ModelParams) -> dict:
+    """``_ENDEMIC``'s constants: delta, omega, gamma, sigma, and the leading
+    products ``4.0 * d * w`` and ``2.0 * w`` of its left-to-right reading."""
+    d, w = params.delta, params.omega
+    return dict(d=d, w=w, gam=params.gamma, sig=params.sigma, d4w=4.0 * d * w, w2=2.0 * w)
 
 
 def endemic_state(
@@ -151,7 +161,7 @@ def endemic_state(
     # division IEEE (inf or NaN, not an exception), so the checks see every value
     B = np.asarray(B, dtype=float)[()]
     with np.errstate(all="ignore"):
-        values = _endemic_array(B, params.delta, params.omega, params.gamma, params.sigma)
+        values = _endemic_array(B, **_endemic_constants(params))
     disc = values[5]
     # each check: which rates pass it, and the error for a rate that fails it
     checks = []

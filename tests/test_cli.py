@@ -136,6 +136,30 @@ def test_simulate_manifest_holds_the_run_stats(tmp_path):
     assert 0.0 < stats["worst_renormalization"] <= 1e-15
 
 
+def test_simulate_manifest_holds_the_phase_times_and_the_audit(tmp_path):
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    phases = manifest["phases_s"]
+    assert set(phases) == {"integrate", "write_csv", "bound"}
+    assert all(t >= 0.0 for t in phases.values())
+    audit = manifest["audit"]
+    assert audit["violations"] == 0 and audit["fd_tol"] == 1e-6
+    assert abs(audit["worst_excess"]) < audit["fd_tol"]
+    # two samples have no interior slope to audit
+    short = ["--set", "integrator.horizon=50", "--set", "integrator.output_stride=5000"]
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *short]) == 0
+    audit = json.loads((tmp_path / "manifest.json").read_text())["audit"]
+    assert audit == {"worst_excess": None, "violations": 0, "fd_tol": 1e-6}
+
+
+def test_simulate_writes_a_negative_zero_start_as_zero(tmp_path):
+    negative = ["--set", "initial.x=[1.0,-0.0]", "--set", "initial.q=-0.0"]
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST, *negative]) == 0
+    first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert (first[4], first[5]) == ("0", "0")
+    assert "-0" not in first
+
+
 def test_manifest_records_every_setting_of_a_minimal_config(tmp_path):
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps({

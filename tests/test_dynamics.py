@@ -435,6 +435,14 @@ def test_state_rejects_non_finite_entries(field):
         EpgState(**values)
 
 
+def test_state_stores_negative_zeros_as_zeros():
+    state = EpgState(I=0.02, R=-0.0, x=(1.0, -0.0), q=-0.0)
+    assert [math.copysign(1.0, v) for v in (state.R, *state.x, state.q)] == [1.0] * 4
+    # every other value keeps its bits
+    kept = EpgState(I=0.02, R=5e-324, x=(0.25, 0.75), q=-1e-300)
+    assert (kept.R, kept.x, kept.q) == (5e-324, (0.25, 0.75), -1e-300)
+
+
 def test_csv_rows_match_per_value_formatting_across_blocks(example1, tmp_path):
     """The block-wise writer gives the bytes of formatting every value of
     every row with ``CSV_FLOAT_FORMAT``, over several blocks of rows."""
