@@ -19,10 +19,12 @@ the ratios are that bisection's bit for bit.
 
 Every value is computed with ``math.log``.  numpy's log, faster on arrays
 but free to differ in the last bit, is used for decisions only: each
-halving asks whether the level lies below ``alpha``, and
-:func:`_level_below` answers from numpy's log widened by a room far larger
-than that last bit, calling ``math.log`` only where the room cannot tell.
-The answers, and so the ratios, are ``math.log``'s.
+halving asks whether the level lies below ``alpha``.  Most halvings are
+answered by a band around the root that :func:`_band` places with Newton
+steps and verifies with a proven error bound; the rest by
+:func:`_level_below`, from numpy's log widened by a room far larger than
+that last bit, calling ``math.log`` only where the room cannot tell.  The
+answers, and so the ratios, are ``math.log``'s.
 """
 
 from __future__ import annotations
@@ -164,9 +166,9 @@ def _level_below(I, I_hat, R_hat, a, base, alpha):
     """``_level(I, ...) <= alpha`` elementwise, decided as ``math.log``
     decides it but mostly on numpy's log; arrays of one shape.
 
-    For ``I > 0``, as every midpoint is, a finite log means ``I_hat > 0``,
-    so every float operation of the level after the log is nondecreasing
-    in the log's value.  The level is evaluated at numpy's log minus and
+    For ``I > 0``, as 1 and every midpoint are, a finite log means
+    ``I_hat > 0``, so every float operation of the level after the log is
+    nondecreasing in the log's value.  The level is evaluated at numpy's log minus and
     plus ``room``, which holds ``math.log``'s value between them: where
     both ends lie below ``alpha``, or both above, so does the level at
     ``math.log``'s value.  An element whose ends disagree, or whose log is
@@ -188,6 +190,62 @@ def _level_below(I, I_hat, R_hat, a, base, alpha):
     return below
 
 
+def _band(I_hat, R_hat, a, base, alpha):
+    """Floats ``lo < hi`` per rate: every float ``I`` in ``[I_hat, lo]``
+    has ``_level(I) <= alpha`` and every one in ``[hi, 1]`` has
+    ``_level(I) > alpha``.  An end that fails to verify is ``-/+inf``.
+
+    The exact level ``g`` is nondecreasing on ``[I_hat, 1]``: its slope
+    ``1 - I_hat/I + a*pen`` is nonnegative there.  With ``u = 2**-53``,
+    ``l = |ln I_hat| >= |ln(I_hat/I)|`` and ``A = a*(1 + |R_hat|)**2``, the
+    float level there, with ``math.log`` or ``_fast_log``, is within
+    ``E = 2**-42*I_hat*l + 8*u*(1 + I_hat + I_hat*l + A + base)`` of ``g``.
+    Rounding ``I_hat/I`` (``u`` relative, or ``2**-1075`` if subnormal)
+    moves ``I_hat*log`` by ``1.01*u*I_hat + 2**-1074``; ``math.log`` is
+    within ``2*u*l`` of the exact log, and ``_fast_log`` within
+    ``2**-42*l + 2**-1002`` of ``math.log`` (a quarter of
+    ``_level_below``'s room, the assumption it makes); the product adds
+    ``u*I_hat*l``; ``pen`` is off by ``2.01*u*(1 + |R_hat|)`` and the
+    penalty by ``3.03*u*A``; the four sums add
+    ``4.01*u*(I_hat*l + 1 + I_hat + A/2 + base)``.  ``eps`` is at least
+    ``4*E + 2**-48*alpha``, computed to ``2**-41`` relative.  An end is
+    kept only in ``[I_hat, 1]`` and where its level with ``_fast_log`` is
+    ``<= alpha - 2*eps`` (``lo``) or ``> alpha + 2*eps`` (``hi``), each
+    right side rounded by at most ``u*(alpha + 2*eps)``.  So for a float
+    ``I`` in ``[I_hat, lo]``, ``_level(I) <= g(I) + E <= g(lo) + E <=
+    level(lo) + 2*E <= alpha - 2*eps + u*(alpha + 2*eps) + 2*E <= alpha``,
+    and mirrored, strictly, on ``[hi, 1]``.  A NaN fails both checks.
+
+    Where the ends land needs no proof.  ``r`` takes 7 Newton steps on the
+    level with ``_fast_log`` from ``I_hat*(1 + s + sqrt(s*s + 2*s))``,
+    ``s = (alpha - base)/I_hat``, capped at 1: above the root, as
+    ``x - 1 - ln x >= (x - 1)**2/(2*x)`` for ``x >= 1``, and Newton steps
+    on a convex level stay above it.  ``delta`` solves
+    ``g'(r)*delta + I_hat*delta**2/2 = 4*eps``: ``g'' >= I_hat`` on
+    ``(0, 1]``, so ``g`` gains ``4*eps`` over ``delta`` even where flat.
+    """
+    with np.errstate(all="ignore"):
+        def level(I):  # _level's operations on _fast_log, and the slope
+            q, pen = I_hat / I, np.maximum(R_hat - (1.0 - I), 0.0)
+            return (I_hat * _fast_log(q) + I - I_hat + 0.5 * a * pen * pen + base,
+                    1.0 - q + a * pen)
+
+        hl = I_hat * np.abs(_fast_log(I_hat))
+        eps = 2.0 ** -40 * hl + 2.0 ** -48 * (
+            1.0 + I_hat + hl + a * (1.0 + np.abs(R_hat)) ** 2 + base + alpha)
+        s = (alpha - base) / I_hat
+        r = np.minimum(I_hat * (1.0 + s + np.sqrt(s * s + 2.0 * s)), 1.0)
+        for _ in range(7):
+            val, slope = level(r)
+            r = r - (val - alpha) / slope
+        slope = level(r)[1]
+        delta = 8.0 * eps / (slope + np.sqrt(slope * slope + 8.0 * I_hat * eps))
+        lo, hi = r - delta, r + delta
+        lo = np.where((lo >= I_hat) & (level(lo)[0] <= alpha - 2.0 * eps), lo, -np.inf)
+        hi = np.where((hi <= 1.0) & (level(hi)[0] > alpha + 2.0 * eps), hi, np.inf)
+    return lo, hi
+
+
 def peak_ratio_at(query: BoundQuery,
                   B: float | np.ndarray) -> float | None | np.ndarray:
     """Largest ``I / I_star`` on the storage level set at fixed ``B``;
@@ -203,12 +261,15 @@ def peak_ratio_at(query: BoundQuery,
     ``None`` when even the minimum exceeds ``alpha``; an array of rates
     gives an array with NaN there.  All rates are bisected in lockstep,
     each with the float operations of a per-rate bisection in the same
-    order, so every ratio equals that bisection's bit for bit.  The two
-    end values (``I_hat`` and 1) are evaluated with ``math.log``; each
-    halving's decision comes from :func:`_level_below`, whose answers are
-    ``math.log``'s, so the brackets are those of a ``math.log`` bisection
-    and numpy's log never enters a value.  A rate that
-    :func:`endemic_state` rejects raises what it raises.
+    order, so every ratio equals that bisection's bit for bit.  The level
+    at ``I_hat`` takes no log (its log is of 1.0, exactly 0.0), and the
+    one at 1 is decided by :func:`_level_below`.  A halving's midpoint at
+    or below the band of :func:`_band` is below ``alpha``, one at or above
+    it is above; a midpoint inside the band, or a rate whose band did not
+    verify, goes to :func:`_level_below`.  Every answer is ``math.log``'s,
+    so the brackets are those of a ``math.log`` bisection and numpy's log
+    never enters a value.  A rate that :func:`endemic_state` rejects
+    raises what it raises.
     """
     Bs = np.asarray(B, dtype=float).ravel()
     eq = endemic_state(Bs, query.params)
@@ -218,17 +279,24 @@ def peak_ratio_at(query: BoundQuery,
     alpha = query.alpha
     I_star = query.alloc.endemic.I_hat
 
-    slack = alpha - _level(I_hat, I_hat, R_hat, a, base)
-    capped = _level(1.0, I_hat, R_hat, a, base) <= alpha
+    pen0 = R_hat - (1.0 - I_hat)
+    pen0 = np.where(pen0 > 0.0, pen0, 0.0)
+    # _level at I_hat, whose log is of 1.0 and so exactly 0.0
+    slack = alpha - (0.5 * a * pen0 * pen0 + base)
+    capped = _level_below(np.ones(Bs.shape), I_hat, R_hat, a, base, alpha)
     k = np.flatnonzero(~(slack <= 0.0) & ~capped)  # NaN slack is bisected
     terms = I_hat[k], R_hat[k], a[k], base[k]
-    lo, hi = terms[0], np.ones(k.size)
+    thr_lo, thr_hi = _band(*terms, alpha)
+    lo, hi = terms[0].copy(), np.ones(k.size)  # lo is updated in place
     active = hi - lo > BISECTION_TOL
     while active.any():
         mid = 0.5 * (lo + hi)
-        below = _level_below(mid, *terms, alpha)
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
+        below = mid <= thr_lo
+        j = np.flatnonzero(active & ~below & (mid < thr_hi))
+        if j.size:
+            below[j] = _level_below(mid[j], *(t[j] for t in terms), alpha)
+        np.copyto(lo, mid, where=active & below)
+        np.copyto(hi, mid, where=active & ~below)
         active = hi - lo > BISECTION_TOL
     top = np.ones(Bs.shape)
     top[k] = hi
@@ -252,8 +320,8 @@ def peak_bound(query: BoundQuery) -> BoundResult:
     rates = np.append(query.grid, query.alloc.betastar)
     ratios = peak_ratio_at(query, rates)
     k = int(np.nanargmax(ratios))
-    per_B = tuple((B, None if math.isnan(r) else r)
-                  for B, r in zip(query.grid.tolist(), ratios[:-1].tolist()))
+    per_B = tuple(zip(query.grid.tolist(),
+                      [None if r != r else r for r in ratios[:-1].tolist()]))
     peak_ratio = float(ratios[k])
     return BoundResult(
         per_B=per_B,

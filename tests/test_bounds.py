@@ -19,6 +19,7 @@ from epgtool import (
     endemic_state,
     epidemic_storage,
     lyapunov_value,
+    optimal_allocation,
     peak_bound,
     peak_ratio_at,
     simulate,
@@ -26,7 +27,7 @@ from epgtool import (
 from epgtool import bounds
 from epgtool.config import apply_overrides, load_config, resolve
 from epgtool.params import usable_gain
-from helpers import dense_grid_peak, peak_ratio_per_rate
+from helpers import dense_grid_peak, peak_ratio_per_rate, random_bundle
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
 
@@ -432,22 +433,131 @@ def test_a_halving_the_room_cannot_decide_falls_back_to_math_log(
     monkeypatch.setattr(bounds, "_level", counted)
     rates = [*grid.tolist(), example1.alloc.betastar]
     lockstep = peak_ratio_at(query, np.array(rates))
-    # slack and capped are the first two calls; any further one is a fallback
-    assert len(seen) > 2 and [mid] in seen[2:]
+    # the one math.log evaluation is the fallback at mid: neither end of
+    # the bracket nor the band takes math.log
+    assert seen == [[mid]]
     oracle = [peak_ratio_per_rate(query, B) for B in rates]
     assert oracle[index] not in (None, 1.0 / example1.alloc.endemic.I_hat)
     assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
 
 
+def _bisected_terms(query, rates):
+    """``(I_hat, R_hat, a, base)`` of the rates ``peak_ratio_at`` bisects:
+    neither infeasible, nor at the minimum, nor capped."""
+    eq = endemic_state(rates, query.params)
+    ups, b_dev = query.upsilon, rates - query.alloc.betastar
+    terms = eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
+    slack = query.alpha - bounds._level(eq.I_hat, *terms)
+    capped = bounds._level(np.ones(rates.shape), *terms) <= query.alpha
+    return [t[~(slack <= 0.0) & ~capped] for t in terms]
+
+
+def _assert_the_band_holds(query, rng):
+    """Every float sampled in ``[I_hat, lo]`` has a level at most alpha by
+    ``math.log``, and every one in ``[hi, 1]`` above it: each end itself,
+    the 8 floats next to it inside its interval, the interval's far end
+    and 16 uniform draws.  Returns the count of ends checked."""
+    terms = _bisected_terms(query, query.grid)
+    I_hat = terms[0]
+    lo, hi = bounds._band(*terms, query.alpha)
+    # each end lies in the bracket [I_hat, 1], or is infinite
+    assert np.all((lo == -np.inf) | ((I_hat <= lo) & (lo < hi)))
+    assert np.all((hi == np.inf) | (hi <= 1.0))
+    checked = 0
+    for end, far, side in ((lo, I_hat, -1.0), (hi, np.ones(I_hat.shape), 1.0)):
+        ok = np.isfinite(end)
+        t, f = end[ok], far[ok]
+        steps = [t]
+        for _ in range(8):
+            steps.append(np.nextafter(steps[-1], side))
+        draws = t[:, None] + (f - t)[:, None] * rng.random((t.size, 16))
+        I = np.column_stack([*steps, f, draws])
+        # keep rounding inside [t, f], and the steps inside [I_hat, 1]
+        I = np.minimum(np.maximum(I, t[:, None]), 1.0) if side > 0 else (
+            np.maximum(np.minimum(I, t[:, None]), I_hat[ok][:, None]))
+        level = bounds._level(I, *(v[ok][:, None] for v in terms))
+        assert np.all(level > query.alpha if side > 0 else level <= query.alpha)
+        checked += t.size
+    return checked
+
+
+def test_the_band_holds_its_claim_on_example1(example1):
+    rng = np.random.default_rng(24)
+    for alpha in _LEVELS:
+        query = _query(example1, alpha, grid_size=3000)
+        bisected = _bisected_terms(query, query.grid)[0].size
+        # nearly every end verifies
+        assert _assert_the_band_holds(query, rng) >= 1.99 * bisected
+
+
+def test_the_band_holds_its_claim_on_random_bundles():
+    # levels over 12 decades, 0, and levels so small that the root is
+    # within rounding of I_hat, on draws of every model parameter
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(100):
+        params, strategies, policy = random_bundle(rng)
+        alloc = optimal_allocation(strategies, policy, params)
+        alpha = rng.choice([0.0, 10.0 ** rng.uniform(-80.0, -12.0),
+                            *10.0 ** rng.uniform(-12.0, 0.0, 8)])
+        query = BoundQuery(alloc=alloc, params=params, upsilon=policy.upsilon,
+                           alpha=alpha, grid=default_grid(strategies, 41))
+        checked += _assert_the_band_holds(query, rng)
+        rates = [*query.grid.tolist(), alloc.betastar]
+        oracle = [peak_ratio_per_rate(query, B) for B in rates]
+        lockstep = peak_ratio_at(query, np.array(rates))
+        assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+    assert checked > 1000
+
+
+def test_an_unverified_band_evaluates_every_halving(example1, monkeypatch):
+    # a band that never verifies leaves every decision to _level_below:
+    # the path each rate takes where its band fails
+    def unverified(I_hat, *rest):
+        return np.full(I_hat.shape, -np.inf), np.full(I_hat.shape, np.inf)
+
+    calls = []
+    level_below = bounds._level_below
+
+    def counted(I, *rest):
+        calls.append(I.size)
+        return level_below(I, *rest)
+
+    monkeypatch.setattr(bounds, "_band", unverified)
+    monkeypatch.setattr(bounds, "_level_below", counted)
+    for alpha in _LEVELS:
+        query = _query(example1, alpha)
+        rates = [*query.grid.tolist(), example1.alloc.betastar]
+        oracle = [peak_ratio_per_rate(query, B) for B in rates]
+        calls.clear()
+        lockstep = peak_ratio_at(query, np.array(rates))
+        assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+        bisected = any(_outcome(query, B, r) == "bisected"
+                       for B, r in zip(rates, oracle))
+        # the call that decides the cap, then one per halving
+        assert len(calls) > 30 if bisected else len(calls) == 1
+
+
 def test_numpy_log_stays_far_inside_the_room():
     # the guard's assumption, checked where the suite runs: numpy's log is
     # within a quarter of the room of math.log on the arguments a bisection
-    # takes
+    # takes, and on those the band takes: I_hat alone and I_hat/I near the
+    # root
     rng = np.random.default_rng(18)
+    scenario = resolve(load_config(CONFIG))
+    query = BoundQuery(alloc=scenario.alloc, params=scenario.bundle.params,
+                       upsilon=scenario.bundle.policy.upsilon, alpha=0.0008,
+                       grid=default_grid(scenario.bundle.strategies, 3000))
+    I_hat, *terms = _bisected_terms(query, query.grid)
+    lo, hi = bounds._band(I_hat, *terms, query.alpha)
+    ok = np.isfinite(lo) & np.isfinite(hi)
+    lo, hi = lo[ok], hi[ok]
     x = np.concatenate([
         np.exp(rng.uniform(math.log(1e-6), 0.0, 90_000)),
         rng.uniform(0.99, 1.0, 9_000),
         1.0 - np.arange(1_000) * 2.0 ** -53,  # 1 and the floats just below
+        I_hat,
+        I_hat[ok] / lo, I_hat[ok] / hi, I_hat[ok] / (0.5 * (lo + hi)),
     ])
     fast = bounds._fast_log(x)
     exact = np.array([math.log(v) for v in x.tolist()])
