@@ -18,13 +18,11 @@ takes the float operations of a per-rate bisection, in the same order, so
 the ratios are that bisection's bit for bit.
 
 Every value is computed with ``math.log``.  numpy's log, faster on arrays
-but free to differ in the last bit, is used for decisions only: each
-halving asks whether the level lies below ``alpha``.  Most halvings are
-answered by a band around the root that :func:`_band` places with Newton
-steps and verifies with a proven error bound; the rest by
-:func:`_level_below`, from numpy's log widened by a room far larger than
-that last bit, calling ``math.log`` only where the room cannot tell.  The
-answers, and so the ratios, are ``math.log``'s.
+but free to differ in the last bit, is used for decisions only: whether
+the level at 1, or at a halving's midpoint, lies below ``alpha``.  Most
+are answered by a band around the root that :func:`_band` places with
+Newton steps and verifies with a proven error bound; the rest by
+``math.log``.  The answers, and so the ratios, are ``math.log``'s.
 """
 
 from __future__ import annotations
@@ -53,13 +51,8 @@ DEFAULT_GRID_SIZE = 30
 
 # math.log elementwise: the kernel's log, not numpy's SIMD one
 _log = np.vectorize(math.log, otypes=[float])
-# numpy's log, for the decisions of _level_below only
+# numpy's log, for the band of _band only
 _fast_log = np.log
-# math.log's value lies within this of _fast_log's: 2**-40 relative, about
-# 4096 times their largest disagreement (1 ulp), and an absolute floor so
-# that a log of 0 has room too
-_LOG_ROOM = 2.0 ** -40
-_LOG_FLOOR = 2.0 ** -1000
 
 
 def epidemic_storage(I, R, B, alloc: OptimalAllocation,
@@ -154,40 +147,13 @@ class BoundResult:
         }
 
 
-def _level(I, I_hat, R_hat, a, base):
+def _level(I, I_hat, R_hat, a, base, log=_log):
     """Storage minimized over R at infection level ``I``, elementwise: the
-    R-penalty applies only where ``R_hat`` exceeds the room ``1 - I``."""
+    R-penalty applies only where ``R_hat`` exceeds the room ``1 - I``.
+    ``log`` is ``math.log`` elementwise unless a caller passes another."""
     pen = R_hat - (1.0 - I)
     pen = np.where(pen > 0.0, pen, 0.0)
-    return I_hat * _log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
-
-
-def _level_below(I, I_hat, R_hat, a, base, alpha):
-    """``_level(I, ...) <= alpha`` elementwise, decided as ``math.log``
-    decides it but mostly on numpy's log; arrays of one shape.
-
-    For ``I > 0``, as 1 and every midpoint are, a finite log means
-    ``I_hat > 0``, so every float operation of the level after the log is
-    nondecreasing in the log's value.  The level is evaluated at numpy's log minus and
-    plus ``room``, which holds ``math.log``'s value between them: where
-    both ends lie below ``alpha``, or both above, so does the level at
-    ``math.log``'s value.  An element whose ends disagree, or whose log is
-    not finite, goes to :func:`_level`, which takes ``math.log`` and raises
-    where it raises.
-    """
-    with np.errstate(all="ignore"):
-        L = _fast_log(I_hat / I)
-        room = _LOG_ROOM * np.abs(L) + _LOG_FLOOR
-        pen = R_hat - (1.0 - I)
-        pen = np.where(pen > 0.0, pen, 0.0)
-        quad = 0.5 * a * pen * pen
-        # _level's operations after its log, in its order, at each end
-        below = I_hat * (L + room) + I - I_hat + quad + base <= alpha
-        above = I_hat * (L - room) + I - I_hat + quad + base > alpha
-    k = np.flatnonzero(~((below | above) & np.isfinite(L)))
-    if k.size:
-        below[k] = _level(I[k], I_hat[k], R_hat[k], a[k], base[k]) <= alpha
-    return below
+    return I_hat * log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
 
 
 def _band(I_hat, R_hat, a, base, alpha):
@@ -203,10 +169,12 @@ def _band(I_hat, R_hat, a, base, alpha):
     Rounding ``I_hat/I`` (``u`` relative, or ``2**-1075`` if subnormal)
     moves ``I_hat*log`` by ``1.01*u*I_hat + 2**-1074``; ``math.log`` is
     within ``2*u*l`` of the exact log, and ``_fast_log`` within
-    ``2**-42*l + 2**-1002`` of ``math.log`` (a quarter of
-    ``_level_below``'s room, the assumption it makes); the product adds
-    ``u*I_hat*l``; ``pen`` is off by ``2.01*u*(1 + |R_hat|)`` and the
-    penalty by ``3.03*u*A``; the four sums add
+    ``2**-42*l + 2**-1002`` of ``math.log`` by the one assumption made of
+    numpy's log: that it lies within ``2**-42*|ln x| + 2**-1002`` of
+    ``math.log`` at every ``x``, some 1024 times their largest
+    disagreement (1 ulp).  The product adds ``u*I_hat*l``; ``pen`` is off
+    by ``2.01*u*(1 + |R_hat|)`` and the penalty by ``3.03*u*A``; the four
+    sums add
     ``4.01*u*(I_hat*l + 1 + I_hat + A/2 + base)``.  ``eps`` is at least
     ``4*E + 2**-48*alpha``, computed to ``2**-41`` relative.  An end is
     kept only in ``[I_hat, 1]`` and where its level with ``_fast_log`` is
@@ -219,16 +187,17 @@ def _band(I_hat, R_hat, a, base, alpha):
     Where the ends land needs no proof.  ``r`` takes 7 Newton steps on the
     level with ``_fast_log`` from ``I_hat*(1 + s + sqrt(s*s + 2*s))``,
     ``s = (alpha - base)/I_hat``, capped at 1: above the root, as
-    ``x - 1 - ln x >= (x - 1)**2/(2*x)`` for ``x >= 1``, and Newton steps
-    on a convex level stay above it.  ``delta`` solves
+    ``x - 1 - ln x >= (x - 1)**2/(2*x)`` for ``x >= 1``, unless the root
+    lies past 1, and Newton steps on a convex level stay above it once
+    there.  ``lo`` is ``r - delta``, or 1 where that lies past 1, as it
+    does where the level at 1 is at most ``alpha``.  ``delta`` solves
     ``g'(r)*delta + I_hat*delta**2/2 = 4*eps``: ``g'' >= I_hat`` on
     ``(0, 1]``, so ``g`` gains ``4*eps`` over ``delta`` even where flat.
     """
+    terms = I_hat, R_hat, a, base
     with np.errstate(all="ignore"):
-        def level(I):  # _level's operations on _fast_log, and the slope
-            q, pen = I_hat / I, np.maximum(R_hat - (1.0 - I), 0.0)
-            return (I_hat * _fast_log(q) + I - I_hat + 0.5 * a * pen * pen + base,
-                    1.0 - q + a * pen)
+        def slope(I):
+            return 1.0 - I_hat / I + a * np.maximum(R_hat - (1.0 - I), 0.0)
 
         hl = I_hat * np.abs(_fast_log(I_hat))
         eps = 2.0 ** -40 * hl + 2.0 ** -48 * (
@@ -236,13 +205,16 @@ def _band(I_hat, R_hat, a, base, alpha):
         s = (alpha - base) / I_hat
         r = np.minimum(I_hat * (1.0 + s + np.sqrt(s * s + 2.0 * s)), 1.0)
         for _ in range(7):
-            val, slope = level(r)
-            r = r - (val - alpha) / slope
-        slope = level(r)[1]
-        delta = 8.0 * eps / (slope + np.sqrt(slope * slope + 8.0 * I_hat * eps))
-        lo, hi = r - delta, r + delta
-        lo = np.where((lo >= I_hat) & (level(lo)[0] <= alpha - 2.0 * eps), lo, -np.inf)
-        hi = np.where((hi <= 1.0) & (level(hi)[0] > alpha + 2.0 * eps), hi, np.inf)
+            r = r - (_level(r, *terms, log=_fast_log) - alpha) / slope(r)
+        g1 = slope(r)
+        delta = 8.0 * eps / (g1 + np.sqrt(g1 * g1 + 8.0 * I_hat * eps))
+        lo, hi = np.minimum(r - delta, 1.0), r + delta
+        lo = np.where((lo >= I_hat)
+                      & (_level(lo, *terms, log=_fast_log) <= alpha - 2.0 * eps),
+                      lo, -np.inf)
+        hi = np.where((hi <= 1.0)
+                      & (_level(hi, *terms, log=_fast_log) > alpha + 2.0 * eps),
+                      hi, np.inf)
     return lo, hi
 
 
@@ -262,47 +234,52 @@ def peak_ratio_at(query: BoundQuery,
     gives an array with NaN there.  All rates are bisected in lockstep,
     each with the float operations of a per-rate bisection in the same
     order, so every ratio equals that bisection's bit for bit.  The level
-    at ``I_hat`` takes no log (its log is of 1.0, exactly 0.0), and the
-    one at 1 is decided by :func:`_level_below`.  A halving's midpoint at
-    or below the band of :func:`_band` is below ``alpha``, one at or above
-    it is above; a midpoint inside the band, or a rate whose band did not
-    verify, goes to :func:`_level_below`.  Every answer is ``math.log``'s,
-    so the brackets are those of a ``math.log`` bisection and numpy's log
-    never enters a value.  A rate that :func:`endemic_state` rejects
-    raises what it raises.
+    at ``I_hat`` takes no log (its log is of 1.0, exactly 0.0).  Every
+    other rate gets the band of :func:`_band`.  A lower end at 1 puts the
+    level at 1 at or below ``alpha``, so the rate is capped, and a
+    verified upper end, at or below 1, puts it above; a halving's
+    midpoint at or below the band is below ``alpha``, one at or above it
+    above.  What the band leaves open, or a band that did not verify,
+    :func:`_level` decides with ``math.log``.  So every answer is
+    ``math.log``'s, the brackets are those of a ``math.log`` bisection,
+    and numpy's log never enters a value.  A rate that
+    :func:`endemic_state` rejects raises what it raises.
     """
     Bs = np.asarray(B, dtype=float).ravel()
     eq = endemic_state(Bs, query.params)
-    I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
     ups, b_dev = query.upsilon, Bs - query.alloc.betastar
-    base = 0.5 * (ups * ups) * (b_dev * b_dev)
+    terms = eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
     alpha = query.alpha
     I_star = query.alloc.endemic.I_hat
 
-    pen0 = R_hat - (1.0 - I_hat)
-    pen0 = np.where(pen0 > 0.0, pen0, 0.0)
     # _level at I_hat, whose log is of 1.0 and so exactly 0.0
-    slack = alpha - (0.5 * a * pen0 * pen0 + base)
-    capped = _level_below(np.ones(Bs.shape), I_hat, R_hat, a, base, alpha)
-    k = np.flatnonzero(~(slack <= 0.0) & ~capped)  # NaN slack is bisected
-    terms = I_hat[k], R_hat[k], a[k], base[k]
+    slack = alpha - _level(eq.I_hat, *terms, log=np.zeros_like)
+    k = np.flatnonzero(~(slack <= 0.0))  # NaN slack is bisected
+    terms = [t[k] for t in terms]
     thr_lo, thr_hi = _band(*terms, alpha)
     lo, hi = terms[0].copy(), np.ones(k.size)  # lo is updated in place
+    # the level at 1 is at most alpha where the band's lower end is 1,
+    # above it where its upper end verified, and math.log decides the rest
+    capped = thr_lo >= 1.0
+    j = np.flatnonzero(~capped & (thr_hi > 1.0))
+    if j.size:
+        capped[j] = _level(np.ones(j.size), *(t[j] for t in terms)) <= alpha
+    lo[capped] = 1.0  # a capped rate's bracket is [1, 1]: it takes no halving
     active = hi - lo > BISECTION_TOL
     while active.any():
         mid = 0.5 * (lo + hi)
         below = mid <= thr_lo
         j = np.flatnonzero(active & ~below & (mid < thr_hi))
         if j.size:
-            below[j] = _level_below(mid[j], *(t[j] for t in terms), alpha)
+            below[j] = _level(mid[j], *(t[j] for t in terms)) <= alpha
         np.copyto(lo, mid, where=active & below)
         np.copyto(hi, mid, where=active & ~below)
         active = hi - lo > BISECTION_TOL
     top = np.ones(Bs.shape)
     top[k] = hi
     # the first true condition decides, as the branches of one rate do
-    ratio = np.select([slack < 0.0, slack == 0.0, capped],
-                      [np.nan, I_hat / I_star, 1.0 / I_star], top / I_star)
+    ratio = np.select([slack < 0.0, slack == 0.0],
+                      [np.nan, eq.I_hat / I_star], top / I_star)
     if np.ndim(B):
         return ratio.reshape(np.shape(B))
     r = float(ratio[0])

@@ -492,9 +492,9 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
     """Differentiate the sampled Lyapunov value and check its decrease bound.
 
     Bound violations are reported, never raised.  The tolerance
-    ``fd_tol = 1e-6 * max(1, value[0])`` absorbs the central-difference error at the
-    default sampling stride for runs that start near the endemic curve;
-    steep transients sampled coarsely can exceed it by discretization alone,
+    ``fd_tol = 1e-6 * max(1, |value[0]|)`` absorbs the central-difference
+    error at the default sampling stride for runs that start near the
+    endemic curve; steep transients sampled coarsely can exceed it by discretization alone,
     in which case record at a finer ``output_stride`` before reading
     anything into the findings.
     """

@@ -390,9 +390,10 @@ _LEVELS = (0.0008, 0.0, 1e-9, 3e-4, 7.03e-7)
 @pytest.mark.parametrize("grid_size", [30, 3000])
 def test_a_log_anywhere_inside_half_the_room_decides_as_math_log(
         example1, grid_size, monkeypatch):
-    # numpy's log nudged by half the room (2**-40 relative, 2**-1000
-    # absolute), up or down at random: the guard must still take every
-    # decision as math.log does
+    # numpy's log nudged by 2**-41 relative and 2**-1001 absolute, up or
+    # down at random: twice the error that _band assumes of numpy's log,
+    # and half the room 2**-40*|L| + 2**-1000 of this test's name.  The
+    # band must still leave every decision as math.log takes it
     rng = np.random.default_rng(grid_size)
 
     def nudged(x):
@@ -409,11 +410,31 @@ def test_a_log_anywhere_inside_half_the_room_decides_as_math_log(
         assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
 
 
+def _math_log_calls(monkeypatch):
+    """A list that collects the arguments of every later ``_level`` call
+    on ``math.log``, one list per call."""
+    seen = []
+    level = bounds._level
+
+    def counted(I, *rest, log=bounds._log):
+        if log is bounds._log:
+            seen.append(np.ravel(I).tolist())
+        return level(I, *rest, log=log)
+
+    monkeypatch.setattr(bounds, "_level", counted)
+    return seen
+
+
+def _unverified_band(I_hat, *rest):
+    """A band that never verifies."""
+    return np.full(I_hat.shape, -np.inf), np.full(I_hat.shape, np.inf)
+
+
 @pytest.mark.parametrize("index", [0, 14, 29])
 def test_a_halving_the_room_cannot_decide_falls_back_to_math_log(
         example1, index, monkeypatch):
     # the level at the first midpoint of one rate's bracket, taken as alpha:
-    # numpy's log widened by the room lands on both sides of it
+    # the band around the root holds mid, so math.log must decide it
     grid = default_grid(example1.strategies, 30)
     eq = endemic_state(float(grid[index]), example1.params)
     ups, b_dev = example1.policy.upsilon, eq.B - example1.alloc.betastar
@@ -423,33 +444,24 @@ def test_a_halving_the_room_cannot_decide_falls_back_to_math_log(
     alpha = float(bounds._level(np.array([mid]), *terms)[0])
     query = _query(example1, alpha, grid=grid)
 
-    seen = []
-    level = bounds._level
-
-    def counted(I, *rest):
-        seen.append(np.ravel(I).tolist())
-        return level(I, *rest)
-
-    monkeypatch.setattr(bounds, "_level", counted)
+    seen = _math_log_calls(monkeypatch)
     rates = [*grid.tolist(), example1.alloc.betastar]
     lockstep = peak_ratio_at(query, np.array(rates))
-    # the one math.log evaluation is the fallback at mid: neither end of
-    # the bracket nor the band takes math.log
-    assert seen == [[mid]]
+    # mid is among the few math.log evaluations: the band cannot decide it
+    assert any(mid in I for I in seen)
     oracle = [peak_ratio_per_rate(query, B) for B in rates]
     assert oracle[index] not in (None, 1.0 / example1.alloc.endemic.I_hat)
     assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
 
 
-def _bisected_terms(query, rates):
-    """``(I_hat, R_hat, a, base)`` of the rates ``peak_ratio_at`` bisects:
-    neither infeasible, nor at the minimum, nor capped."""
+def _banded_terms(query, rates):
+    """``(I_hat, R_hat, a, base)`` of the rates ``peak_ratio_at`` places a
+    band for: neither infeasible nor at the minimum, capped or not."""
     eq = endemic_state(rates, query.params)
     ups, b_dev = query.upsilon, rates - query.alloc.betastar
     terms = eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
     slack = query.alpha - bounds._level(eq.I_hat, *terms)
-    capped = bounds._level(np.ones(rates.shape), *terms) <= query.alpha
-    return [t[~(slack <= 0.0) & ~capped] for t in terms]
+    return [t[~(slack <= 0.0)] for t in terms]
 
 
 def _assert_the_band_holds(query, rng):
@@ -457,11 +469,11 @@ def _assert_the_band_holds(query, rng):
     ``math.log``, and every one in ``[hi, 1]`` above it: each end itself,
     the 8 floats next to it inside its interval, the interval's far end
     and 16 uniform draws.  Returns the count of ends checked."""
-    terms = _bisected_terms(query, query.grid)
+    terms = _banded_terms(query, query.grid)
     I_hat = terms[0]
     lo, hi = bounds._band(*terms, query.alpha)
     # each end lies in the bracket [I_hat, 1], or is infinite
-    assert np.all((lo == -np.inf) | ((I_hat <= lo) & (lo < hi)))
+    assert np.all((lo == -np.inf) | ((I_hat <= lo) & (lo <= 1.0) & (lo < hi)))
     assert np.all((hi == np.inf) | (hi <= 1.0))
     checked = 0
     for end, far, side in ((lo, I_hat, -1.0), (hi, np.ones(I_hat.shape), 1.0)):
@@ -485,7 +497,9 @@ def test_the_band_holds_its_claim_on_example1(example1):
     rng = np.random.default_rng(24)
     for alpha in _LEVELS:
         query = _query(example1, alpha, grid_size=3000)
-        bisected = _bisected_terms(query, query.grid)[0].size
+        terms = _banded_terms(query, query.grid)
+        bisected = np.count_nonzero(
+            bounds._level(np.ones(terms[0].shape), *terms) > alpha)
         # nearly every end verifies
         assert _assert_the_band_holds(query, rng) >= 1.99 * bisected
 
@@ -510,21 +524,42 @@ def test_the_band_holds_its_claim_on_random_bundles():
     assert checked > 1000
 
 
+def test_a_level_that_caps_some_rates_gives_the_per_rate_ratios(
+        example1, monkeypatch):
+    # the median of the levels at 1 over the grid: about half of the rates
+    # are capped and the others bisected.  The band decides each cap, at
+    # a lower end of 1 or at a verified upper end; math.log decides them
+    # where the band does not verify
+    grid = default_grid(example1.strategies, 3000)
+    terms = _banded_terms(_query(example1, 1.0, grid=grid), grid)
+    alpha = float(np.median(bounds._level(np.ones(terms[0].shape), *terms)))
+    query = _query(example1, alpha, grid=grid)
+    terms = _banded_terms(query, grid)
+    capped = np.count_nonzero(
+        bounds._level(np.ones(terms[0].shape), *terms) <= alpha)
+    # a capped rate's lower end verifies at 1, and nearly every other rate
+    # verifies both ends
+    checked = _assert_the_band_holds(query, np.random.default_rng(25))
+    assert checked >= capped + 1.99 * (terms[0].size - capped)
+    rates = [*grid.tolist(), example1.alloc.betastar]
+    oracle = [peak_ratio_per_rate(query, B) for B in rates]
+    assert {_outcome(query, B, r) for B, r in zip(rates, oracle)} >= {"cap", "bisected"}
+    lockstep = peak_ratio_at(query, np.array(rates))
+    assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+    # with no band, the first math.log call takes the level at 1 of every
+    # banded rate
+    seen = _math_log_calls(monkeypatch)
+    monkeypatch.setattr(bounds, "_band", _unverified_band)
+    lockstep = peak_ratio_at(query, np.array(rates))
+    assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+    assert seen[0] == [1.0] * _banded_terms(query, np.array(rates))[0].size
+
+
 def test_an_unverified_band_evaluates_every_halving(example1, monkeypatch):
-    # a band that never verifies leaves every decision to _level_below:
-    # the path each rate takes where its band fails
-    def unverified(I_hat, *rest):
-        return np.full(I_hat.shape, -np.inf), np.full(I_hat.shape, np.inf)
-
-    calls = []
-    level_below = bounds._level_below
-
-    def counted(I, *rest):
-        calls.append(I.size)
-        return level_below(I, *rest)
-
-    monkeypatch.setattr(bounds, "_band", unverified)
-    monkeypatch.setattr(bounds, "_level_below", counted)
+    # a band that never verifies leaves every decision to math.log: the
+    # path each rate takes where its band fails
+    calls = _math_log_calls(monkeypatch)
+    monkeypatch.setattr(bounds, "_band", _unverified_band)
     for alpha in _LEVELS:
         query = _query(example1, alpha)
         rates = [*query.grid.tolist(), example1.alloc.betastar]
@@ -532,23 +567,26 @@ def test_an_unverified_band_evaluates_every_halving(example1, monkeypatch):
         calls.clear()
         lockstep = peak_ratio_at(query, np.array(rates))
         assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
-        bisected = any(_outcome(query, B, r) == "bisected"
-                       for B, r in zip(rates, oracle))
+        outcomes = {_outcome(query, B, r) for B, r in zip(rates, oracle)}
         # the call that decides the cap, then one per halving
-        assert len(calls) > 30 if bisected else len(calls) == 1
+        if "bisected" in outcomes:
+            assert len(calls) > 30
+        else:
+            assert len(calls) == ("cap" in outcomes)
 
 
 def test_numpy_log_stays_far_inside_the_room():
-    # the guard's assumption, checked where the suite runs: numpy's log is
-    # within a quarter of the room of math.log on the arguments a bisection
-    # takes, and on those the band takes: I_hat alone and I_hat/I near the
-    # root
+    # the band's assumption, checked where the suite runs: numpy's log is
+    # within 2**-42*|L| + 2**-1002 of math.log (a quarter of the room
+    # 2**-40*|L| + 2**-1000 of this test's name) on the arguments a
+    # bisection takes, and on those the band takes: I_hat alone and I_hat/I
+    # near the root
     rng = np.random.default_rng(18)
     scenario = resolve(load_config(CONFIG))
     query = BoundQuery(alloc=scenario.alloc, params=scenario.bundle.params,
                        upsilon=scenario.bundle.policy.upsilon, alpha=0.0008,
                        grid=default_grid(scenario.bundle.strategies, 3000))
-    I_hat, *terms = _bisected_terms(query, query.grid)
+    I_hat, *terms = _banded_terms(query, query.grid)
     lo, hi = bounds._band(I_hat, *terms, query.alpha)
     ok = np.isfinite(lo) & np.isfinite(hi)
     lo, hi = lo[ok], hi[ok]
@@ -561,8 +599,7 @@ def test_numpy_log_stays_far_inside_the_room():
     ])
     fast = bounds._fast_log(x)
     exact = np.array([math.log(v) for v in x.tolist()])
-    room = bounds._LOG_ROOM * np.abs(fast) + bounds._LOG_FLOOR
-    assert np.all(np.abs(fast - exact) <= room / 4)
+    assert np.all(np.abs(fast - exact) <= 2.0 ** -42 * np.abs(fast) + 2.0 ** -1002)
 
 
 @pytest.mark.parametrize("upsilon", [math.nan, math.inf, 1e200, 0.0, -2.0])
