@@ -9,20 +9,23 @@ The epidemic storage
 value, which itself never exceeds its initial level ``alpha``.  The largest
 infectious fraction compatible with ``storage <= alpha`` therefore bounds
 the trajectory peak.  For fixed B the level-set supremum reduces to a
-one-dimensional convex problem solved by bisection; maximizing over a
-transmission-rate grid and the target rate ``betastar``, whose level set
-holds the target state at every ``alpha >= 0``, yields the certified peak
-ratio.  The per-rate problems are independent, so :func:`peak_ratio_at` is
-elementwise and bisects every rate in lockstep on numpy arrays; each rate
-takes the float operations of a per-rate bisection, in the same order, so
-the ratios are that bisection's bit for bit.
+one-dimensional convex problem; maximizing over a transmission-rate grid
+and the target rate ``betastar``, whose level set holds the target state
+at every ``alpha >= 0``, yields the certified peak ratio.
+:func:`peak_ratio_at` builds each rate's terms and :func:`_sup_level`, the
+one solver, finds the largest I whose level is at most ``alpha``.  The
+per-rate problems are independent, so it bisects every rate in lockstep
+on numpy arrays; each rate takes the float operations of a per-rate
+bisection, in the same order, so the ratios are that bisection's bit for
+bit.
 
 Every value is computed with ``math.log``.  numpy's log, faster on arrays
-but free to differ in the last bit, is used for decisions only: whether
-the level at 1, or at a halving's midpoint, lies below ``alpha``.  Most
-are answered by a band around the root that :func:`_band` places with
-Newton steps and verifies with a proven error bound; the rest by
-``math.log``.  The answers, and so the ratios, are ``math.log``'s.
+but free to differ in the last bit, is used for decisions only.  Each
+decision, whether the level at 1 or at a halving's midpoint lies at or
+below ``alpha``, goes through one test in :func:`_sup_level`: a band
+around the root, which :func:`_band` places with Newton steps and
+verifies with a proven error bound, answers most; ``math.log`` answers
+the rest.  The answers, and so the ratios, are ``math.log``'s.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ __all__ = [
 
 BISECTION_TOL = 1e-10
 DEFAULT_GRID_SIZE = 30
+# the Newton steps that place _band's ends; a name for tests, not a setting
+_NEWTON_STEPS = 7
 
 # math.log elementwise: the kernel's log, not numpy's SIMD one
 _log = np.vectorize(math.log, otypes=[float])
@@ -184,9 +189,10 @@ def _band(I_hat, R_hat, a, base, alpha):
     level(lo) + 2*E <= alpha - 2*eps + u*(alpha + 2*eps) + 2*E <= alpha``,
     and mirrored, strictly, on ``[hi, 1]``.  A NaN fails both checks.
 
-    Where the ends land needs no proof.  ``r`` takes 7 Newton steps on the
-    level with ``_fast_log`` from ``I_hat*(1 + s + sqrt(s*s + 2*s))``,
-    ``s = (alpha - base)/I_hat``, capped at 1: above the root, as
+    Where the ends land needs no proof.  ``r`` takes ``_NEWTON_STEPS`` (7)
+    Newton steps on the level with ``_fast_log`` from
+    ``I_hat*(1 + s + sqrt(s*s + 2*s))``, ``s = (alpha - base)/I_hat``,
+    capped at 1: above the root, as
     ``x - 1 - ln x >= (x - 1)**2/(2*x)`` for ``x >= 1``, unless the root
     lies past 1, and Newton steps on a convex level stay above it once
     there.  ``lo`` is ``r - delta``, or 1 where that lies past 1, as it
@@ -204,7 +210,7 @@ def _band(I_hat, R_hat, a, base, alpha):
             1.0 + I_hat + hl + a * (1.0 + np.abs(R_hat)) ** 2 + base + alpha)
         s = (alpha - base) / I_hat
         r = np.minimum(I_hat * (1.0 + s + np.sqrt(s * s + 2.0 * s)), 1.0)
-        for _ in range(7):
+        for _ in range(_NEWTON_STEPS):
             r = r - (_level(r, *terms, log=_fast_log) - alpha) / slope(r)
         g1 = slope(r)
         delta = 8.0 * eps / (g1 + np.sqrt(g1 * g1 + 8.0 * I_hat * eps))
@@ -218,6 +224,52 @@ def _band(I_hat, R_hat, a, base, alpha):
     return lo, hi
 
 
+def _sup_level(I_hat, R_hat, a, base, alpha):
+    """Largest ``I in [I_hat, 1]`` with ``_level(I) <= alpha``, per term of
+    :func:`_band`'s arguments: NaN where the level at ``I_hat`` exceeds
+    ``alpha``, ``I_hat`` where it equals it, 1 where the level at 1 is at
+    most ``alpha``, and otherwise the upper end of the final bracket of a
+    bisection to ``BISECTION_TOL``, so never below the supremum.  A NaN
+    level at ``I_hat`` is bisected.
+
+    All terms are bisected in lockstep, each with the float operations of
+    a per-term bisection in the same order, so every result equals that
+    bisection's bit for bit.  The level at ``I_hat`` takes no log (its log
+    is of 1.0, exactly 0.0).  Every other decision, the cap at 1 and each
+    halving's midpoint, is made by ``below``: at or below the band of
+    :func:`_band` the level is at most ``alpha``, at or above it above,
+    and :func:`_level` with ``math.log`` decides what the band leaves
+    open.  So every answer is ``math.log``'s, and numpy's log never enters
+    a value.
+    """
+    # _level at I_hat, whose log is of 1.0 and so exactly 0.0
+    slack = alpha - _level(I_hat, I_hat, R_hat, a, base, log=np.zeros_like)
+    sup = np.where(slack < 0.0, np.nan, I_hat)
+    k = np.flatnonzero(~(slack <= 0.0))  # NaN slack is bisected
+    terms = [t[k] for t in (I_hat, R_hat, a, base)]
+    thr_lo, thr_hi = _band(*terms, alpha)
+
+    def below(I, active=True):
+        """Whether the level at each active ``I`` is at most ``alpha``."""
+        b = I <= thr_lo
+        j = np.flatnonzero(active & ~b & (I < thr_hi))
+        if j.size:
+            b[j] = _level(I[j], *(t[j] for t in terms)) <= alpha
+        return b
+
+    lo, hi = terms[0].copy(), np.ones(k.size)  # lo is updated in place
+    lo[below(hi)] = 1.0  # hi is 1: a capped term's bracket is [1, 1]
+    active = hi - lo > BISECTION_TOL
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        b = below(mid, active)
+        np.copyto(lo, mid, where=active & b)
+        np.copyto(hi, mid, where=active & ~b)
+        active = hi - lo > BISECTION_TOL
+    sup[k] = hi
+    return sup
+
+
 def peak_ratio_at(query: BoundQuery,
                   B: float | np.ndarray) -> float | None | np.ndarray:
     """Largest ``I / I_star`` on the storage level set at fixed ``B``;
@@ -225,61 +277,18 @@ def peak_ratio_at(query: BoundQuery,
 
     For fixed (I, B) the storage is quadratic in R, minimized at the clamp
     of ``R_hat`` into ``[0, 1 - I]``; substituting gives a convex function
-    of I alone, minimized at ``I_hat``.  The supremum is the largest
-    ``I in [I_hat, 1]`` keeping that function below ``alpha``, found by
-    bisection to ``BISECTION_TOL``.  The upper end of the final bracket is
-    returned, so the ratio never understates the supremum (the minimized
-    storage is at least ``alpha`` there).  A float ``B`` gives a float, or
-    ``None`` when even the minimum exceeds ``alpha``; an array of rates
-    gives an array with NaN there.  All rates are bisected in lockstep,
-    each with the float operations of a per-rate bisection in the same
-    order, so every ratio equals that bisection's bit for bit.  The level
-    at ``I_hat`` takes no log (its log is of 1.0, exactly 0.0).  Every
-    other rate gets the band of :func:`_band`.  A lower end at 1 puts the
-    level at 1 at or below ``alpha``, so the rate is capped, and a
-    verified upper end, at or below 1, puts it above; a halving's
-    midpoint at or below the band is below ``alpha``, one at or above it
-    above.  What the band leaves open, or a band that did not verify,
-    :func:`_level` decides with ``math.log``.  So every answer is
-    ``math.log``'s, the brackets are those of a ``math.log`` bisection,
-    and numpy's log never enters a value.  A rate that
-    :func:`endemic_state` rejects raises what it raises.
+    of I alone, minimized at ``I_hat``: :func:`_level` on the terms
+    ``(I_hat, R_hat, a, base)`` of the rate.  :func:`_sup_level` finds the
+    largest ``I`` keeping it below ``alpha``, never understating it.  A
+    float ``B`` gives a float, or ``None`` when even the minimum exceeds
+    ``alpha``; an array of rates gives an array with NaN there.  A rate
+    that :func:`endemic_state` rejects raises what it raises.
     """
     Bs = np.asarray(B, dtype=float).ravel()
     eq = endemic_state(Bs, query.params)
     ups, b_dev = query.upsilon, Bs - query.alloc.betastar
     terms = eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
-    alpha = query.alpha
-    I_star = query.alloc.endemic.I_hat
-
-    # _level at I_hat, whose log is of 1.0 and so exactly 0.0
-    slack = alpha - _level(eq.I_hat, *terms, log=np.zeros_like)
-    k = np.flatnonzero(~(slack <= 0.0))  # NaN slack is bisected
-    terms = [t[k] for t in terms]
-    thr_lo, thr_hi = _band(*terms, alpha)
-    lo, hi = terms[0].copy(), np.ones(k.size)  # lo is updated in place
-    # the level at 1 is at most alpha where the band's lower end is 1,
-    # above it where its upper end verified, and math.log decides the rest
-    capped = thr_lo >= 1.0
-    j = np.flatnonzero(~capped & (thr_hi > 1.0))
-    if j.size:
-        capped[j] = _level(np.ones(j.size), *(t[j] for t in terms)) <= alpha
-    lo[capped] = 1.0  # a capped rate's bracket is [1, 1]: it takes no halving
-    active = hi - lo > BISECTION_TOL
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        below = mid <= thr_lo
-        j = np.flatnonzero(active & ~below & (mid < thr_hi))
-        if j.size:
-            below[j] = _level(mid[j], *(t[j] for t in terms)) <= alpha
-        np.copyto(lo, mid, where=active & below)
-        np.copyto(hi, mid, where=active & ~below)
-        active = hi - lo > BISECTION_TOL
-    top = np.ones(Bs.shape)
-    top[k] = hi
-    # the first true condition decides, as the branches of one rate do
-    ratio = np.select([slack < 0.0, slack == 0.0],
-                      [np.nan, eq.I_hat / I_star], top / I_star)
+    ratio = _sup_level(*terms, query.alpha) / query.alloc.endemic.I_hat
     if np.ndim(B):
         return ratio.reshape(np.shape(B))
     r = float(ratio[0])

@@ -213,11 +213,13 @@ def cmd_simulate(args) -> int:
         "phases_s": phases,
         "audit": audit,
     })
-    k_end = len(traj) - 1
+    # the last sample, which precedes the horizon unless the stride divides
+    # the step count
+    last = f"at t={traj.times[-1]:.6g} d (last sample)"
     print(f"simulated {run.horizon} days ({traj.stats.steps} steps)")
-    print(f"terminal state: I={traj.I[k_end]:.6g} R={traj.R[k_end]:.6g} "
-          f"x={[round(float(v), 6) for v in traj.x[k_end]]} q={traj.q[k_end]:.6g}")
-    print(f"terminal running-average cost: {traj.avg_cost[k_end]:.6g} "
+    print(f"state {last}: I={traj.I[-1]:.6g} R={traj.R[-1]:.6g} "
+          f"x={[round(float(v), 6) for v in traj.x[-1]]} q={traj.q[-1]:.6g}")
+    print(f"running-average cost {last}: {traj.avg_cost[-1]:.6g} "
           f"(budget {run.bundle.policy.cstar})")
     print(report.summary())
     print(f"wrote {csv_path}")

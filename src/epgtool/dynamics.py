@@ -141,7 +141,9 @@ class IntegratorOptions:
     def __post_init__(self):
         if not 0 < self.step < math.inf:  # NaN included
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        if not float(self.output_stride).is_integer():
+        # an int is whole, and may be too large for a float
+        if not (isinstance(self.output_stride, int)
+                or float(self.output_stride).is_integer()):
             raise ValueError(
                 f"output_stride must be a whole number, got {self.output_stride!r}")
         if self.output_stride < 1:

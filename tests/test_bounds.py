@@ -454,13 +454,19 @@ def test_a_halving_the_room_cannot_decide_falls_back_to_math_log(
     assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
 
 
+def _rate_terms(query, rates):
+    """``(I_hat, R_hat, a, base)`` of the rates, as ``peak_ratio_at``
+    builds them."""
+    eq = endemic_state(rates, query.params)
+    ups, b_dev = query.upsilon, rates - query.alloc.betastar
+    return eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
+
+
 def _banded_terms(query, rates):
     """``(I_hat, R_hat, a, base)`` of the rates ``peak_ratio_at`` places a
     band for: neither infeasible nor at the minimum, capped or not."""
-    eq = endemic_state(rates, query.params)
-    ups, b_dev = query.upsilon, rates - query.alloc.betastar
-    terms = eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
-    slack = query.alpha - bounds._level(eq.I_hat, *terms)
+    terms = _rate_terms(query, rates)
+    slack = query.alpha - bounds._level(terms[0], *terms)
     return [t[~(slack <= 0.0)] for t in terms]
 
 
@@ -573,6 +579,64 @@ def test_an_unverified_band_evaluates_every_halving(example1, monkeypatch):
             assert len(calls) > 30
         else:
             assert len(calls) == ("cap" in outcomes)
+
+
+def test_sup_level_gives_each_outcome_of_the_per_rate_bisection(example1):
+    # at a gain of 100 the level equals the rate term of 0.156 at its
+    # minimum: 0.15 lies above it, 0.171 and betastar reach the cap at 1,
+    # and 0.175 is bisected
+    ups, betastar = 100.0, example1.alloc.betastar
+    b_dev = 0.156 - betastar
+    rates = np.array([0.15, 0.156, 0.171, 0.175, betastar])
+    query = _query(example1, 0.5 * (ups * ups) * (b_dev * b_dev),
+                   upsilon=ups, grid=rates[:-1])
+    I_hat, *rest = _rate_terms(query, rates)
+    sup = bounds._sup_level(I_hat, *rest, query.alpha)
+    assert math.isnan(sup[0]) and sup[1] == I_hat[1]
+    assert sup[2] == sup[4] == 1.0 and I_hat[3] < sup[3] < 1.0
+    oracle = [peak_ratio_per_rate(query, B) for B in rates.tolist()]
+    assert ([_hex(r) for r in sup / example1.alloc.endemic.I_hat]
+            == [_hex(r) for r in oracle])
+
+
+def test_an_unverified_band_takes_the_cap_then_one_call_per_halving(
+        example1, monkeypatch):
+    # the median of the levels at 1 over the grid caps about half of the
+    # rates.  With no band, math.log takes the level at 1 of every term
+    # first, then in each call the midpoint of every term still bisected
+    grid = default_grid(example1.strategies, 30)
+    terms = _rate_terms(_query(example1, 1.0, grid=grid), grid)
+    alpha = float(np.median(bounds._level(np.ones(grid.size), *terms)))
+    query = _query(example1, alpha, grid=grid)
+    seen = _math_log_calls(monkeypatch)
+    monkeypatch.setattr(bounds, "_band", _unverified_band)
+    sup = bounds._sup_level(*terms, alpha)
+    oracle = [peak_ratio_per_rate(query, B) for B in grid.tolist()]
+    assert ([_hex(r) for r in sup / example1.alloc.endemic.I_hat]
+            == [_hex(r) for r in oracle])
+    assert seen[0] == [1.0] * grid.size
+    bisected = sup < 1.0
+    assert 0 < np.count_nonzero(bisected) < grid.size
+    assert seen[1] == (0.5 * (terms[0][bisected] + 1.0)).tolist()
+    sizes = [len(I) for I in seen[1:]]
+    assert len(sizes) > 30 and sizes == sorted(sizes, reverse=True)
+
+
+def test_a_lower_end_newton_did_not_reach_is_rejected(example1, monkeypatch):
+    # with no Newton step the band sits around the start, above the root,
+    # so the level check must reject every lower end; the halvings then
+    # fall to the upper end and math.log, and every ratio stays the
+    # per-rate bisection's
+    monkeypatch.setattr(bounds, "_NEWTON_STEPS", 0)
+    for alpha in (0.0008, 7.03e-7, 1e-2, 0.3):
+        query = _query(example1, alpha)
+        rates = np.append(query.grid, example1.alloc.betastar)
+        terms = _banded_terms(query, rates)
+        lo, _ = bounds._band(*terms, alpha)
+        assert terms[0].size > 0 and np.all(lo == -np.inf)
+        oracle = [peak_ratio_per_rate(query, B) for B in rates.tolist()]
+        assert [_hex(r) for r in peak_ratio_at(query, rates)] == [
+            _hex(r) for r in oracle]
 
 
 def test_numpy_log_stays_far_inside_the_room():

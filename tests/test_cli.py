@@ -123,6 +123,17 @@ def test_simulate_outputs(tmp_path, capsys):
     assert data.shape[0] == 101
 
 
+def test_simulate_names_the_time_of_the_last_sample(tmp_path, capsys):
+    # at stride 7 the last of 1000 steps is not recorded: the state and the
+    # average cost printed are those of the sample at t = 9.94, not 10
+    stride7 = ["--set", "integrator.horizon=10", "--set", "integrator.output_stride=7"]
+    assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *stride7]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "simulated 10.0 days (1000 steps)"
+    assert lines[1].startswith("state at t=9.94 d (last sample): I=")
+    assert lines[2].startswith("running-average cost at t=9.94 d (last sample): ")
+    assert "terminal" not in "\n".join(lines)
+
 
 def test_simulate_manifest_holds_the_run_stats(tmp_path):
     assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST]) == 0

@@ -571,14 +571,16 @@ def test_stride_that_does_not_divide_the_step_count(example1):
 
 
 def test_stride_above_the_step_count_records_only_the_start(example1):
-    opts = IntegratorOptions(step=0.01, output_stride=200)
-    traj = simulate(example1.initial, 1.0, example1.mech, example1.proto, opts)
-    assert traj.times.tolist() == [0.0]
-    assert traj.I.tolist() == [example1.initial.I]
-    assert traj.q.tolist() == [0.0]
-    assert traj.cost.tolist() == traj.avg_cost.tolist() == [0.2]
-    assert traj.observed_peak == float.fromhex("0x1.e2c86297dbec2p-6")
-    assert traj.observed_peak_time == 1.0
+    # an int stride too large for a float is a whole number too
+    for stride in (200, 10**400):
+        opts = IntegratorOptions(step=0.01, output_stride=stride)
+        traj = simulate(example1.initial, 1.0, example1.mech, example1.proto, opts)
+        assert traj.times.tolist() == [0.0]
+        assert traj.I.tolist() == [example1.initial.I]
+        assert traj.q.tolist() == [0.0]
+        assert traj.cost.tolist() == traj.avg_cost.tolist() == [0.2]
+        assert traj.observed_peak == float.fromhex("0x1.e2c86297dbec2p-6")
+        assert traj.observed_peak_time == 1.0
 
 
 def test_peak_at_the_start(example1):
