@@ -31,8 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .bounds import DEFAULT_GRID_SIZE
 from .dynamics import EpgState, IntegratorOptions, step_count
 from .edm import SmithProtocol
-from .equilibrium import (OptimalAllocation, _pair_mix, _sum_products, endemic_state,
-                          optimal_allocation)
+from .equilibrium import OptimalAllocation, _pair_mix, endemic_state, optimal_allocation
 from .params import (
     AssumptionViolated,
     ModelParams,
@@ -326,8 +325,7 @@ def resolve(d: dict) -> ResolvedRun:
         if _explicit(start):
             I0, R0 = float(start["I"]), float(start["R"])
         else:
-            B0 = _sum_products(zip(strategies.betas, x0))
-            eq = endemic_state(B0, params, strategies)
+            eq = endemic_state(mech.rate(x0), params, strategies)
             I0, R0 = eq.I_hat, eq.R_hat
         initial = EpgState(I=I0, R=R0, x=x0, q=float(start["q"]))
     except ValueError as exc:  # a start off the state space

@@ -31,11 +31,11 @@ Both take the rate, the model constants and the step sizes as one tuple
 list and global-lookup overhead but keeps every float operation of the
 loop form, in the same order.  ``K`` is the values of one ordered table,
 :func:`_constants`, and the pair is compiled for ``n`` and the table's
-names.  The rate's entries come from ``edm._rate_constants``: the rate of
-a :class:`~epgtool.edm.SmithProtocol` is its law itself, inlined for
-every ordered pair as a conditional expression on ``rg`` and ``cap``, so
-the kernel makes no Python call for it.  Every other protocol, a subclass
-of ``SmithProtocol`` included, is called as ``phi(j, gap)``.
+names.  The rate law and its entries come from ``edm._law``, which alone
+chooses how a protocol's rate is written: Smith's capped-linear law is
+inlined for every ordered pair as a conditional expression on ``rg`` and
+``cap``, so the kernel makes no Python call for it, and every other
+protocol is called as ``phi(j, gap)``.
 
 The series derived from the samples afterwards (``B``, the payoffs, the
 storages and the Lyapunov value) follow the kernel's evaluation rule:
@@ -168,22 +168,23 @@ dR{_} = (w - d * I{i}) * r_dev{_} - denom{_} * i_dev{_}
 """
 
 
-def _field_template(n: int, select: str | None) -> str:
+def _field_template(n: int, law: str) -> str:
     """``_FIELD`` with the sums over the ``n`` strategies unrolled: ``B``
     summed left to right from ``0.0``, the payoffs, and the pairwise flow
-    ``edm._flow_text(n, select)``."""
+    ``edm._flow_text(n, law)``."""
     B = " + ".join(["0.0"] + [f"beta_{k} * x_{k}{{i}}" for k in range(n)])
     payoffs = "".join(f"p_{k}{{_}} = q{{i}} * beta_{k} + r_o_{k}\n" for k in range(n))
     # {i} and {_} stay placeholders; they are filled per stage
     return _FIELD.format(B=B, endemic=_ENDEMIC, qdot=_QDOT,
-                         flow=payoffs + _edm._flow_text(n, select), i="{i}", _="{_}")
+                         flow=payoffs + _edm._flow_text(n, law), i="{i}", _="{_}")
 
 
 def _constants(mech: PayoffMechanism, proto, h: float) -> dict:
     """``K`` by name, in the order the generated functions unpack it: the
-    rate (``edm._rate_constants``), the endemic text's constants
+    rate law's (``edm._law``), the endemic text's
     (``equilibrium._endemic_constants``), the others and the steps for ``h``."""
-    return {**_edm._rate_constants(proto), **_endemic_constants(mech.params),
+    _, rate = _edm._law(proto, "phi", len(mech.strategies.betas), columns=False)
+    return {**rate, **_endemic_constants(mech.params),
             "ups2": mech.upsilon * mech.upsilon, "bstar": mech.alloc.betastar,
             **{f"beta_{k}": v for k, v in enumerate(mech.strategies.betas)},
             **{f"r_o_{k}": v for k, v in enumerate(mech.r_o)},
@@ -253,7 +254,7 @@ _CLIP = """\
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int, constants: tuple[str, ...]):
+def _kernel(n: int, law: str, constants: tuple[str, ...]):
     """Compile ``rhs(*y, K) -> tuple``, one stage of ``_FIELD``, and
     ``integrate(*y, n_steps, stride, K)`` for the packed state
     ``y = (I, R, x_0..x_{n-1}, q)``; both unpack ``K`` into the names
@@ -270,12 +271,10 @@ def _kernel(n: int, constants: tuple[str, ...]):
     projection counts of :class:`RunStats`.  The source is registered with
     :mod:`linecache` so tracebacks show the generated lines.
 
-    Without a constant ``phi`` the pairwise rates are Smith's law, inlined
-    on the constants ``rg`` and ``cap`` (``edm._flow_text``); with it, they
-    are calls ``phi(j, gap)``.
+    The pairwise rates are written by ``law``, the kernel form of the
+    protocol's rate (``edm._law``), in the flow text ``edm._flow_text``.
     """
-    smith = "phi" not in constants
-    template = _field_template(n, _edm._KERNEL_SELECT if smith else None)
+    template = _field_template(n, law)
     state = ["I", "R", *(f"x_{k}" for k in range(n)), "q"]
     deriv = ["dI", "dR", *(f"dx_{k}" for k in range(n)), "dq"]
 
@@ -294,7 +293,7 @@ def _kernel(n: int, constants: tuple[str, ...]):
             for y, dy in zip(state, deriv)]
     tol = repr(PROJECTION_TOL)
     args, constants = ", ".join(state), ", ".join(constants)
-    called = "" if smith else "_phi"  # a name apart, so linecache keeps both sources
+    called = _edm._tag(law)  # a name apart, so linecache keeps each law's source
     namespace = {"log": math.log, "sqrt": math.sqrt, "StepRejected": StepRejected,
                  "pack": struct.Struct(f"{len(state) + 3}d").pack}
     rhs = _compile_text(f"rhs_n{n}{called}", f"{args}, K", f"{constants} = K\n{template}",
@@ -314,10 +313,11 @@ def _kernel(n: int, constants: tuple[str, ...]):
 
 
 def _kernel_for(state: EpgState, mech: PayoffMechanism, proto):
-    """:func:`_kernel` for the constants of ``mech`` and ``proto``, if
-    ``state`` has one share per strategy."""
+    """:func:`_kernel` for the rate law and the constants of ``mech`` and
+    ``proto``, if ``state`` has one share per strategy."""
     mech.rate(state.x)  # raises unless there is one share per strategy
-    return _kernel(len(state.x), tuple(_constants(mech, proto, 0.0)))
+    law, _ = _edm._law(proto, "phi", len(state.x), columns=False)
+    return _kernel(len(state.x), law, tuple(_constants(mech, proto, 0.0)))
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:

@@ -14,27 +14,26 @@ payoffs) is the dissipation returned by :func:`dissipation`.
 
 :func:`mean_field`, :func:`storage` and :func:`dissipation` take one sample
 (``x``, ``p`` of shape ``(n,)``) or a stack of samples (shape ``(m, n)``),
-e.g. every recorded sample of a trajectory at once.  They loop over the
-strategy pairs, never over the samples, and evaluate the rates
-``phi(j, gap)`` / ``phi_integral(j, gap)`` on each pair's column of gaps.
-Sums over strategies run left to right from 0.0, as the kernel's do
-(``equilibrium._sum_products``).  Stacked values equal the per-sample
-values bit for bit.  The mean field is one source text, :func:`_flow_text`,
-run on columns here and in every RK4 stage of :mod:`epgtool.dynamics`.
+e.g. every recorded sample of a trajectory at once.  They run source
+texts on one gap column per strategy pair, never loop over the samples,
+and sum over strategies left to right from 0.0, as the kernel does
+(``equilibrium._sum_products``), so stacked values equal the per-sample
+values bit for bit.  The mean field is :func:`_flow_text`, run on columns
+here and in every RK4 stage of :mod:`epgtool.dynamics`, and the storage's
+gradient is :func:`_gradient_text`.
 
-Smith's capped-linear law is written once more as a spec, ``_SMITH_PHI``
-and ``_SMITH_PHI_INTEGRAL``, in the operation order of
-:meth:`SmithProtocol.phi` and :meth:`SmithProtocol.phi_integral`.  For a
-:class:`SmithProtocol` the flow text writes the rate as conditional
-expressions in the kernel and with ``np.where`` on gap columns, and the
-antiderivative runs with ``np.where`` too, so no rate is a Python call.
-Every other protocol, a subclass of :class:`SmithProtocol` included, is
-called through its scalar methods, once per gap.
+:func:`_law` alone chooses how a protocol's rate is written; every text
+renders what it returns.  For an exact :class:`SmithProtocol` that is its
+spec, ``_SMITH_PHI`` and ``_SMITH_PHI_INTEGRAL``, in the operation order of
+its methods: conditional expressions in the kernel and ``np.where`` on
+columns, so no rate is a Python call.  Every other protocol, a subclass of
+:class:`SmithProtocol` included, is called through its methods, once per gap.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,37 +149,42 @@ def _render(law, form: str) -> str:
 
 _KERNEL_SELECT = "({1} if {0} else {2})"
 _COLUMN_SELECT = "where({0}, {1}, {2})"
-# Smith's antiderivative on a gap column (its rate runs in the flow text)
-_smith_integral = _compile_text(
-    "smith_phi_integral_array", "g, rg, cap", "",
-    _render(_SMITH_PHI_INTEGRAL, _COLUMN_SELECT).format(g="g"), {"where": np.where})
 
 
-def _rate_constants(proto) -> dict:
-    """The constants that :func:`_flow_text` reads ``proto``'s rate from:
-    ``rg`` and ``cap`` of Smith's law for an exact :class:`SmithProtocol`,
-    or ``phi``, called as ``phi(j, gap)``, for any other protocol.  A
-    subclass gets ``phi``: it may override it, so its rates are called,
-    never inlined."""
+def _law(proto, name: str, n: int, columns: bool) -> tuple[str, dict]:
+    """The rate method ``name`` (``phi`` or ``phi_integral``) of ``proto``
+    for ``n`` strategies as a law, text on the target ``{j}``, the gap
+    ``{g}`` and a temporary ``{v}`` written for the kernel or, with
+    ``columns``, for gap columns; and the constants it reads, by name.
+
+    An exact :class:`SmithProtocol` gives its spec on ``rg`` and ``cap``.
+    Any other protocol, a subclass included (it may override the method),
+    gives the call ``name({j}, {g})``, mapped over the gap column on
+    columns.  Raises :class:`NotIPC` unless ``proto`` has the method, and
+    ``ValueError`` unless a :class:`GeneralIPCProtocol` has one rate map per
+    strategy."""
+    if not hasattr(proto, name):
+        raise NotIPC(f"{type(proto).__name__} has no {name}; only "
+                     "pairwise-comparison protocols are supported")
+    if isinstance(proto, GeneralIPCProtocol) and len(proto.phis) != n:
+        raise ValueError(f"{type(proto).__name__} has {len(proto.phis)} rate maps "
+                         f"for {n} strategies")
     if type(proto) is SmithProtocol:
-        return {"rg": proto.rate_gain, "cap": proto.cap}
-    return {"phi": proto.phi}
-
-
-def _rates(proto, name: str, j: int, gaps: np.ndarray) -> np.ndarray:
-    """The rate method ``name`` (``phi`` or ``phi_integral``) of ``proto`` at
-    each entry ``g`` of the gap column ``gaps``, bit for bit as
-    ``getattr(proto, name)(j, g)``.
-
-    Smith's antiderivative runs on the whole column with ``np.where``; both
-    branches are evaluated, so an overflow in the one not taken is silenced.
-    Any other method is mapped over the column.
-    """
-    if name == "phi_integral" and type(proto) is SmithProtocol:
-        with np.errstate(over="ignore"):
-            return _smith_integral(gaps, proto.rate_gain, proto.cap)
+        spec = _SMITH_PHI if name == "phi" else _SMITH_PHI_INTEGRAL
+        law = _render(spec, _COLUMN_SELECT if columns else _KERNEL_SELECT)
+        return law, {"rg": proto.rate_gain, "cap": proto.cap}
     rate = getattr(proto, name)
-    return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
+
+    def mapped(j: int, gaps: np.ndarray) -> np.ndarray:
+        return np.fromiter((rate(j, g) for g in gaps.tolist()), float, gaps.size)
+    return f"{name}({{j}}, {{g}})", {name: mapped if columns else rate}
+
+
+def _tag(law: str) -> str:
+    """``_`` and the name of each method ``law`` calls: the sources of a
+    callback law and of a spec get different names, and :mod:`linecache`
+    keeps both."""
+    return "".join(f"_{name}" for name in re.findall(r"(\w+)\(\{j\}", law))
 
 
 def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -201,29 +205,22 @@ def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
     return X, P, x.ndim == 1 and p.ndim == 1
 
 
-def _flow_text(n: int, select: str | None) -> str:
+def _flow_text(n: int, law: str) -> str:
     """The mean dynamics of ``n`` strategies as source text: ``dx_i``, the
     sum over ``j != i`` of ``f_j_i - f_i_j`` from ``0.0``, left to right, of
-    the flows ``f_i_j = x_i * phi(j, p_j - p_i)``.  ``{i}`` suffixes the
-    shares and ``{_}`` the values computed from them.  The pairs ``i < j``
-    come in order, each adding ``net = f_ji - f_ij`` to ``dx_i`` and taking
-    it from ``dx_j`` at once, so one pair's temporaries are live at a time;
-    ``dx_j - net`` rounds as ``dx_j + (f_ij - f_ji)``: no running sum is -0.0.
-
-    With a ``select`` form, ``_KERNEL_SELECT`` or ``_COLUMN_SELECT``, the
-    rate is ``_SMITH_PHI`` in that form on ``rg`` and ``cap``, with the
-    temporaries ``g`` (the gap) and ``v = rg * g``; with ``None`` it is the
-    call ``phi(j, gap)``."""
+    the flows ``f_i_j = x_i * phi(j, p_j - p_i)``, with the rate written by
+    ``law`` (:func:`_law`) on the temporaries ``g`` (the gap) and ``v``.
+    ``{i}`` suffixes the shares and ``{_}`` the values computed from them.
+    The pairs ``i < j`` come in order, each adding ``net = f_ji - f_ij`` to
+    ``dx_i`` and taking it from ``dx_j`` at once, so one pair's temporaries
+    are live at a time; ``dx_j - net`` rounds as ``dx_j + (f_ij - f_ji)``:
+    no running sum is -0.0."""
     lines, started = [], set()
     for i in range(n):
         for j in range(i + 1, n):
             for flow, src, dst in (("f_ij", i, j), ("f_ji", j, i)):
-                gap = f"p_{dst}{{_}} - p_{src}{{_}}"
-                if select is None:
-                    rate = f"phi({dst}, {gap})"
-                else:
-                    lines.append(f"g{{_}} = {gap}")
-                    rate = _render(_SMITH_PHI, select).format(g="g{_}", v="v{_}")
+                lines.append(f"g{{_}} = p_{dst}{{_}} - p_{src}{{_}}")
+                rate = law.format(j=dst, g="g{_}", v="v{_}")
                 lines.append(f"{flow}{{_}} = x_{src}{{i}} * {rate}")
             lines.append("net{_} = f_ji{_} - f_ij{_}")
             for k, sign in ((i, "+"), (j, "-")):
@@ -233,14 +230,39 @@ def _flow_text(n: int, select: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _gradient_text(n: int, law: str) -> str:
+    """The gradient of the storage in the shares as source text:
+    ``psi_k = 0.0 + Phi(j, p_j - p_k) + ...`` over ``j != k`` in ``j``
+    order, with the antiderivative written by ``law`` (:func:`_law`) on the
+    temporary gap ``g``."""
+    lines = []
+    for k in range(n):
+        lines.append(f"psi_{k} = 0.0")
+        for j in range(n):
+            if j != k:
+                lines.append(f"g = p_{j} - p_{k}")
+                lines.append(f"psi_{k} = psi_{k} + {law.format(j=j, g='g', v='v')}")
+    return "\n".join(lines) + "\n"
+
+
 @functools.lru_cache(maxsize=None)
-def _flow(n: int, select: str | None):
-    """``_flow_text(n, select)`` compiled as ``flow(x_0.., p_0.., *constants)
-    -> (dx_0, ..)``: the constants are ``rg, cap``, or ``phi`` for ``None``."""
-    x, p, dx = ([f"{v}_{k}" for k in range(n)] for v in ("x", "p", "dx"))
-    constants, called = (["phi"], "_phi") if select is None else (["rg", "cap"], "")
-    return _compile_text(f"flow_n{n}{called}", ", ".join(x + p + constants),
-                         _flow_text(n, select), ", ".join(dx), {"where": np.where})
+def _compiled(text, out: str, n: int, law: str, constants: tuple[str, ...]):
+    """``text(n, law)`` compiled as ``f(x_0.., p_0.., *constants) -> (out_0,
+    ..)``, with the names ``constants`` of the law's constants."""
+    x, p = ([f"{v}_{k}" for k in range(n)] for v in ("x", "p"))
+    return _compile_text(f"{out}_n{n}{_tag(law)}", ", ".join(x + p + list(constants)),
+                         text(n, law), ", ".join(f"{out}_{k}" for k in range(n)) + ",",
+                         {"where": np.where})
+
+
+def _run(proto, name: str, text, out: str, X: np.ndarray, P: np.ndarray) -> tuple:
+    """The columns ``out_k`` of ``text`` run on the columns of the stacks
+    ``X`` and ``P``, with ``proto``'s method ``name`` as :func:`_law` writes
+    it for columns."""
+    law, constants = _law(proto, name, P.shape[1], columns=True)
+    with np.errstate(over="ignore"):  # in the branch of a selection not taken
+        f = _compiled(text, out, P.shape[1], law, tuple(constants))
+        return f(*X.T, *P.T, *constants.values())
 
 
 def mean_field(proto, x, p) -> np.ndarray:
@@ -248,39 +270,13 @@ def mean_field(proto, x, p) -> np.ndarray:
 
     Takes one sample (``x``, ``p`` of shape ``(n,)``, returns ``(n,)``) or a
     stack of samples (shape ``(m, n)``, returns ``(m, n)``).  Runs
-    :func:`_flow_text` on the columns of the stacks, with Smith's law in
-    ``np.where`` form or ``phi`` mapped over each gap column.  The total of
-    the components is exactly zero for n = 2 and carries only the roundings
-    of the per-component sums otherwise.
+    :func:`_flow_text` on the columns of the stacks.  The total of the
+    components is exactly zero for n = 2 and carries only the roundings of
+    the per-component sums otherwise.
     """
     X, P, single = _stack(x, p)
-    constants, select = _rate_constants(proto), _COLUMN_SELECT
-    if "phi" in constants:
-        constants, select = {"phi": functools.partial(_rates, proto, "phi")}, None
-    with np.errstate(over="ignore"):  # in the branch of a selection not taken
-        v = np.stack(_flow(P.shape[1], select)(*X.T, *P.T, **constants), axis=1)
+    v = np.stack(_run(proto, "phi", _flow_text, "dx", X, P), axis=1)
     return v[0] if single else v
-
-
-def _storage_per_strategy(proto, P: np.ndarray) -> np.ndarray:
-    """``(m, n)`` stack of ``sum_j Phi_j(max(p_j - p_k, 0))`` in column ``k``.
-
-    This is the gradient of :func:`storage` with respect to the population
-    state.  Each column is accumulated in ``j`` order from ``0.0``, the
-    rounding of a per-sample ``sum``.
-    """
-    if not hasattr(proto, "phi_integral"):
-        raise NotIPC(
-            f"{type(proto).__name__} has no storage antiderivative; only "
-            "pairwise-comparison protocols are supported"
-        )
-    n = P.shape[1]
-    psi = np.zeros(P.shape)
-    for k in range(n):
-        for j in range(n):
-            if j != k:
-                psi[:, k] += _rates(proto, "phi_integral", j, P[:, j] - P[:, k])
-    return psi
 
 
 def storage(proto, x, p):
@@ -289,7 +285,7 @@ def storage(proto, x, p):
     A ``float`` for one sample, an ``(m,)`` array for a stack of samples.
     """
     X, P, single = _stack(x, p)
-    S = _sum_products(zip(X.T, _storage_per_strategy(proto, P).T))
+    S = _sum_products(zip(X.T, _run(proto, "phi_integral", _gradient_text, "psi", X, P)))
     return float(S[0]) if single else S
 
 
@@ -301,6 +297,6 @@ def dissipation(proto, x, p):
     array for a stack of samples.
     """
     X, P, single = _stack(x, p)
-    psi = _storage_per_strategy(proto, P)
-    D = -_sum_products(zip(psi.T, mean_field(proto, X, P).T))
+    psi = _run(proto, "phi_integral", _gradient_text, "psi", X, P)
+    D = -_sum_products(zip(psi, mean_field(proto, X, P).T))
     return float(D[0]) if single else D

@@ -17,6 +17,7 @@ from epgtool import (
     StepRejected,
     StrategySpec,
     build_mechanism,
+    dissipation,
     endemic_state,
     lyapunov_series,
     lyapunov_value,
@@ -232,6 +233,31 @@ def test_a_smith_subclass_gets_its_own_rates(example1, three_strategy):
             assert np.array_equal(field, 2.0 * mean_field(smith, state.x, p))
             assert np.array_equal(state_derivative(state, mech, doubled)[2:2 + n], field)
             assert storage(doubled, state.x, p) == 2.0 * storage(smith, state.x, p)
+
+
+@pytest.mark.parametrize("maps", [2, 4])
+def test_a_rate_map_per_strategy_is_required(three_strategy, maps):
+    """A protocol with more or fewer rate maps than strategies is rejected,
+    with both counts, before any step and before any rate is evaluated."""
+    calls = []
+
+    def capped(g):
+        calls.append(g)
+        return min(0.1 * g, 0.1)
+
+    proto = GeneralIPCProtocol(phis=(capped,) * maps, cap=0.1)
+    calls.clear()
+    s = three_strategy
+    x, p = s.initial.x, s.mech.payoffs(0.7)
+    stack = np.array([x, x]), np.array([p, p])
+    for run in (lambda: simulate(s.initial, 1.0, s.mech, proto),
+                lambda: state_derivative(s.initial, s.mech, proto),
+                lambda: mean_field(proto, x, p), lambda: mean_field(proto, *stack),
+                lambda: storage(proto, x, p), lambda: storage(proto, *stack),
+                lambda: dissipation(proto, x, p), lambda: dissipation(proto, *stack)):
+        with pytest.raises(ValueError, match=f"has {maps} rate maps for 3 strategies"):
+            run()
+    assert calls == []
 
 
 def test_smith_runs_make_no_rate_call(three_strategy, monkeypatch):

@@ -289,9 +289,18 @@ GENERAL = GeneralIPCProtocol(
     phis=(lambda g: min(0.3 * g, 0.2), lambda g: 0.1 * g * g / (1.0 + g)),
     cap=0.2,
 )
+STEEP = SmithProtocol(rate_gain=3.0, cap=0.7)
 
 
-@pytest.mark.parametrize("proto, n", [(SMITH, 2), (SMITH, 3), (GENERAL, 2)])
+class _CalledSmith(SmithProtocol):
+    """Smith's law unchanged in a subclass: its methods are called per gap."""
+
+
+CALLED = _CalledSmith(rate_gain=3.0, cap=0.7)
+
+
+@pytest.mark.parametrize("proto, n", [(SMITH, 2), (SMITH, 3), (GENERAL, 2), (SMITH, 5),
+                                      (STEEP, 3), (STEEP, 5), (CALLED, 3), (CALLED, 5)])
 def test_stacked_storage_equals_per_sample_bit_for_bit(proto, n):
     x, p = _stacked_samples(n, 120 if proto is GENERAL else 500, seed=n)
     stacked = storage(proto, x, p)
@@ -307,6 +316,40 @@ def test_stacked_storage_equals_per_sample_bit_for_bit(proto, n):
     assert np.array_equal(
         stacked, np.array([kernel_sum(zip(x[k], psi[k])) for k in range(len(x))])
     )
+
+
+def _left_to_right(terms) -> float:
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _written_out_dissipation(proto, x, p) -> float:
+    """``-(0.0 + psi_0*dx_0 + ...)`` from the scalar methods, with
+    ``psi_i = 0.0 + Phi(j, p_j - p_i) + ...`` and ``dx_i = 0.0 + (f_j_i -
+    f_i_j) + ...`` over ``j != i`` in order, ``f_i_j = x_i * phi(j, p_j - p_i)``."""
+    n = len(x)
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    flow = [[x[i] * proto.phi(j, p[j] - p[i]) for j in range(n)] for i in range(n)]
+    psi = [_left_to_right(proto.phi_integral(j, p[j] - p[i]) for j in others[i])
+           for i in range(n)]
+    dx = [_left_to_right(flow[j][i] - flow[i][j] for j in others[i]) for i in range(n)]
+    return -_left_to_right(a * b for a, b in zip(psi, dx))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("proto", [SMITH, STEEP, CALLED, "general"])
+def test_dissipation_is_the_written_out_sum_bit_for_bit(proto, n):
+    """The stacked dissipation is, sample by sample, the sum written out
+    from the scalar methods, to the bit."""
+    if proto == "general":
+        proto = _general(n)
+    x, p = _stacked_samples(n, 40 if isinstance(proto, GeneralIPCProtocol) else 300,
+                            seed=50 + n)
+    expected = [_written_out_dissipation(proto, x[k].tolist(), p[k].tolist())
+                for k in range(len(x))]
+    assert np.array_equal(_bits(dissipation(proto, x, p)), _bits(expected))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -388,8 +431,9 @@ def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
     # the flow of one pair: share 1.0 at payoff 0.0, so f_ij is the rate at gap p_1
     kernel_flow, column_flow = (
         _compile_text(f"pair_flow_{form}", "x_0, x_1, p_0, p_1, rg, cap",
-                      edm._flow_text(2, select), "f_ij", {"where": np.where})
-        for form, select in (("kernel", edm._KERNEL_SELECT), ("columns", edm._COLUMN_SELECT)))
+                      edm._flow_text(2, edm._law(proto, "phi", 2, columns)[0]), "f_ij",
+                      {"where": np.where})
+        for form, columns in (("kernel", False), ("columns", True)))
     inlined = [kernel_flow(1.0, 0.0, 0.0, g, *constants) for g in gaps]
     assert np.array_equal(_bits(inlined), scalar)
     ones = np.ones(len(gaps))
@@ -397,7 +441,8 @@ def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
         warnings.simplefilter("error")
         column = column_flow(ones, 0.0 * ones, 0.0 * ones, np.array(gaps), *constants)
         assert np.array_equal(_bits(column), scalar)
-        column = edm._rates(proto, "phi_integral", 0, np.array(gaps))
+        P = np.stack([0.0 * ones, np.array(gaps)], 1)
+        column = edm._run(proto, "phi_integral", edm._gradient_text, "psi", P, P)[0]
         assert np.array_equal(_bits(column), _bits([proto.phi_integral(0, g) for g in gaps]))
 
 

@@ -174,4 +174,5 @@ def _operations(text: str) -> tuple[int, int]:
 def test_a_smith_stage_does_each_float_operation_once(n, binary):
     """The binary and unary operations of one stage of the Smith kernel;
     a repeated difference or a sign flip that comes back raises the count."""
-    assert _operations(_field_template(n, edm._KERNEL_SELECT)) == (binary, 0)
+    law, _ = edm._law(SmithProtocol(), "phi", n, columns=False)
+    assert _operations(_field_template(n, law)) == (binary, 0)
