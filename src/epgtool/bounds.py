@@ -60,6 +60,12 @@ _log = np.vectorize(math.log, otypes=[float])
 _fast_log = np.log
 
 
+def _rate_penalty(B, betastar: float, upsilon: float):
+    """The storage's rate term ``0.5 * upsilon^2 * (B - betastar)^2``."""
+    b_dev = B - betastar
+    return 0.5 * (upsilon * upsilon) * (b_dev * b_dev)
+
+
 def epidemic_storage(I, R, B, alloc: OptimalAllocation,
                      params: ModelParams, upsilon: float):
     """Epidemic part of the Lyapunov function; elementwise on arrays.
@@ -75,12 +81,11 @@ def epidemic_storage(I, R, B, alloc: OptimalAllocation,
         raise ValueError("I must be positive")
     eq = endemic_state(B, params)
     r_dev = eq.R_hat - np.asarray(R, dtype=float)
-    b_dev = eq.B - alloc.betastar
     val = (
         eq.I_hat * _log(eq.I_hat / I)
         - (eq.I_hat - I)
         + 0.5 * eq.a * (r_dev * r_dev)
-        + 0.5 * (upsilon * upsilon) * (b_dev * b_dev)
+        + _rate_penalty(eq.B, alloc.betastar, upsilon)
     )
     return val if val.ndim else float(val)
 
@@ -286,8 +291,7 @@ def peak_ratio_at(query: BoundQuery,
     """
     Bs = np.asarray(B, dtype=float).ravel()
     eq = endemic_state(Bs, query.params)
-    ups, b_dev = query.upsilon, Bs - query.alloc.betastar
-    terms = eq.I_hat, eq.R_hat, eq.a, 0.5 * (ups * ups) * (b_dev * b_dev)
+    terms = eq.I_hat, eq.R_hat, eq.a, _rate_penalty(Bs, query.alloc.betastar, query.upsilon)
     ratio = _sup_level(*terms, query.alpha) / query.alloc.endemic.I_hat
     if np.ndim(B):
         return ratio.reshape(np.shape(B))

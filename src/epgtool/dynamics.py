@@ -29,13 +29,13 @@ the whole loop of :func:`simulate`.  ``integrate`` holds
 Both take the rate, the model constants and the step sizes as one tuple
 ``K`` and unpack it into locals.  This removes the interpreter's call,
 list and global-lookup overhead but keeps every float operation of the
-loop form, in the same order.  ``K`` is the values of one ordered table,
-:func:`_constants`, and the pair is compiled for ``n`` and the table's
-names.  The rate law and its entries come from ``edm._law``, which alone
-chooses how a protocol's rate is written: Smith's capped-linear law is
-inlined for every ordered pair as a conditional expression on ``rg`` and
-``cap``, so the kernel makes no Python call for it, and every other
-protocol is called as ``phi(j, gap)``.
+loop form, in the same order.  One call, :func:`_kernel_for`, returns a
+run's pair with its ``K``: the constants of each text, named by the module
+that writes it, the strategies' and the steps.  The rate law comes from
+``edm._law``, which alone chooses how a protocol's rate is written:
+Smith's capped-linear law is inlined for every ordered pair as a
+conditional expression on ``rg`` and ``cap``, so the kernel makes no
+Python call for it, and every other protocol is called as ``phi(j, gap)``.
 
 The series derived from the samples afterwards (``B``, the payoffs, the
 storages and the Lyapunov value) follow the kernel's evaluation rule:
@@ -59,7 +59,7 @@ from . import bounds as _bounds
 from . import edm as _edm
 from .equilibrium import (_ENDEMIC, _compile_source, _compile_text, _endemic_constants,
                           _sum_products, endemic_state)
-from .payoff import _QDOT, PayoffMechanism
+from .payoff import _QDOT, PayoffMechanism, _qdot_constants
 
 __all__ = [
     "EpgState",
@@ -179,19 +179,6 @@ def _field_template(n: int, law: str) -> str:
                          flow=payoffs + _edm._flow_text(n, law), i="{i}", _="{_}")
 
 
-def _constants(mech: PayoffMechanism, proto, h: float) -> dict:
-    """``K`` by name, in the order the generated functions unpack it: the
-    rate law's (``edm._law``), the endemic text's
-    (``equilibrium._endemic_constants``), the others and the steps for ``h``."""
-    _, rate = _edm._law(proto, "phi", len(mech.strategies.betas), columns=False)
-    return {**rate, **_endemic_constants(mech.params),
-            "ups2": mech.upsilon * mech.upsilon, "bstar": mech.alloc.betastar,
-            **{f"beta_{k}": v for k, v in enumerate(mech.strategies.betas)},
-            **{f"r_o_{k}": v for k, v in enumerate(mech.r_o)},
-            **{f"rstar_{k}": v for k, v in enumerate(mech.rstar)},
-            "h": h, "half_h": 0.5 * h, "sixth": h / 6.0}
-
-
 # ``integrate`` around the stages of ``_FIELD``.  The projection
 # after each step is fixed by :func:`simulate`'s contract: shares clipped at
 # 0 and renormalized, I floored, R clipped, I + R checked, in that order;
@@ -258,7 +245,7 @@ def _kernel(n: int, law: str, constants: tuple[str, ...]):
     """Compile ``rhs(*y, K) -> tuple``, one stage of ``_FIELD``, and
     ``integrate(*y, n_steps, stride, K)`` for the packed state
     ``y = (I, R, x_0..x_{n-1}, q)``; both unpack ``K`` into the names
-    ``constants``, the keys of :func:`_constants`.
+    ``constants``, in the order :func:`_kernel_for` joins them.
 
     ``integrate`` runs the whole fixed-step loop of :func:`simulate`: the
     four inlined stages of ``_FIELD`` and their combination
@@ -312,20 +299,25 @@ def _kernel(n: int, law: str, constants: tuple[str, ...]):
     return rhs, namespace["integrate"]
 
 
-def _kernel_for(state: EpgState, mech: PayoffMechanism, proto):
-    """:func:`_kernel` for the rate law and the constants of ``mech`` and
-    ``proto``, if ``state`` has one share per strategy."""
+def _kernel_for(state: EpgState, mech: PayoffMechanism, proto, h: float = 0.0):
+    """``rhs`` and ``integrate`` of :func:`_kernel` for ``mech`` and ``proto``,
+    if ``state`` has one share per strategy, and their ``K`` at step ``h``: the
+    constants of the rate law, ``_ENDEMIC`` and ``_QDOT``, the strategies', the steps."""
     mech.rate(state.x)  # raises unless there is one share per strategy
-    law, _ = _edm._law(proto, "phi", len(state.x), columns=False)
-    return _kernel(len(state.x), law, tuple(_constants(mech, proto, 0.0)))
+    law, rate = _edm._law(proto, "phi", len(state.x), columns=False)
+    K = {**rate, **_endemic_constants(mech.params), **_qdot_constants(mech),
+         **{f"beta_{k}": v for k, v in enumerate(mech.strategies.betas)},
+         **{f"r_o_{k}": v for k, v in enumerate(mech.r_o)},
+         **{f"rstar_{k}": v for k, v in enumerate(mech.rstar)},
+         "h": h, "half_h": 0.5 * h, "sixth": h / 6.0}
+    return (*_kernel(len(state.x), law, tuple(K)), tuple(K.values()))
 
 
 def state_derivative(state: EpgState, mech: PayoffMechanism, proto) -> np.ndarray:
     """Time derivative of the packed state ``[I, R, x..., q]``; raises
     ``ValueError`` unless ``state`` has one share per strategy."""
-    rhs, _ = _kernel_for(state, mech, proto)
-    return np.array(rhs(state.I, state.R, *state.x, state.q,
-                        tuple(_constants(mech, proto, 0.0).values())))
+    rhs, _, K = _kernel_for(state, mech, proto)
+    return np.array(rhs(state.I, state.R, *state.x, state.q, K))
 
 
 @dataclass(frozen=True)
@@ -430,14 +422,11 @@ def simulate(
     stride = options.output_stride
     n_steps = step_count(horizon, h)
 
-    params = mech.params
     betas = mech.strategies.betas
     n = len(betas)
-    _, integrate = _kernel_for(initial, mech, proto)
+    _, integrate, K = _kernel_for(initial, mech, proto, h)
     samples, peak_I, peak_t, *counts = integrate(
-        initial.I, initial.R, *initial.x, initial.q,
-        n_steps, stride, tuple(_constants(mech, proto, h).values())
-    )
+        initial.I, initial.R, *initial.x, initial.q, n_steps, stride, K)
 
     # columns t, I, R, x_0..x_{n-1}, q, cost, avg_cost.  The derived series
     # (B, payoffs, storages) are evaluated as the kernel would evaluate them.
@@ -447,9 +436,7 @@ def simulate(
     B_s = _sum_products(zip(betas, x_s.T))
     p_s = mech.payoffs(q_s)
     r_s = mech.rewards(q_s)
-    epi = _bounds.epidemic_storage(
-        I_s, R_s, B_s, mech.alloc, params, mech.upsilon
-    )
+    epi = _bounds.epidemic_storage(I_s, R_s, B_s, mech.alloc, mech.params, mech.upsilon)
     proto_s = _edm.storage(proto, x_s, p_s)
     return Trajectory(
         times=times, I=I_s, R=R_s, x=x_s, q=q_s, B=B_s, p=p_s, r=r_s,

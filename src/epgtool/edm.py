@@ -190,8 +190,8 @@ def _tag(law: str) -> str:
 def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
     """``x`` and ``p`` as ``(m, n)`` stacks, and whether both were one sample;
     raises ``ValueError`` unless each is one sample or a stack, both have the
-    same number of strategies, and two stacks have the same number of
-    samples."""
+    same number of strategies, at least two, and two stacks have the same
+    number of samples."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     for name, v in (("x", x), ("p", p)):
@@ -200,6 +200,8 @@ def _stack(x, p) -> tuple[np.ndarray, np.ndarray, bool]:
     X, P = np.atleast_2d(x), np.atleast_2d(p)
     if X.shape[-1] != P.shape[-1]:
         raise ValueError(f"x has {X.shape[-1]} shares but p has {P.shape[-1]} payoffs")
+    if X.shape[-1] < 2:
+        raise ValueError(f"at least two strategies are required, got {X.shape[-1]}")
     if x.ndim == p.ndim == 2 and len(X) != len(P):
         raise ValueError(f"x has {len(X)} samples but p has {len(P)}")
     return X, P, x.ndim == 1 and p.ndim == 1

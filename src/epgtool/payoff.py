@@ -7,7 +7,8 @@ negative sensitivity of the epidemic storage (see :mod:`epgtool.bounds`)
 with respect to the average transmission rate, which makes the combined
 storage a Lyapunov function of the closed loop.
 The law is written once, as the source text ``_QDOT``, which
-:mod:`epgtool.dynamics` inlines in its RK4 kernel.
+:mod:`epgtool.dynamics` inlines in its RK4 kernel; :func:`_qdot_constants`
+computes its constants for both.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class EpidemicStateOutOfDomain(ValueError):
 
 
 # Minus the B-sensitivity of the epidemic storage.  ``{i}`` suffixes (I, R),
-# ``{_}`` the values at rate B (``equilibrium._ENDEMIC``); ups2 = upsilon * upsilon.
+# ``{_}`` the values at rate B (``equilibrium._ENDEMIC``); see :func:`_qdot_constants`.
 _QDOT = """\
 r_dev{_} = R_hat{_} - R{i}
 dq{_} = (log(I{i} / I_hat{_}) * dI_dB{_} - ups2 * (B{_} - bstar)
@@ -42,6 +43,11 @@ dq{_} = (log(I{i} / I_hat{_}) * dI_dB{_} - ups2 * (B{_} - bstar)
 _qdot = _compile_text(
     "qdot", "I, R, B, I_hat, R_hat, a, dI_dB, dR_dB, da_dB, ups2, bstar",
     _QDOT, "dq", {"log": math.log})
+
+
+def _qdot_constants(mech: PayoffMechanism) -> dict:
+    """``_QDOT``'s constants: ``upsilon * upsilon`` and the optimal rate."""
+    return dict(ups2=mech.upsilon * mech.upsilon, bstar=mech.alloc.betastar)
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,11 @@ class PayoffMechanism:
         """
         if not I > 0.0:
             raise EpidemicStateOutOfDomain(f"I={I!r} must be positive")
-        if I > 1.0 or R < 0.0 or R > 1.0:
+        if not (I <= 1.0 and 0.0 <= R <= 1.0):  # negated: a NaN fails it
             raise EpidemicStateOutOfDomain(f"(I, R)=({I!r}, {R!r}) outside domain")
         eq = endemic_state(B, self.params, self.strategies)
-        return _qdot(
-            I, R, eq.B, eq.I_hat, eq.R_hat, eq.a, eq.dI_dB, eq.dR_dB, eq.da_dB,
-            self.upsilon * self.upsilon, self.alloc.betastar,
-        )
+        return _qdot(I, R, eq.B, eq.I_hat, eq.R_hat, eq.a, eq.dI_dB, eq.dR_dB, eq.da_dB,
+                     **_qdot_constants(self))
 
     def qdot(self, I: float, R: float, x, q: float = 0.0) -> float:
         """Feedback rate for ``q`` at population state ``x``, whose rate

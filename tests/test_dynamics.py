@@ -29,7 +29,9 @@ from epgtool import (
     validate,
     write_csv,
 )
-from epgtool.dynamics import _constants, _kernel_for, step_count
+from epgtool.dynamics import _kernel_for, step_count
+from epgtool.equilibrium import _endemic_constants
+from epgtool.payoff import _qdot_constants
 from conftest import make_scenario
 from helpers import kernel_sum
 
@@ -267,7 +269,7 @@ def test_smith_runs_make_no_rate_call(three_strategy, monkeypatch):
     opts = IntegratorOptions(step=0.01, output_stride=1)
     expected = simulate(s.initial, 20.0, s.mech, s.proto, opts)
     expected_bound = lyapunov_series(expected).decrease_bound
-    for compiled in _kernel_for(s.initial, s.mech, s.proto):
+    for compiled in _kernel_for(s.initial, s.mech, s.proto)[:2]:
         assert "phi(" not in "".join(linecache.getlines(compiled.__code__.co_filename))
 
     def refuse(self, j, gap):
@@ -669,14 +671,17 @@ def test_constant_table_names_are_what_k_unpacks(scenario, smith, request):
     n = len(s.strategies.betas)
     proto = s.proto if smith else GeneralIPCProtocol(
         phis=[lambda g: min(0.1 * g, 0.1)] * n, cap=0.1)
-    table = _constants(s.mech, proto, 0.01)
-    assert ("rg" in table, "cap" in table, "phi" in table) == (smith, smith, not smith)
+    names = [*(["rg", "cap"] if smith else ["phi"]), *_endemic_constants(s.params),
+             *_qdot_constants(s.mech), *(f"{v}_{k}" for v in ("beta", "r_o", "rstar")
+                                          for k in range(n)), "h", "half_h", "sixth"]
+    *compiled, K = _kernel_for(s.initial, s.mech, proto, 0.01)
+    table = dict(zip(names, K, strict=True))
     assert table["h"] == 0.01 and table["ups2"] == s.mech.upsilon * s.mech.upsilon
-    for compiled in _kernel_for(s.initial, s.mech, proto):
-        source = linecache.getlines(compiled.__code__.co_filename)
+    for function in compiled:
+        source = linecache.getlines(function.__code__.co_filename)
         unpack = [line.strip() for line in source if line.strip().endswith(" = K")]
         assert len(unpack) == 1
-        assert unpack[0][:-len(" = K")].split(", ") == list(table)
+        assert unpack[0][:-len(" = K")].split(", ") == names
 
 
 @pytest.mark.parametrize("horizon", [1e-12, 1e-9])

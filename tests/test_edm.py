@@ -388,12 +388,16 @@ def test_one_sample_keeps_scalar_types():
     ([[0.5, 0.5]] * 4, [[0.1, 0.2]] * 3, "x has 4 samples but p has 3"),
     ([[[0.5, 0.5]] * 2] * 2, [[0.1, 0.2]] * 2, "x has 3 dimensions, more than a stack"),
     ([0.5, 0.5], [[[0.1, 0.2]] * 2] * 2, "p has 3 dimensions, more than a stack"),
+    ([1.0], [0.0], "at least two strategies are required, got 1"),
+    ([[1.0]] * 3, [[0.0]] * 3, "at least two strategies are required, got 1"),
+    ([], [], "at least two strategies are required, got 0"),
 ])
 def test_shares_and_payoffs_of_different_widths_are_rejected(layer, x, p, widths):
     # a storage used to be summed over the shorter of the two; the field
     # and the dissipation failed on the flow's argument count.  Stacks of
     # different lengths were broadcast, or failed in numpy, and a stack of
-    # stacks gave a stack of values
+    # stacks gave a stack of values.  One strategy failed in the flow on an
+    # unassigned dx_0 and gave a storage of 0.0; none failed to compile
     with pytest.raises(ValueError, match=f"^{widths}$"):
         layer(SMITH, x, p)
 

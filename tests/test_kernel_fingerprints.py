@@ -7,12 +7,15 @@ of them, so a faster kernel counts only while all of them still hold.  The
 CSV hashes also cover the derived ``B`` and ``L`` columns, which follow the
 kernel's rounding rule (sums left to right, squares as products,
 ``math.log``), so they are the same bytes whatever BLAS or SIMD code the
-host's numpy runs.
+host's numpy runs.  The generated Smith sources themselves are pinned by
+their sha256, so a change that is meant to keep the kernel keeps every byte
+of its text.
 """
 
 from __future__ import annotations
 
 import hashlib
+import linecache
 import traceback
 
 import pytest
@@ -101,3 +104,23 @@ def test_stage_failure_traceback_shows_generated_source(example1):
               if '"<epgtool kernel n=2>"' in line)
     # the failing line of the generated step is printed, not just its number
     assert " = " in lines[at + 1]
+
+
+@pytest.mark.parametrize("scenario, name, digest", [
+    ("example1", "<epgtool rhs_n2>",
+     "77ea9247133e34225b4a4fa33b8f9641fe674f596039efee7a959a8c1e9b97b5"),
+    ("example1", "<epgtool kernel n=2>",
+     "a613d98a0f005aae8bec1203a4dddc68192bb4a75a6bd11ca26a629d98ee85a1"),
+    ("three_strategy", "<epgtool rhs_n3>",
+     "6cd0ffea9565cb55d9996ff23a0b7fe87cb0983d7a59835b4191e4a70d11e7af"),
+    ("three_strategy", "<epgtool kernel n=3>",
+     "7b4cbd13f7198157566002b3ec8f849a8d10ee7526704b460fa0ae93d383a1dd"),
+])
+def test_smith_kernel_source_fingerprint(scenario, name, digest, request):
+    """The generated Smith sources, byte for byte.  The model constants and
+    the steps arrive in ``K``, not in the text, so the source is the same
+    for every configuration of ``n`` strategies and on every host."""
+    s = request.getfixturevalue(scenario)
+    state_derivative(s.initial, s.mech, s.proto)  # compiles both functions
+    source = "".join(linecache.getlines(name))
+    assert hashlib.sha256(source.encode()).hexdigest() == digest

@@ -112,6 +112,9 @@ def test_feedback_rejects_degenerate_epidemic_state(example1):
         mech.qdot_at_B(-0.1, 0.3, 0.17)
     with pytest.raises(EpidemicStateOutOfDomain):
         mech.qdot_at_B(0.5, 1.2, 0.17)
+    for I, R in ((0.05, math.nan), (math.nan, 0.17)):  # every comparison of NaN is false
+        with pytest.raises(EpidemicStateOutOfDomain):
+            mech.qdot_at_B(I, R, 0.17)
     with pytest.raises(OutOfRange):
         mech.qdot_at_B(0.05, 0.3, 0.21)
 
