@@ -162,8 +162,12 @@ def _level(I, I_hat, R_hat, a, base, log=_log):
     R-penalty applies only where ``R_hat`` exceeds the room ``1 - I``.
     ``log`` is ``math.log`` elementwise unless a caller passes another."""
     pen = R_hat - (1.0 - I)
-    pen = np.where(pen > 0.0, pen, 0.0)
-    return I_hat * log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
+    return _level_from(I_hat / I, np.where(pen > 0.0, pen, 0.0), I, I_hat, a, base, log)
+
+
+def _level_from(q, pen, I, I_hat, a, base, log):
+    """:func:`_level` at ``I`` from ``q = I_hat/I`` and the R-penalty."""
+    return I_hat * log(q) + I - I_hat + 0.5 * a * pen * pen + base
 
 
 def _band(I_hat, R_hat, a, base, alpha):
@@ -194,30 +198,41 @@ def _band(I_hat, R_hat, a, base, alpha):
     level(lo) + 2*E <= alpha - 2*eps + u*(alpha + 2*eps) + 2*E <= alpha``,
     and mirrored, strictly, on ``[hi, 1]``.  A NaN fails both checks.
 
-    Where the ends land needs no proof.  ``r`` takes ``_NEWTON_STEPS`` (7)
-    Newton steps on the level with ``_fast_log`` from
+    Where the ends land needs no proof.  The start
     ``I_hat*(1 + s + sqrt(s*s + 2*s))``, ``s = (alpha - base)/I_hat``,
-    capped at 1: above the root, as
-    ``x - 1 - ln x >= (x - 1)**2/(2*x)`` for ``x >= 1``, unless the root
-    lies past 1, and Newton steps on a convex level stay above it once
-    there.  ``lo`` is ``r - delta``, or 1 where that lies past 1, as it
-    does where the level at 1 is at most ``alpha``.  ``delta`` solves
+    capped at 1, is above the root, as ``x - 1 - ln x >= (x - 1)**2/(2*x)``
+    for ``x >= 1``, unless the root lies past 1.  So only a capped start
+    can be capped: where its level at 1 passes the ``lo`` check, the band
+    is ``[1, inf]``.  The other terms, in a call of their own, take
+    ``_NEWTON_STEPS`` (7) Newton steps ``r`` on the level with
+    ``_fast_log``, which stay above the root of a convex level.  ``lo`` is
+    ``r - delta``, or 1 where that lies past 1.  ``delta`` solves
     ``g'(r)*delta + I_hat*delta**2/2 = 4*eps``: ``g'' >= I_hat`` on
     ``(0, 1]``, so ``g`` gains ``4*eps`` over ``delta`` even where flat.
     """
     terms = I_hat, R_hat, a, base
     with np.errstate(all="ignore"):
-        def slope(I):
-            return 1.0 - I_hat / I + a * np.maximum(R_hat - (1.0 - I), 0.0)
+        def slope(I):  # with I_hat/I and the R-penalty, which the level shares
+            q, pen = I_hat / I, np.maximum(R_hat - (1.0 - I), 0.0)
+            return q, pen, 1.0 - q + a * pen
 
         hl = I_hat * np.abs(_fast_log(I_hat))
         eps = 2.0 ** -40 * hl + 2.0 ** -48 * (
             1.0 + I_hat + hl + a * (1.0 + np.abs(R_hat)) ** 2 + base + alpha)
         s = (alpha - base) / I_hat
         r = np.minimum(I_hat * (1.0 + s + np.sqrt(s * s + 2.0 * s)), 1.0)
+        cap = r == 1.0
+        if cap.any():
+            cap[cap] = _level(1.0, *(t[cap] for t in terms), log=_fast_log) <= alpha - 2.0 * eps[cap]
+            if cap.any():
+                lo, hi = np.ones(r.shape), np.full(r.shape, np.inf)
+                if not cap.all():
+                    lo[~cap], hi[~cap] = _band(*(t[~cap] for t in terms), alpha)
+                return lo, hi
         for _ in range(_NEWTON_STEPS):
-            r = r - (_level(r, *terms, log=_fast_log) - alpha) / slope(r)
-        g1 = slope(r)
+            q, pen, g1 = slope(r)
+            r = r - (_level_from(q, pen, r, I_hat, a, base, _fast_log) - alpha) / g1
+        g1 = slope(r)[2]
         delta = 8.0 * eps / (g1 + np.sqrt(g1 * g1 + 8.0 * I_hat * eps))
         lo, hi = np.minimum(r - delta, 1.0), r + delta
         lo = np.where((lo >= I_hat)
@@ -244,8 +259,16 @@ def _sup_level(I_hat, R_hat, a, base, alpha):
     halving's midpoint, is made by ``below``: at or below the band of
     :func:`_band` the level is at most ``alpha``, at or above it above,
     and :func:`_level` with ``math.log`` decides what the band leaves
-    open.  So every answer is ``math.log``'s, and numpy's log never enters
-    a value.
+    open, the points where ``I < hi`` differs from ``I <= lo``.  So every
+    answer is ``math.log``'s, and numpy's log never enters a value.
+
+    The loop keeps its arrays only for the terms still bisecting, and
+    writes a term's ``hi`` at the width test that ends it.  A midpoint
+    ``fl(lo + hi)/2`` in ``[0, 1]`` is off by at most ``2**-54``, so ``m``
+    halvings leave a width ``W`` at least ``W/2**m - 2**-53``, which
+    exceeds ``T = BISECTION_TOL`` (in float too) for ``m <= log2(W/T) -
+    1``: after a test with least width ``W``, the next comes
+    ``floor(log2(W/T)) - 2`` halvings later, or one.
     """
     # _level at I_hat, whose log is of 1.0 and so exactly 0.0
     slack = alpha - _level(I_hat, I_hat, R_hat, a, base, log=np.zeros_like)
@@ -254,24 +277,28 @@ def _sup_level(I_hat, R_hat, a, base, alpha):
     terms = [t[k] for t in (I_hat, R_hat, a, base)]
     thr_lo, thr_hi = _band(*terms, alpha)
 
-    def below(I, active=True):
-        """Whether the level at each active ``I`` is at most ``alpha``."""
+    def below(I):
+        """Whether the level at each ``I`` is at most ``alpha``."""
         b = I <= thr_lo
-        j = np.flatnonzero(active & ~b & (I < thr_hi))
+        j = np.flatnonzero(np.not_equal(I < thr_hi, b))
         if j.size:
             b[j] = _level(I[j], *(t[j] for t in terms)) <= alpha
         return b
 
-    lo, hi = terms[0].copy(), np.ones(k.size)  # lo is updated in place
-    lo[below(hi)] = 1.0  # hi is 1: a capped term's bracket is [1, 1]
-    active = hi - lo > BISECTION_TOL
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        b = below(mid, active)
-        np.copyto(lo, mid, where=active & b)
-        np.copyto(hi, mid, where=active & ~b)
-        active = hi - lo > BISECTION_TOL
-    sup[k] = hi
+    hi = np.ones(k.size)
+    lo = np.where(below(hi), 1.0, terms[0])  # a capped term's bracket is [1, 1]
+    while k.size:
+        wide = hi - lo > BISECTION_TOL
+        if not wide.all():
+            sup[k[~wide]] = hi[~wide]
+            j = np.flatnonzero(wide)
+            k, lo, hi, thr_lo, thr_hi, *terms = (
+                v[j] for v in (k, lo, hi, thr_lo, thr_hi, *terms))
+            continue
+        for _ in range(max(int(math.log2((hi - lo).min() / BISECTION_TOL)) - 2, 1)):
+            mid = 0.5 * (lo + hi)
+            b = below(mid)
+            lo, hi = np.where(b, mid, lo), np.where(b, hi, mid)
     return sup
 
 
@@ -310,8 +337,10 @@ def peak_bound(query: BoundQuery) -> BoundResult:
     rates = np.append(query.grid, query.alloc.betastar)
     ratios = peak_ratio_at(query, rates)
     k = int(np.nanargmax(ratios))
-    per_B = tuple(zip(query.grid.tolist(),
-                      [None if r != r else r for r in ratios[:-1].tolist()]))
+    per_ratio = ratios[:-1].tolist()
+    for i in np.flatnonzero(np.isnan(ratios[:-1])).tolist():
+        per_ratio[i] = None
+    per_B = tuple(zip(query.grid.tolist(), per_ratio))
     peak_ratio = float(ratios[k])
     return BoundResult(
         per_B=per_B,

@@ -147,18 +147,24 @@ def dense_grid_peak(B, alpha, alloc, params, upsilon, resolution=2000):
 
 
 def peak_ratio_per_rate(query, B):
-    """The peak ratio at one rate by a scalar bisection in Python floats:
-    the per-rate body that ``epgtool.bounds.peak_ratio_at`` replaced with a
-    lockstep array bisection, kept verbatim as its oracle."""
+    """The peak ratio at one rate: :func:`sup_level_per_term` on the rate's
+    terms, over ``I_star``."""
     from epgtool import endemic_state
-    from epgtool.bounds import BISECTION_TOL
 
     eq = endemic_state(float(B), query.params)
-    I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
     ups, b_dev = query.upsilon, eq.B - query.alloc.betastar
     base = 0.5 * (ups * ups) * (b_dev * b_dev)
-    alpha = query.alpha
-    I_star = query.alloc.endemic.I_hat
+    sup = sup_level_per_term(eq.I_hat, eq.R_hat, eq.a, base, query.alpha)
+    return None if sup is None else sup / query.alloc.endemic.I_hat
+
+
+def sup_level_per_term(I_hat, R_hat, a, base, alpha):
+    """The largest ``I`` whose level is at most ``alpha``, for one term, by
+    a scalar bisection in Python floats (``None`` where the level at
+    ``I_hat`` exceeds ``alpha``): the per-rate body that
+    ``epgtool.bounds._sup_level`` replaced with a lockstep array bisection,
+    kept verbatim as its oracle but for the division by ``I_star``."""
+    from epgtool.bounds import BISECTION_TOL
 
     def g(I: float) -> float:
         pen = R_hat - (1.0 - I)
@@ -169,9 +175,9 @@ def peak_ratio_per_rate(query, B):
     if slack < 0.0:
         return None
     if slack == 0.0:
-        return I_hat / I_star
+        return I_hat
     if g(1.0) <= alpha:
-        return 1.0 / I_star
+        return 1.0
     lo, hi = I_hat, 1.0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
@@ -179,7 +185,7 @@ def peak_ratio_per_rate(query, B):
             lo = mid
         else:
             hi = mid
-    return hi / I_star
+    return hi
 
 
 def random_bundle(rng, n_choices=(2, 3)):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from epgtool import (
     EpgState,
     ModelParams,
     OutOfRange,
+    PolicyConfig,
+    StrategySpec,
     certify_trajectory,
     default_grid,
     endemic_state,
@@ -23,11 +26,13 @@ from epgtool import (
     peak_bound,
     peak_ratio_at,
     simulate,
+    validate,
 )
 from epgtool import bounds
 from epgtool.config import apply_overrides, load_config, resolve
 from epgtool.params import usable_gain
-from helpers import dense_grid_peak, peak_ratio_per_rate, random_bundle
+from helpers import (dense_grid_peak, peak_ratio_per_rate, random_bundle,
+                     sup_level_per_term)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
 
@@ -639,6 +644,54 @@ def test_a_lower_end_newton_did_not_reach_is_rejected(example1, monkeypatch):
             _hex(r) for r in oracle]
 
 
+def test_a_level_that_caps_every_rate_takes_no_newton_step(example1, monkeypatch):
+    # at level 60 every rate's start is capped at 1 and its level at 1
+    # verifies: the band takes numpy's log twice, for eps and for the level
+    # at 1, and no Newton step
+    calls = []
+    fast_log = bounds._fast_log
+
+    def counted(x):
+        calls.append(np.size(x))
+        return fast_log(x)
+
+    monkeypatch.setattr(bounds, "_fast_log", counted)
+    query = _query(example1, 60.0, grid_size=3000)
+    rates = np.append(query.grid, example1.alloc.betastar)
+    lockstep = peak_ratio_at(query, rates)
+    assert calls == [rates.size, rates.size]
+    oracle = [peak_ratio_per_rate(query, B) for B in rates.tolist()]
+    assert {_outcome(query, B, r) for B, r in zip(rates.tolist(), oracle)} == {"cap"}
+    assert [_hex(r) for r in lockstep] == [_hex(r) for r in oracle]
+
+
+@pytest.mark.parametrize("newton_steps", [7, 0])
+def test_terms_end_their_bisection_where_the_per_term_bisection_does(
+        monkeypatch, newton_steps):
+    # brackets [I_hat, 1] from 0.5 to 40 BISECTION_TOL wide end after 0 to
+    # 6 halvings, next to terms that take 34: the width tests the loop
+    # skips must never be the ones that end a term
+    monkeypatch.setattr(bounds, "_NEWTON_STEPS", newton_steps)
+    rng = np.random.default_rng(29)
+    alpha = 1e-6
+    narrow = 1.0 - np.arange(1, 81) / 2.0 * bounds.BISECTION_TOL
+    I_hat = np.concatenate([narrow, np.linspace(0.02, 0.3, 40)])
+    # a steep R-penalty from I_hat on lifts a narrow term's level across
+    # its bracket far above rounding; its root lies at a random share of it
+    R_hat = np.concatenate([1.0 - narrow, np.full(40, 0.5)])
+    a = np.concatenate([np.full(80, 1e10), np.ones(40)])
+    rise = bounds._level(np.ones(80), narrow, R_hat[:80], a[:80], 0.0)
+    base = np.concatenate([alpha - rng.uniform(0.1, 0.9, 80) * rise,
+                           alpha * rng.uniform(0.0, 0.5, 40)])
+    # no term is infeasible or capped
+    assert np.all(bounds._level(I_hat, I_hat, R_hat, a, base) < alpha)
+    assert np.all(bounds._level(np.ones(120), I_hat, R_hat, a, base) > alpha)
+    oracle = [sup_level_per_term(*t, alpha)
+              for t in zip(I_hat.tolist(), R_hat.tolist(), a.tolist(), base.tolist())]
+    sup = bounds._sup_level(I_hat, R_hat, a, base, alpha)
+    assert [s.hex() for s in sup.tolist()] == [s.hex() for s in oracle]
+
+
 def test_numpy_log_stays_far_inside_the_room():
     # the band's assumption, checked where the suite runs: numpy's log is
     # within 2**-42*|L| + 2**-1002 of math.log (a quarter of the room
@@ -664,6 +717,44 @@ def test_numpy_log_stays_far_inside_the_room():
     fast = bounds._fast_log(x)
     exact = np.array([math.log(v) for v in x.tolist()])
     assert np.all(np.abs(fast - exact) <= 2.0 ** -42 * np.abs(fast) + 2.0 ** -1002)
+
+
+def test_the_certification_sweep_keeps_every_ratio_bit_for_bit():
+    # float.hex of every per_B ratio, peak_ratio and argmax_B over the 5 x 24
+    # points of the certification sweep (the ratio-vs-gain figure's
+    # scenario) at grid size 3000, pinned from the loop that bisected every
+    # term to the end
+    strategies = StrategySpec(betas=(0.15, 0.19), costs=(0.2, 0.0))
+    grid = default_grid(strategies, 3000)
+    digest = hashlib.sha256()
+    for cstar, delta in [(0.10, 0.005), (0.10, 0.002), (0.10, 0.008),
+                         (0.05, 0.005), (0.15, 0.005)]:
+        params = ModelParams(gamma=0.1, delta=delta, zeta=0.0, theta=0.0, psi=0.011)
+        for ups in np.linspace(0.25, 6.0, 24).tolist():
+            policy = PolicyConfig(cstar=cstar, upsilon=ups)
+            validate(params, strategies, policy)
+            alloc = optimal_allocation(strategies, policy, params)
+            res = peak_bound(BoundQuery(
+                alloc=alloc, params=params, upsilon=ups,
+                alpha=0.5 * ups ** 2 * (0.15 - alloc.betastar) ** 2, grid=grid))
+            for _, r in res.per_B:
+                digest.update(b"None" if r is None else r.hex().encode())
+            digest.update(f"{res.peak_ratio.hex()} {res.argmax_B.hex()};".encode())
+    assert digest.hexdigest() == (
+        "db40bdc028ca6c0d3b1c489a6b342b5a1f16259914dca98a2c9303c745f9d604")
+
+
+def test_peak_bound_calls_each_traced_layer_once(example1, monkeypatch):
+    # the benchmark's traced run wraps bounds.peak_ratio_at and
+    # bounds.endemic_state: peak_bound must reach both through these names
+    calls = []
+    for name in ("peak_ratio_at", "endemic_state"):
+        def counted(*args, _f=getattr(bounds, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+    peak_bound(_query(example1, 0.0008, grid_size=3000))
+    assert sorted(calls) == ["endemic_state", "peak_ratio_at"]
 
 
 @pytest.mark.parametrize("upsilon", [math.nan, math.inf, 1e200, 0.0, -2.0])
