@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundQuery, certify_trajectory, default_grid, peak_bound
-from .config import apply_overrides, load_config, resolve
+from .config import MAX_GAINS, apply_overrides, load_config, resolve
 from .dynamics import (
     StepRejected,
     lyapunov_series,
@@ -188,8 +188,7 @@ def _audit(traj) -> dict:
     excess of the sampled slope over its decrease bound (``None`` with
     fewer than three samples), the count of violations, and ``fd_tol``."""
     series = lyapunov_series(traj)
-    excess = (series.dvalue_dt - series.decrease_bound)[1:-1]
-    return {"worst_excess": float(excess.max()) if excess.size else None,
+    return {"worst_excess": series.worst_excess,
             "violations": len(series.violations), "fd_tol": series.fd_tol}
 
 
@@ -239,6 +238,9 @@ def cmd_bounds(args) -> int:
     upsilons = [run.bundle.policy.upsilon]
     if args.upsilons:  # every entry that is not a usable gain is listed
         entries = args.upsilons.split(",")
+        if len(entries) > MAX_GAINS:
+            raise ValidationError([AssumptionViolated(
+                "--upsilons", f"{len(entries)} gains exceed the cap of {MAX_GAINS}")])
         upsilons = [_number(entry) for entry in entries]
         bad = [AssumptionViolated(
                    f"--upsilons[{k}]",
@@ -276,6 +278,17 @@ def cmd_certify(args) -> int:
     return EXIT_OK if report.passed else EXIT_RUNTIME
 
 
+# {subcommand: (handler, help)}, in the order of the help text
+_COMMANDS = {
+    "validate": (cmd_validate, "check every model assumption"),
+    "equilibrium": (cmd_equilibrium,
+                    "optimal mix, beta*, endemic pair, and an endemic sweep CSV"),
+    "simulate": (cmd_simulate, "integrate the closed loop; write trajectory CSV + manifest"),
+    "bounds": (cmd_bounds, "peak-bound sweep over upsilon values; write CSV"),
+    "certify": (cmd_certify, "simulate and compare the peak against the bound"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epgtool",
@@ -287,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="show program's version number and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (func, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("config", help="JSON run configuration")
         p.add_argument(
             "--set", action="append", default=[], metavar="KEY.PATH=VALUE",
@@ -299,40 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--json-errors", action="store_true",
             help="print machine-readable error JSON to stdout",
         )
-
-    p = sub.add_parser("validate", help="check every model assumption")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "equilibrium",
-        help="optimal mix, beta*, endemic pair, and an endemic sweep CSV",
-    )
-    common(p)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser(
-        "simulate",
-        help="integrate the closed loop; write trajectory CSV + manifest",
-    )
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "bounds", help="peak-bound sweep over upsilon values; write CSV"
-    )
-    common(p)
-    p.add_argument(
+        p.set_defaults(func=func)
+    sub.choices["bounds"].add_argument(
         "--upsilons", default=None,
         help="comma-separated upsilon values (default: the config value)",
     )
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser(
-        "certify", help="simulate and compare the peak against the bound"
-    )
-    common(p)
-    p.set_defaults(func=cmd_certify)
     return parser
 
 

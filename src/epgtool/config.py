@@ -46,10 +46,12 @@ from .payoff import PayoffMechanism, build_mechanism
 __all__ = ["ResolvedRun", "load_config", "apply_overrides", "resolve"]
 
 # Largest run a configuration may ask for: integration steps, recorded
-# samples (rows of trajectory.csv) and points of the bound's rate grid.
+# samples (rows of trajectory.csv) and points of the bound's rate grid; and
+# the most gains one ``epgtool bounds --upsilons`` may sweep, a full bound each.
 MAX_STEPS = 2_000_000
 MAX_SAMPLES = 200_001
 MAX_GRID_SIZE = 100_000
+MAX_GAINS = 100
 
 def _is_number(v) -> bool:
     """A finite JSON number: ints included, booleans, NaN and infinities not."""
@@ -78,21 +80,20 @@ def _null_by_default(kind):
     return (f"{desc} or null", lambda v: v is None or ok(v)), None
 
 
-def _fields_of(cls, **kinds) -> dict:
+def _fields_of(cls, kind, **overrides) -> dict:
     """``{key: (kind, default)}`` of a section that builds ``cls``: one key
-    per field, with that field's default (``MISSING`` if it has none)."""
-    return {f.name: (kinds[f.name], f.default) for f in fields(cls)}
+    per field, of ``kind`` unless ``overrides`` names another, with that
+    field's default (``MISSING`` if it has none)."""
+    return {f.name: (overrides.get(f.name, kind), f.default) for f in fields(cls)}
 
 
 # {section: {key: (kind, default)}}; a key whose default is MISSING is required
 _SCHEMA = {
-    "params": _fields_of(ModelParams, **dict.fromkeys(
-        ("gamma", "delta", "zeta", "theta", "psi"), _NUMBER)),
-    "strategies": _fields_of(StrategySpec, betas=_NUMBERS, costs=_NUMBERS),
-    "policy": _fields_of(PolicyConfig, **dict.fromkeys(
-        ("cstar", "upsilon", "offsupport_margin"), _NUMBER)),
-    "protocol": _fields_of(SmithProtocol, rate_gain=_POSITIVE, cap=_POSITIVE),
-    "integrator": {**_fields_of(IntegratorOptions, step=_POSITIVE, output_stride=_STRIDE),
+    "params": _fields_of(ModelParams, _NUMBER),
+    "strategies": _fields_of(StrategySpec, _NUMBERS),
+    "policy": _fields_of(PolicyConfig, _NUMBER),
+    "protocol": _fields_of(SmithProtocol, _POSITIVE),
+    "integrator": {**_fields_of(IntegratorOptions, _POSITIVE, output_stride=_STRIDE),
                    "horizon": (_NUMBER, 1500.0)},
     "initial": {"x": _null_by_default(_NUMBERS), "q": (_NUMBER, 0.0),
                 **dict.fromkeys(("B", "I", "R"), _null_by_default(_NUMBER))},

@@ -370,7 +370,6 @@ class Trajectory:
     stats: RunStats
     mech: PayoffMechanism = field(repr=False)
     proto: object = field(repr=False)
-    options: IntegratorOptions = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -445,7 +444,7 @@ def simulate(
         lyapunov=np.asarray(epi) + proto_s,
         observed_peak=peak_I, observed_peak_time=peak_t,
         stats=RunStats(n_steps, *counts),
-        mech=mech, proto=proto, options=options,
+        mech=mech, proto=proto,
     )
 
 
@@ -465,8 +464,10 @@ class LyapunovSeries:
     bound ``-dissipation - (B - delta)*i_dev^2 - a*(omega - delta*I)*r_dev^2``.
 
     ``dvalue_dt`` holds central differences at interior samples (endpoints
-    are NaN).  ``violations`` lists ``(index, time, excess)`` where the slope
-    exceeds the bound by more than ``fd_tol``.
+    are NaN).  ``worst_excess`` is the largest excess of the slope over the
+    bound at an interior sample (``None`` below three samples), and
+    ``violations`` lists ``(index, time, excess)`` where the slope exceeds
+    the bound by more than ``fd_tol``.
     """
 
     times: np.ndarray
@@ -474,6 +475,7 @@ class LyapunovSeries:
     dvalue_dt: np.ndarray
     decrease_bound: np.ndarray
     fd_tol: float
+    worst_excess: float | None
     violations: tuple[tuple[int, float, float], ...]
 
 
@@ -504,11 +506,13 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
         - eq.a * (params.omega - params.delta * traj.I) * (r_dev * r_dev)
     )
     excess = dL - bound
-    found = np.flatnonzero(excess[1:-1] > fd_tol) + 1
+    interior = excess[1:-1]
+    found = np.flatnonzero(interior > fd_tol) + 1
     violations = tuple((int(k), float(t[k]), float(excess[k])) for k in found)
     return LyapunovSeries(
-        times=t, value=L, dvalue_dt=dL, decrease_bound=bound,
-        fd_tol=fd_tol, violations=violations,
+        times=t, value=L, dvalue_dt=dL, decrease_bound=bound, fd_tol=fd_tol,
+        worst_excess=float(interior.max()) if interior.size else None,
+        violations=violations,
     )
 
 
@@ -517,14 +521,13 @@ def write_csv(traj: Trajectory, path) -> None:
 
     Fixed column order: ``t, I, R, x1..xn, q, B, cost, avg_cost, L``.
     """
-    n = traj.x.shape[1]
-    header = ["t", "I", "R"] + [f"x{k + 1}" for k in range(n)] + [
-        "q", "B", "cost", "avg_cost", "L",
-    ]
-    cols = [traj.times, traj.I, traj.R] + [traj.x[:, k] for k in range(n)] + [
-        traj.q, traj.B, traj.cost, traj.avg_cost, traj.lyapunov,
-    ]
-    write_table(path, header, cols)
+    columns = {
+        "t": traj.times, "I": traj.I, "R": traj.R,
+        **{f"x{k + 1}": x_k for k, x_k in enumerate(traj.x.T)},
+        "q": traj.q, "B": traj.B, "cost": traj.cost, "avg_cost": traj.avg_cost,
+        "L": traj.lyapunov,
+    }
+    write_table(path, list(columns), list(columns.values()))
 
 
 def write_table(path, header: list[str], cols: list[np.ndarray]) -> None:

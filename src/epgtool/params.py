@@ -212,121 +212,47 @@ def check_assumptions(
       that is :func:`usable_gain`.
     """
     p, s, pol = params, strategies, policy
-    out: list[AssumptionViolated] = []
-
-    for name, value in (
-        ("gamma", p.gamma),
-        ("delta", p.delta),
-        ("zeta", p.zeta),
-        ("theta", p.theta),
-        ("psi", p.psi),
-    ):
-        if value < 0:
-            out.append(
-                AssumptionViolated(f"{name}>=0", f"{name}={value!r} is negative")
-            )
-    if p.delta <= 0:
-        out.append(
-            AssumptionViolated(
-                "delta>0",
-                f"delta={p.delta!r}; this toolkit targets the positive "
-                "disease-death-rate regime",
-            )
-        )
-    if not p.delta < p.omega:
-        out.append(
-            AssumptionViolated(
-                "delta<omega", f"delta={p.delta!r} >= omega={p.omega!r}"
-            )
-        )
-    if not p.delta < p.gamma:
-        out.append(
-            AssumptionViolated(
-                "delta<gamma", f"delta={p.delta!r} >= gamma={p.gamma!r}"
-            )
-        )
-    if not p.omega > 0:
-        out.append(AssumptionViolated("omega>0", f"omega={p.omega!r}"))
-    if not p.sigma > 0:
-        out.append(AssumptionViolated("sigma>0", f"sigma={p.sigma!r}"))
-    if not p.sigma > p.delta:
-        out.append(
-            AssumptionViolated(
-                "sigma>delta", f"sigma={p.sigma!r} <= delta={p.delta!r}"
-            )
-        )
-
-    for i in range(s.n - 1):
-        if not s.betas[i] < s.betas[i + 1]:
-            out.append(
-                AssumptionViolated(
-                    "betas_increasing",
-                    f"betas[{i}]={s.betas[i]!r} >= betas[{i + 1}]={s.betas[i + 1]!r}",
-                )
-            )
-        if not s.costs[i] > s.costs[i + 1]:
-            out.append(
-                AssumptionViolated(
-                    "costs_decreasing",
-                    f"costs[{i}]={s.costs[i]!r} <= costs[{i + 1}]={s.costs[i + 1]!r}",
-                )
-            )
-    if not p.sigma < s.betas[0]:
-        out.append(
-            AssumptionViolated(
-                "sigma<beta_1",
-                f"sigma={p.sigma!r} >= betas[0]={s.betas[0]!r}; the safest "
-                "strategy could not sustain an endemic state",
-            )
-        )
-    for i in range(s.n - 2):
-        db1 = s.betas[i + 1] - s.betas[i]
-        db2 = s.betas[i + 2] - s.betas[i + 1]
-        if db1 <= 0 or db2 <= 0:
-            continue  # already reported by the ordering check
-        slope1 = (s.costs[i] - s.costs[i + 1]) / db1
-        slope2 = (s.costs[i + 1] - s.costs[i + 2]) / db2
-        if not slope1 > slope2:
-            out.append(
-                AssumptionViolated(
-                    "marginal_cost_decreasing",
-                    f"cost/transmission slope at {i} is {slope1!r} <= "
-                    f"next slope {slope2!r}",
-                )
-            )
-
-    ctilde = s.ctilde
-    if not 0.0 < pol.cstar < ctilde[0]:
-        out.append(
-            AssumptionViolated(
-                "0<cstar<ctilde_1",
-                f"cstar={pol.cstar!r} outside (0, {ctilde[0]!r})",
-            )
-        )
-    for i, ct in enumerate(ctilde):
-        if abs(pol.cstar - ct) <= BREAKPOINT_TOL:
-            out.append(
-                AssumptionViolated(
-                    "BudgetAtBreakpoint",
-                    f"cstar={pol.cstar!r} equals ctilde[{i}]={ct!r} within "
-                    f"{BREAKPOINT_TOL:g}",
-                )
-            )
-    if not usable_gain(pol.upsilon):
-        out.append(
-            AssumptionViolated(
-                "upsilon>0",
-                f"upsilon={pol.upsilon!r} must be positive with a finite square",
-            )
-        )
-    if not pol.offsupport_margin > 0:
-        out.append(
-            AssumptionViolated(
-                "offsupport_margin>0",
-                f"offsupport_margin={pol.offsupport_margin!r}",
-            )
-        )
-    return out
+    delta, omega, sigma = p.delta, p.omega, p.sigma
+    b, c, ctilde = s.betas, s.costs, s.ctilde
+    # slope of interval i, None where the betas are not increasing there (the
+    # ordering check reports it, so the marginal-cost check skips it)
+    slope = [(c0 - c1) / (b1 - b0) if b1 - b0 > 0 else None
+             for b0, b1, c0, c1 in zip(b, b[1:], c, c[1:])]
+    # (name, holds, detail format, values), in the order of the report
+    rows = [
+        *((f"{name}>=0", value >= 0, "{}={!r} is negative", (name, value))
+          for name, value in (("gamma", p.gamma), ("delta", delta),
+                              ("zeta", p.zeta), ("theta", p.theta), ("psi", p.psi))),
+        ("delta>0", delta > 0, "delta={!r}; this toolkit targets the positive "
+         "disease-death-rate regime", (delta,)),
+        ("delta<omega", delta < omega, "delta={!r} >= omega={!r}", (delta, omega)),
+        ("delta<gamma", delta < p.gamma, "delta={!r} >= gamma={!r}", (delta, p.gamma)),
+        ("omega>0", omega > 0, "omega={!r}", (omega,)),
+        ("sigma>0", sigma > 0, "sigma={!r}", (sigma,)),
+        ("sigma>delta", sigma > delta, "sigma={!r} <= delta={!r}", (sigma, delta)),
+        *(row for i in range(s.n - 1) for row in (
+            ("betas_increasing", b[i] < b[i + 1], "betas[{}]={!r} >= betas[{}]={!r}",
+             (i, b[i], i + 1, b[i + 1])),
+            ("costs_decreasing", c[i] > c[i + 1], "costs[{}]={!r} <= costs[{}]={!r}",
+             (i, c[i], i + 1, c[i + 1])))),
+        ("sigma<beta_1", sigma < b[0], "sigma={!r} >= betas[0]={!r}; the safest "
+         "strategy could not sustain an endemic state", (sigma, b[0])),
+        *(("marginal_cost_decreasing", slope[i] > slope[i + 1],
+           "cost/transmission slope at {} is {!r} <= next slope {!r}",
+           (i, slope[i], slope[i + 1]))
+          for i in range(s.n - 2) if None not in slope[i:i + 2]),
+        ("0<cstar<ctilde_1", 0.0 < pol.cstar < ctilde[0], "cstar={!r} outside (0, {!r})",
+         (pol.cstar, ctilde[0])),
+        *(("BudgetAtBreakpoint", abs(pol.cstar - ct) > BREAKPOINT_TOL,
+           "cstar={!r} equals ctilde[{}]={!r} within {:g}", (pol.cstar, i, ct, BREAKPOINT_TOL))
+          for i, ct in enumerate(ctilde)),
+        ("upsilon>0", usable_gain(pol.upsilon),
+         "upsilon={!r} must be positive with a finite square", (pol.upsilon,)),
+        ("offsupport_margin>0", pol.offsupport_margin > 0, "offsupport_margin={!r}",
+         (pol.offsupport_margin,)),
+    ]
+    return [AssumptionViolated(name, detail.format(*values))
+            for name, holds, detail, values in rows if not holds]
 
 
 def validate(

@@ -706,6 +706,28 @@ def test_fuzzed_upsilons_fail_cleanly(upsilons):
         assert violations and all(v["name"].startswith("--upsilons[") for v in violations)
 
 
+def test_upsilons_beyond_the_cap_are_one_violation_before_any_bound(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(epgtool.cli, "peak_bound", refuse)
+    at_cap = ",".join(["2"] * _config.MAX_GAINS)
+    with pytest.raises(AssertionError, match="a bound was computed"):
+        main(["bounds", str(CONFIG), "--out", str(tmp_path), f"--upsilons={at_cap}"])
+    # one gain more, and a bad entry, give the one violation of the cap
+    code = main(["bounds", str(CONFIG), "--out", str(tmp_path), "--json-errors",
+                 f"--upsilons={at_cap},-1"])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [(v["name"], v["detail"]) for v in violations] == [
+        ("--upsilons", f"{_config.MAX_GAINS + 1} gains exceed the cap of "
+                       f"{_config.MAX_GAINS}"),
+    ]
+    assert not (tmp_path / "bounds_sweep.csv").exists()
+
+
 def test_unparsable_upsilons_are_listed(tmp_path, capsys):
     code = main(["bounds", str(CONFIG), "--out", str(tmp_path), "--json-errors",
                  "--upsilons=a,2,,-1"])
@@ -784,3 +806,28 @@ def test_bounds_and_simulate_take_the_same_start_level(tmp_path, capsys):
     alpha = detail[0]["alpha"]
     assert alpha == float(sweep_row.split(",")[3])
     assert alpha == cert["alpha"] == cert["start_level"] == float(first_row.split(",")[-1])
+
+
+# sha256 of the help texts at 80 columns, as argparse of Python 3.11 lays
+# them out; other versions may wrap or word them differently
+_HELP_SHA256 = {
+    (): "8edf9525562e381184a66d1737fcf1b6c66d9aae1819d658e6a108d292c62e69",
+    ("validate",): "e3d9bbfa854f07718ba64fe4ebdba8a91e3a03bd716d170f1772767b3b9764bc",
+    ("equilibrium",): "24570d029cb88792b0cfbb794a50abd5ca59cedfd83f39b16ca05a43a0d0e885",
+    ("simulate",): "3b050f5a2ada1407a5dafacaf4e4aa50110e0791b16649432d337b1d1815cc08",
+    ("bounds",): "bb26fc419a58bfd653d53e3d35de3d88c038d44054d0545b814421e71f66516a",
+    ("certify",): "4b1d28105a28459d24f237ed2c5a4e9cc9d2439e226dde3f73bb86951e572a4c",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help texts pinned as laid out by Python 3.11's argparse")
+@pytest.mark.parametrize("command", list(_HELP_SHA256),
+                         ids=lambda command: "-".join(("epgtool", *command)))
+def test_help_texts_are_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "-h"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == _HELP_SHA256[command], text

@@ -165,3 +165,40 @@ def test_no_key_is_silently_ignored(key):
     except ValidationError:
         return
     assert dataclasses.replace(run, config={}) != dataclasses.replace(base, config={})
+
+
+_REQUIRED = dataclasses.MISSING
+
+
+def test_schema_is_pinned():
+    # {section: {key: (kind description, default)}} in order, MISSING for a
+    # required key
+    schema = {section: {key: (kind[0], default) for key, (kind, default) in keys.items()}
+              for section, keys in _SCHEMA.items()}
+    expected = {
+        "params": {
+            "gamma": ("a finite number", _REQUIRED), "delta": ("a finite number", _REQUIRED),
+            "zeta": ("a finite number", 0.0), "theta": ("a finite number", 0.0),
+            "psi": ("a finite number", 0.0),
+        },
+        "strategies": {"betas": ("a list of finite numbers", _REQUIRED),
+                       "costs": ("a list of finite numbers", _REQUIRED)},
+        "policy": {"cstar": ("a finite number", _REQUIRED),
+                   "upsilon": ("a finite number", _REQUIRED),
+                   "offsupport_margin": ("a finite number", 0.01)},
+        "protocol": {"rate_gain": ("a positive finite number", 0.1),
+                     "cap": ("a positive finite number", 0.1)},
+        "integrator": {"step": ("a positive finite number", 0.01),
+                       "output_stride": ("an integer of at least 1", 10),
+                       "horizon": ("a finite number", 1500.0)},
+        "initial": {"x": ("a list of finite numbers or null", None),
+                    "q": ("a finite number", 0.0),
+                    "B": ("a finite number or null", None),
+                    "I": ("a finite number or null", None),
+                    "R": ("a finite number or null", None)},
+        "bounds": {"grid_size": ("an integer", 30),
+                   "alpha": ("a nonnegative finite number or null", None)},
+    }
+    def ordered(table):
+        return [(section, list(keys.items())) for section, keys in table.items()]
+    assert ordered(schema) == ordered(expected)

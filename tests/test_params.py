@@ -167,3 +167,93 @@ def test_derived_rates_match_definitions():
     assert math.isclose(p.sigma, 0.112)
     assert math.isclose(p.omega_bar, 0.014)
     assert math.isclose(p.omega, 0.018)
+
+
+_EXAMPLE1 = ModelParams(gamma=0.1, delta=0.005, zeta=0.0, theta=0.0, psi=0.011)
+_TWO = StrategySpec(betas=(0.15, 0.19), costs=(0.2, 0.0))
+_SUSTAINS = "; the safest strategy could not sustain an endemic state"
+
+
+# crafted triples that together fail every rule at least once, with the
+# exact ordered (name, detail) list that each gives
+@pytest.mark.parametrize("params, strategies, policy, expected", [
+    pytest.param(
+        ModelParams(gamma=-1.0, delta=-0.5, zeta=-0.25, theta=-2.0, psi=-0.125),
+        _TWO, PolicyConfig(0.1, 2.0), [
+            ("gamma>=0", "gamma=-1.0 is negative"),
+            ("delta>=0", "delta=-0.5 is negative"),
+            ("zeta>=0", "zeta=-0.25 is negative"),
+            ("theta>=0", "theta=-2.0 is negative"),
+            ("psi>=0", "psi=-0.125 is negative"),
+            ("delta>0", "delta=-0.5; this toolkit targets the positive "
+                        "disease-death-rate regime"),
+            ("delta<omega", "delta=-0.5 >= omega=-2.125"),
+            ("delta<gamma", "delta=-0.5 >= gamma=-1.0"),
+            ("omega>0", "omega=-2.125"),
+            ("sigma>0", "sigma=-3.5"),
+            ("sigma>delta", "sigma=-3.5 <= delta=-0.5"),
+        ], id="negative-rates"),
+    pytest.param(
+        ModelParams(gamma=0.1, delta=-0.0, zeta=0.0, theta=0.0, psi=0.011),
+        _TWO, PolicyConfig(0.1, 2.0), [
+            ("delta>0", "delta=-0.0; this toolkit targets the positive "
+                        "disease-death-rate regime"),
+        ], id="negative-zero-rate"),
+    pytest.param(
+        ModelParams(gamma=0.1, delta=0.2, zeta=0.0, theta=0.0, psi=0.1),
+        StrategySpec(betas=(0.1, 0.19), costs=(0.2, 0.0)), PolicyConfig(0.1, 2.0), [
+            ("delta<omega", "delta=0.2 >= omega=0.1"),
+            ("delta<gamma", "delta=0.2 >= gamma=0.1"),
+            ("sigma<beta_1", "sigma=0.30000000000000004 >= betas[0]=0.1" + _SUSTAINS),
+        ], id="unsustainable"),
+    pytest.param(
+        _EXAMPLE1, StrategySpec(betas=(0.2, 0.19, 0.25, 0.24), costs=(0.3, 0.4, 0.1, 0.2)),
+        PolicyConfig(0.15, 2.0), [
+            ("betas_increasing", "betas[0]=0.2 >= betas[1]=0.19"),
+            ("costs_decreasing", "costs[0]=0.3 <= costs[1]=0.4"),
+            ("betas_increasing", "betas[2]=0.25 >= betas[3]=0.24"),
+            ("costs_decreasing", "costs[2]=0.1 <= costs[3]=0.2"),
+            ("0<cstar<ctilde_1", "cstar=0.15 outside (0, 0.09999999999999998)"),
+        ], id="misordered-n4"),
+    pytest.param(
+        _EXAMPLE1, StrategySpec(betas=(0.25, 0.5, 0.75, 1.0), costs=(1.0, 0.75, 0.5, 0.0)),
+        PolicyConfig(0.3, 2.0), [
+            ("marginal_cost_decreasing",
+             "cost/transmission slope at 0 is 1.0 <= next slope 1.0"),
+            ("marginal_cost_decreasing",
+             "cost/transmission slope at 1 is 1.0 <= next slope 2.0"),
+        ], id="non-decreasing-slopes"),
+    pytest.param(
+        _EXAMPLE1,
+        StrategySpec(betas=(-1e308, 1e308, 1.5e308), costs=(1e308, -1e308, -1.5e308)),
+        PolicyConfig(1.0, 2.0), [
+            ("sigma<beta_1", "sigma=0.10500000000000001 >= betas[0]=-1e+308" + _SUSTAINS),
+            ("marginal_cost_decreasing",
+             "cost/transmission slope at 0 is nan <= next slope 1.0"),
+        ], id="nan-slope"),
+    pytest.param(
+        _EXAMPLE1, _TWO, PolicyConfig(0.2, 2.0, 0.0), [
+            ("0<cstar<ctilde_1", "cstar=0.2 outside (0, 0.2)"),
+            ("BudgetAtBreakpoint", "cstar=0.2 equals ctilde[0]=0.2 within 1e-12"),
+            ("offsupport_margin>0", "offsupport_margin=0.0"),
+        ], id="cstar-at-first-breakpoint"),
+    pytest.param(
+        _EXAMPLE1, _TWO, PolicyConfig(0.0, 1.3407807929942597e+154, -1.0), [
+            ("0<cstar<ctilde_1", "cstar=0.0 outside (0, 0.2)"),
+            ("BudgetAtBreakpoint", "cstar=0.0 equals ctilde[1]=0.0 within 1e-12"),
+            ("upsilon>0", "upsilon=1.3407807929942597e+154 must be positive with a "
+                          "finite square"),
+            ("offsupport_margin>0", "offsupport_margin=-1.0"),
+        ], id="cstar-at-last-breakpoint"),
+    pytest.param(
+        _EXAMPLE1, _TWO, PolicyConfig(0.2 - 1e-13, 0.0), [
+            ("BudgetAtBreakpoint",
+             "cstar=0.1999999999999 equals ctilde[0]=0.2 within 1e-12"),
+            ("upsilon>0", "upsilon=0.0 must be positive with a finite square"),
+        ], id="cstar-near-breakpoint"),
+])
+def test_violations_are_listed_in_order_with_their_details(
+    params, strategies, policy, expected
+):
+    violations = check_assumptions(params, strategies, policy)
+    assert [(v.name, v.detail) for v in violations] == expected
