@@ -13,19 +13,11 @@ one-dimensional convex problem; maximizing over a transmission-rate grid
 and the target rate ``betastar``, whose level set holds the target state
 at every ``alpha >= 0``, yields the certified peak ratio.
 :func:`peak_ratio_at` builds each rate's terms and :func:`_sup_level`, the
-one solver, finds the largest I whose level is at most ``alpha``.  The
-per-rate problems are independent, so it bisects every rate in lockstep
-on numpy arrays; each rate takes the float operations of a per-rate
-bisection, in the same order, so the ratios are that bisection's bit for
-bit.
-
-Every value is computed with ``math.log``.  numpy's log, faster on arrays
-but free to differ in the last bit, is used for decisions only.  Each
-decision, whether the level at 1 or at a halving's midpoint lies at or
-below ``alpha``, goes through one test in :func:`_sup_level`: a band
-around the root, which :func:`_band` places with Newton steps and
-verifies with a proven error bound, answers most; ``math.log`` answers
-the rest.  The answers, and so the ratios, are ``math.log``'s.
+one solver, finds the largest I whose level is at most ``alpha`` for all
+rates at once: the upper end of the band around the root that
+:func:`_band` places with numpy's log and Newton steps and verifies with a
+proven error bound, where it is no wider than ``BISECTION_TOL``, and
+otherwise the end of a bisection with ``math.log``.
 """
 
 from __future__ import annotations
@@ -248,57 +240,37 @@ def _sup_level(I_hat, R_hat, a, base, alpha):
     """Largest ``I in [I_hat, 1]`` with ``_level(I) <= alpha``, per term of
     :func:`_band`'s arguments: NaN where the level at ``I_hat`` exceeds
     ``alpha``, ``I_hat`` where it equals it, 1 where the level at 1 is at
-    most ``alpha``, and otherwise the upper end of the final bracket of a
-    bisection to ``BISECTION_TOL``, so never below the supremum.  A NaN
-    level at ``I_hat`` is bisected.
+    most ``alpha``, and otherwise the upper end of a bracket around the
+    root no wider than ``BISECTION_TOL``.  A NaN level at ``I_hat`` is
+    bisected.
 
-    All terms are bisected in lockstep, each with the float operations of
-    a per-term bisection in the same order, so every result equals that
-    bisection's bit for bit.  The level at ``I_hat`` takes no log (its log
-    is of 1.0, exactly 0.0).  Every other decision, the cap at 1 and each
-    halving's midpoint, is made by ``below``: at or below the band of
-    :func:`_band` the level is at most ``alpha``, at or above it above,
-    and :func:`_level` with ``math.log`` decides what the band leaves
-    open, the points where ``I < hi`` differs from ``I <= lo``.  So every
-    answer is ``math.log``'s, and numpy's log never enters a value.
-
-    The loop keeps its arrays only for the terms still bisecting, and
-    writes a term's ``hi`` at the width test that ends it.  A midpoint
-    ``fl(lo + hi)/2`` in ``[0, 1]`` is off by at most ``2**-54``, so ``m``
-    halvings leave a width ``W`` at least ``W/2**m - 2**-53``, which
-    exceeds ``T = BISECTION_TOL`` (in float too) for ``m <= log2(W/T) -
-    1``: after a test with least width ``W``, the next comes
-    ``floor(log2(W/T)) - 2`` halvings later, or one.
+    The bracket is :func:`_band`'s where its ends verified within
+    ``BISECTION_TOL``, and a lower end of 1 is the cap.  For the rest,
+    ``math.log`` decides the cap and bisects from ``I_hat`` to the verified
+    upper end or 1, testing the width at every halving; not from the lower
+    end, which would make the first midpoint the Newton iterate, within
+    rounding of the root, where rounding decides on which side it lies.
     """
     # _level at I_hat, whose log is of 1.0 and so exactly 0.0
     slack = alpha - _level(I_hat, I_hat, R_hat, a, base, log=np.zeros_like)
     sup = np.where(slack < 0.0, np.nan, I_hat)
     k = np.flatnonzero(~(slack <= 0.0))  # NaN slack is bisected
     terms = [t[k] for t in (I_hat, R_hat, a, base)]
-    thr_lo, thr_hi = _band(*terms, alpha)
-
-    def below(I):
-        """Whether the level at each ``I`` is at most ``alpha``."""
-        b = I <= thr_lo
-        j = np.flatnonzero(np.not_equal(I < thr_hi, b))
-        if j.size:
-            b[j] = _level(I[j], *(t[j] for t in terms)) <= alpha
-        return b
-
-    hi = np.ones(k.size)
-    lo = np.where(below(hi), 1.0, terms[0])  # a capped term's bracket is [1, 1]
-    while k.size:
+    lo, hi = _band(*terms, alpha)
+    sup[k] = np.where(lo == 1.0, 1.0, hi)
+    j = np.flatnonzero((lo < 1.0) & (hi - lo > BISECTION_TOL))
+    if j.size:
+        terms = [t[j] for t in terms]
+        hi = np.minimum(hi[j], 1.0)
+        # a capped term's bracket is [1, 1]
+        lo = np.where(_level(np.ones(j.size), *terms) <= alpha, 1.0, terms[0])
         wide = hi - lo > BISECTION_TOL
-        if not wide.all():
-            sup[k[~wide]] = hi[~wide]
-            j = np.flatnonzero(wide)
-            k, lo, hi, thr_lo, thr_hi, *terms = (
-                v[j] for v in (k, lo, hi, thr_lo, thr_hi, *terms))
-            continue
-        for _ in range(max(int(math.log2((hi - lo).min() / BISECTION_TOL)) - 2, 1)):
+        while wide.any():
             mid = 0.5 * (lo + hi)
-            b = below(mid)
-            lo, hi = np.where(b, mid, lo), np.where(b, hi, mid)
+            b = _level(mid, *terms) <= alpha
+            lo, hi = np.where(wide & b, mid, lo), np.where(wide & ~b, mid, hi)
+            wide = hi - lo > BISECTION_TOL
+        sup[k[j]] = hi
     return sup
 
 
@@ -311,8 +283,9 @@ def peak_ratio_at(query: BoundQuery,
     of ``R_hat`` into ``[0, 1 - I]``; substituting gives a convex function
     of I alone, minimized at ``I_hat``: :func:`_level` on the terms
     ``(I_hat, R_hat, a, base)`` of the rate.  :func:`_sup_level` finds the
-    largest ``I`` keeping it below ``alpha``, never understating it.  A
-    float ``B`` gives a float, or ``None`` when even the minimum exceeds
+    largest ``I`` keeping it below ``alpha``, up to the level's rounding
+    never understating it and overstating it by at most ``BISECTION_TOL``.
+    A float ``B`` gives a float, or ``None`` when even the minimum exceeds
     ``alpha``; an array of rates gives an array with NaN there.  A rate
     that :func:`endemic_state` rejects raises what it raises.
     """

@@ -236,7 +236,7 @@ def _number(text: str) -> float:
 def cmd_bounds(args) -> int:
     run = _load(args)
     upsilons = [run.bundle.policy.upsilon]
-    if args.upsilons:  # every entry that is not a usable gain is listed
+    if args.upsilons is not None:  # every entry that is not a usable gain is listed
         entries = args.upsilons.split(",")
         if len(entries) > MAX_GAINS:
             raise ValidationError([AssumptionViolated(

@@ -3,13 +3,14 @@
 Everything here is deliberately independent of the package's own closed
 forms: equilibria come from a 1-D root bracket on the raw balance
 equations, allocations from a brute-force simplex scan, and peak ratios
-from a dense feasibility grid or from a scalar bisection run one rate at a
-time.
+from a dense feasibility grid, from a scalar bisection run one rate at a
+time, or from a bisection of the level in 50-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 from scipy.optimize import brentq
@@ -158,12 +159,13 @@ def peak_ratio_per_rate(query, B):
     return None if sup is None else sup / query.alloc.endemic.I_hat
 
 
-def sup_level_per_term(I_hat, R_hat, a, base, alpha):
+def sup_level_per_term(I_hat, R_hat, a, base, alpha, hi=1.0):
     """The largest ``I`` whose level is at most ``alpha``, for one term, by
     a scalar bisection in Python floats (``None`` where the level at
     ``I_hat`` exceeds ``alpha``): the per-rate body that
-    ``epgtool.bounds._sup_level`` replaced with a lockstep array bisection,
-    kept verbatim as its oracle but for the division by ``I_star``."""
+    ``epgtool.bounds._sup_level`` replaced, kept verbatim as its oracle but
+    for the division by ``I_star``.  ``hi`` is the upper end the bisection
+    starts from, above the root and at most 1."""
     from epgtool.bounds import BISECTION_TOL
 
     def g(I: float) -> float:
@@ -178,7 +180,7 @@ def sup_level_per_term(I_hat, R_hat, a, base, alpha):
         return I_hat
     if g(1.0) <= alpha:
         return 1.0
-    lo, hi = I_hat, 1.0
+    lo = I_hat
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) <= alpha:
@@ -186,6 +188,46 @@ def sup_level_per_term(I_hat, R_hat, a, base, alpha):
         else:
             hi = mid
     return hi
+
+
+# the digits of the decimal oracle; every operation in it, Decimal.ln
+# included, is correctly rounded to them
+DECIMAL = Context(prec=50)
+
+
+def decimal_level(I, I_hat, R_hat, a, base):
+    """The level of ``epgtool.bounds._level`` at ``I``, evaluated on the same
+    float terms (``I`` a float or a ``Decimal``) in 50-digit decimal
+    arithmetic: exact but for a rounding of about 1e-49 per operation."""
+    with localcontext(DECIMAL):
+        I, I_hat, R_hat, a, base = (Decimal(v) for v in (I, I_hat, R_hat, a, base))
+        pen = max(R_hat - (1 - I), Decimal(0))
+        return I_hat * (I_hat / I).ln() + I - I_hat + a * pen * pen / 2 + base
+
+
+def decimal_sup_level(I_hat, R_hat, a, base, alpha, near=None):
+    """The root of ``decimal_level(I) == alpha`` in ``(I_hat, 1)`` for a term
+    whose level lies below ``alpha`` at ``I_hat`` and above it at 1: the
+    upper end of a decimal bisection to a width of 1e-20.  It starts from
+    ``near -/+ 4*BISECTION_TOL`` where that brackets the root, so that a
+    float answer ``near`` costs some 36 halvings, and from ``[I_hat, 1]``
+    otherwise."""
+    from epgtool.bounds import BISECTION_TOL
+
+    def below(I):
+        return decimal_level(I, I_hat, R_hat, a, base) <= Decimal(alpha)
+
+    with localcontext(DECIMAL):
+        lo, hi = Decimal(I_hat), Decimal(1)
+        if near is not None:
+            room = 4 * Decimal(BISECTION_TOL)
+            n_lo, n_hi = max(Decimal(near) - room, lo), min(Decimal(near) + room, hi)
+            if below(n_lo) and not below(n_hi):
+                lo, hi = n_lo, n_hi
+        while hi - lo > Decimal("1e-20"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return hi
 
 
 def random_bundle(rng, n_choices=(2, 3)):

@@ -209,15 +209,15 @@ PINNED_OUTPUTS = {
     },
     ("bounds", "--upsilons", "0.5,1,2,6"): {
         "bounds_sweep.csv":
-            "487b63fa51b4bc7c56e24c1f87430bdb4f60d2ba14b47ce6b892f09c97fdb35d",
+            "0bb40a9a5477804dcc648c1f7708cf6010db3fb051479b64c959e171cf3eae45",
         "bounds_detail.json":
-            "d08cdb51d5fc346bd19a5654187f3cebd3c0cce433a5aa1dac39ec873c11c049",
+            "56f7dc53de21c284d4f00076f5adebb2666febc89a3cd46a8b67bcbd56fd5326",
     },
     ("simulate",): {
         "trajectory.csv":
             "4cddf43cbdb0376305b9a12940901e4afbeef8371917c8825d26c3ec5dc8c595",
         "certification.json":
-            "189a064bc0c92624a80eb7f4adf830b58e7754f632eb9d65ba8e971a9f0b5acf",
+            "d718844edd08bbceb6d01a53db594afd9ba5fa157dfaa43ea4f7516b05832c56",
     },
 }
 
@@ -381,7 +381,7 @@ def test_configured_alpha_is_the_level_of_bounds_and_certify(tmp_path):
         tmp_path / "bounds_sweep.csv", delimiter=",", skiprows=1
     )
     assert alpha == 0.0008  # the initial Lyapunov value is 0.00079999999999999917
-    assert ratio == 1.2876121587530711
+    assert ratio == 1.287612157398172
     run = _config.resolve(_config.load_config(CONFIG))
     assert ratio == peak_bound(BoundQuery(
         alloc=run.alloc, params=run.bundle.params, upsilon=2.0, alpha=0.0008,
@@ -473,6 +473,20 @@ def test_bad_upsilons_are_listed_together(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [v["name"] for v in payload["violations"]] == [
         "--upsilons[0]", "--upsilons[2]", "--upsilons[3]", "--upsilons[4]",
+    ]
+    assert not (tmp_path / "bounds_sweep.csv").exists()
+
+
+def test_an_empty_upsilons_is_one_violation(tmp_path, capsys):
+    # used to run the configured gain and exit 0, while "--upsilons=," was
+    # two violations
+    code = main([
+        "bounds", str(CONFIG), "--out", str(tmp_path), "--json-errors", "--upsilons=",
+    ])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert [(v["name"], v["detail"]) for v in payload["violations"]] == [
+        ("--upsilons[0]", "'' is not a finite positive number"),
     ]
     assert not (tmp_path / "bounds_sweep.csv").exists()
 

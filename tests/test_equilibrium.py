@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epgtool import (
     BudgetAtBreakpoint,
@@ -296,3 +298,18 @@ def test_sensitivity_determinant_is_minus_the_root_of_the_discriminant():
             det = -(B - d) * (w - d * eq.I_hat) - B * (gam + d * eq.R_hat)
             root = math.sqrt(eq.disc)
             assert abs(det + root) <= 1e-15 * root
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.0))
+def test_the_susceptible_share_and_the_slopes_of_the_endemic_pair(seed, share):
+    # the infection balance, solved for the susceptibles: 1 - I_hat - R_hat
+    # = (sigma - delta*I_hat)/B; and I_hat and R_hat increase in B, over the
+    # strategy range and at a drawn rate in it
+    params, strategies, _ = random_bundle(np.random.default_rng(seed))
+    lo, hi = strategies.betas[0], strategies.betas[-1]
+    rates = np.append(np.linspace(lo, hi, 41), min(hi, lo + share * (hi - lo)))
+    eq = endemic_state(rates, params, strategies)
+    susceptible = (params.sigma - params.delta * eq.I_hat) / rates
+    assert np.all(np.abs(1.0 - eq.I_hat - eq.R_hat - susceptible) <= 1e-13 * susceptible)
+    assert np.all(eq.dI_dB > 0.0) and np.all(eq.dR_dB > 0.0)
