@@ -9,9 +9,11 @@ The epidemic storage
 value, which itself never exceeds its initial level ``alpha``.  The largest
 infectious fraction compatible with ``storage <= alpha`` therefore bounds
 the trajectory peak.  For fixed B the level-set supremum reduces to a
-one-dimensional convex problem; maximizing over a transmission-rate grid
-and the target rate ``betastar``, whose level set holds the target state
-at every ``alpha >= 0``, yields the certified peak ratio.
+convex problem in I alone, whose level is the storage at the R minimizing
+it: :func:`_storage`'s one expression, the audit's too.  Maximizing over a
+transmission-rate grid and the target rate ``betastar``, whose level set
+holds the target state at every ``alpha >= 0``, yields the certified peak
+ratio.
 :func:`peak_ratio_at` builds each rate's terms and :func:`_sup_level`, the
 one solver, finds the largest I whose level is at most ``alpha`` for all
 rates at once: the upper end of the band around the root that
@@ -72,14 +74,15 @@ def epidemic_storage(I, R, B, alloc: OptimalAllocation,
     if not np.all(I > 0.0):  # NaN included
         raise ValueError("I must be positive")
     eq = endemic_state(B, params)
-    r_dev = eq.R_hat - np.asarray(R, dtype=float)
-    val = (
-        eq.I_hat * _log(eq.I_hat / I)
-        - (eq.I_hat - I)
-        + 0.5 * eq.a * (r_dev * r_dev)
-        + _rate_penalty(eq.B, alloc.betastar, upsilon)
-    )
+    val = _storage(eq.I_hat / I, eq.R_hat - np.asarray(R, dtype=float), I, eq.I_hat,
+                   eq.a, _rate_penalty(eq.B, alloc.betastar, upsilon), _log)
     return val if val.ndim else float(val)
+
+
+def _storage(q, r_dev, I, I_hat, a, base, log):
+    """The epidemic storage at ``I`` from ``q = I_hat/I`` and ``r_dev =
+    R_hat - R``, elementwise: the one text of its expression."""
+    return I_hat * log(q) - (I_hat - I) + 0.5 * a * (r_dev * r_dev) + base
 
 
 @dataclass(frozen=True)
@@ -150,16 +153,11 @@ class BoundResult:
 
 
 def _level(I, I_hat, R_hat, a, base, log=_log):
-    """Storage minimized over R at infection level ``I``, elementwise: the
-    R-penalty applies only where ``R_hat`` exceeds the room ``1 - I``.
+    """Storage minimized over R at infection level ``I``, elementwise: at
+    ``R = 1 - I`` where ``R_hat`` exceeds that room, else at ``R_hat``.
     ``log`` is ``math.log`` elementwise unless a caller passes another."""
     pen = R_hat - (1.0 - I)
-    return _level_from(I_hat / I, np.where(pen > 0.0, pen, 0.0), I, I_hat, a, base, log)
-
-
-def _level_from(q, pen, I, I_hat, a, base, log):
-    """:func:`_level` at ``I`` from ``q = I_hat/I`` and the R-penalty."""
-    return I_hat * log(q) + I - I_hat + 0.5 * a * pen * pen + base
+    return _storage(I_hat / I, np.where(pen > 0.0, pen, 0.0), I, I_hat, a, base, log)
 
 
 def _band(I_hat, R_hat, a, base, alpha):
@@ -178,10 +176,10 @@ def _band(I_hat, R_hat, a, base, alpha):
     ``2**-42*l + 2**-1002`` of ``math.log`` by the one assumption made of
     numpy's log: that it lies within ``2**-42*|ln x| + 2**-1002`` of
     ``math.log`` at every ``x``, some 1024 times their largest
-    disagreement (1 ulp).  The product adds ``u*I_hat*l``; ``pen`` is off
-    by ``2.01*u*(1 + |R_hat|)`` and the penalty by ``3.03*u*A``; the four
-    sums add
-    ``4.01*u*(I_hat*l + 1 + I_hat + A/2 + base)``.  ``eps`` is at least
+    disagreement (1 ulp).  In :func:`_storage`, the product ``I_hat*log``
+    adds ``u*I_hat*l``; ``pen`` is off by ``2.01*u*(1 + |R_hat|)`` and the
+    penalty by ``3.03*u*A``; the four sums, ``I_hat - I`` (at most 1)
+    first, add ``4.01*u*(I_hat*l + 1 + A/2 + base)``.  ``eps`` is at least
     ``4*E + 2**-48*alpha``, computed to ``2**-41`` relative.  An end is
     kept only in ``[I_hat, 1]`` and where its level with ``_fast_log`` is
     ``<= alpha - 2*eps`` (``lo``) or ``> alpha + 2*eps`` (``hi``), each
@@ -223,7 +221,7 @@ def _band(I_hat, R_hat, a, base, alpha):
                 return lo, hi
         for _ in range(_NEWTON_STEPS):
             q, pen, g1 = slope(r)
-            r = r - (_level_from(q, pen, r, I_hat, a, base, _fast_log) - alpha) / g1
+            r = r - (_storage(q, pen, r, I_hat, a, base, _fast_log) - alpha) / g1
         g1 = slope(r)[2]
         delta = 8.0 * eps / (g1 + np.sqrt(g1 * g1 + 8.0 * I_hat * eps))
         lo, hi = np.minimum(r - delta, 1.0), r + delta

@@ -139,10 +139,6 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def _run_simulation(run):
-    return simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
-
-
 def _bound_for(run, upsilon: float):
     """Peak bound of the run's start at gain ``upsilon`` on the run's rate
     grid, and the start's Lyapunov value under that gain.
@@ -195,11 +191,11 @@ def _audit(traj) -> dict:
 def cmd_simulate(args) -> int:
     run = _load(args)
     start = time.perf_counter()
-    traj = _run_simulation(run)
+    traj = simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
     integrated = time.perf_counter()
     out = _outdir(args)
     csv_path = out / "trajectory.csv"
-    write_csv(traj, csv_path)
+    csv_columns = write_csv(traj, csv_path)
     written = time.perf_counter()
     audit = _audit(traj)
     audited = time.perf_counter()
@@ -207,7 +203,7 @@ def cmd_simulate(args) -> int:
     phases = {"integrate": integrated - start, "write_csv": written - integrated,
               "bound": time.perf_counter() - audited}
     _write_manifest(run, out / "manifest.json", {
-        "csv_columns": "t,I,R,x1..xn,q,B,cost,avg_cost,L",
+        "csv_columns": csv_columns,
         "run_stats": dataclasses.asdict(traj.stats),
         "phases_s": phases,
         "audit": audit,
@@ -271,7 +267,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_certify(args) -> int:
     run = _load(args)
-    traj = _run_simulation(run)
+    traj = simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
     report = _certify(run, traj, _outdir(args))
     print(report.summary())
     # simulate's product is the trajectory; certify's is the verdict

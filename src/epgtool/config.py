@@ -31,7 +31,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from .bounds import DEFAULT_GRID_SIZE
 from .dynamics import EpgState, IntegratorOptions, step_count
 from .edm import SmithProtocol
-from .equilibrium import OptimalAllocation, _pair_mix, endemic_state, optimal_allocation
+from .equilibrium import (DegenerateDiscriminant, OptimalAllocation, _pair_mix, endemic_state,
+                          optimal_allocation)
 from .params import (
     AssumptionViolated,
     ModelParams,
@@ -301,9 +302,11 @@ def resolve(d: dict) -> ResolvedRun:
     a start that does not fit the strategies, a horizon that is not a whole
     number of steps, a run or grid larger than the ``MAX_*`` caps) when the
     mapping has the wrong shape, with the complete list of violated model
-    assumptions when the values are invalid, and with one ``initial``
-    entry when the start lies off the state space.  Fills defaults first,
-    also in a section that an override replaced as a whole.
+    assumptions when the values are invalid, and with one entry when the
+    endemic algebra overflows the floats at the optimal mix's rate
+    (``optimal_mix``) or the start lies off the state space or overflows
+    it (``initial``).  Fills defaults first, also in a section that an
+    override replaced as a whole.
     """
     d = _from_mapping(d)
     problems = _schema_violations(d) + _size_violations(d)
@@ -314,7 +317,10 @@ def resolve(d: dict) -> ResolvedRun:
     policy = PolicyConfig(**d["policy"])
     bundle = validate(params, strategies, policy)
     proto = SmithProtocol(**d["protocol"])
-    alloc = optimal_allocation(strategies, policy, params)
+    try:
+        alloc = optimal_allocation(strategies, policy, params)
+    except DegenerateDiscriminant as exc:
+        raise ValidationError([AssumptionViolated("optimal_mix", str(exc))]) from exc
     mech = build_mechanism(alloc, strategies, policy, params)
 
     start = d["initial"]
@@ -329,7 +335,7 @@ def resolve(d: dict) -> ResolvedRun:
             eq = endemic_state(mech.rate(x0), params, strategies)
             I0, R0 = eq.I_hat, eq.R_hat
         initial = EpgState(I=I0, R=R0, x=x0, q=float(start["q"]))
-    except ValueError as exc:  # a start off the state space
+    except (ValueError, DegenerateDiscriminant) as exc:  # off the state space, or overflowing
         raise ValidationError([AssumptionViolated("initial", str(exc))]) from exc
 
     integ = d["integrator"]

@@ -516,8 +516,9 @@ def lyapunov_series(traj: Trajectory) -> LyapunovSeries:
     )
 
 
-def write_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory as CSV with :func:`write_table`.
+def write_csv(traj: Trajectory, path) -> str:
+    """Write the trajectory as CSV with :func:`write_table`; return its
+    header line.
 
     Fixed column order: ``t, I, R, x1..xn, q, B, cost, avg_cost, L``.
     """
@@ -527,17 +528,20 @@ def write_csv(traj: Trajectory, path) -> None:
         "q": traj.q, "B": traj.B, "cost": traj.cost, "avg_cost": traj.avg_cost,
         "L": traj.lyapunov,
     }
-    write_table(path, list(columns), list(columns.values()))
+    return write_table(path, list(columns), list(columns.values()))
 
 
-def write_table(path, header: list[str], cols: list[np.ndarray]) -> None:
+def write_table(path, header: list[str], cols: list[np.ndarray]) -> str:
     """Write the float columns ``cols`` under ``header`` as CSV, rendered
-    with ``CSV_FLOAT_FORMAT`` so identical runs produce identical bytes."""
+    with ``CSV_FLOAT_FORMAT`` so identical runs produce identical bytes;
+    return the header line."""
     row_format = ",".join([CSV_FLOAT_FORMAT] * len(cols)) + "\n"
+    header_line = ",".join(header)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(header_line + "\n")
         # Python floats format faster than numpy scalars; converting a block
         # of rows at a time keeps the extra memory small
         for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
             block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in cols]
             fh.write("".join([row_format % row for row in zip(*block)]))
+    return header_line

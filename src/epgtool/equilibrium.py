@@ -12,9 +12,9 @@ This algebra and its B-derivatives are written once, as the source text
 ``_ENDEMIC`` (the point, then the slopes).  It is compiled here once,
 elementwise on numpy arrays, and run by :func:`endemic_state` alone, on a
 rate or an array of rates, whose fields are then floats or arrays.  It
-checks each rate and its discriminant once; that check covers the slopes
-too: at the smaller root the linearized equations' determinant is
-``-sqrt(disc)``, carried negated as ``pdet``.  :mod:`epgtool.dynamics` inlines
+checks each rate, its discriminant and that its point is finite once; that
+check covers the slopes too: at the smaller root the linearized equations'
+determinant is ``-sqrt(disc)``, carried negated as ``pdet``.  :mod:`epgtool.dynamics` inlines
 the text in every RK4 stage.  The module also provides the budget-optimal mix.
 """
 
@@ -48,7 +48,8 @@ class OutOfRange(ValueError):
 
 
 class DegenerateDiscriminant(ArithmeticError):
-    """Quadratic discriminant <= 0; signals corrupted parameters."""
+    """Quadratic discriminant <= 0, or an endemic point that is not finite
+    (an algebra that overflows the floats); signals corrupted parameters."""
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,28 @@ def endemic_state(
     B-derivatives; elementwise in ``B``.
 
     A float ``B`` gives a point of Python floats; an array of rates gives a
-    point whose fields are arrays of ``B``'s shape.  Every rate must exceed
-    ``params.sigma``; when ``strategies`` is given, every rate must also lie
-    in ``[betas[0], betas[-1]]``.  The first rate in flat order that fails a
-    check raises, for the first check it fails: the strategy range, then
-    ``sigma``, then the discriminant.
+    point whose fields are arrays of ``B``'s shape.  Every rate must be
+    finite and exceed ``params.sigma``; when ``strategies`` is given, every
+    rate must also lie in ``[betas[0], betas[-1]]``.  The first rate in flat
+    order that fails a check raises, for the first check it fails: the
+    strategy range, then ``sigma``, then finiteness, then the discriminant
+    and the point.
 
     Raises
     ------
     OutOfRange
         If a rate is outside the admissible range.
     DegenerateDiscriminant
-        If the quadratic discriminant is not positive (cannot happen for
-        validated parameters).
+        If the quadratic discriminant is not positive, or a field of the
+        point is not finite: validated parameters whose algebra overflows
+        the floats.
     """
     # a float64 scalar for a float, else an array: float64 rates make every
     # division IEEE (inf or NaN, not an exception), so the checks see every value
     B = np.asarray(B, dtype=float)[()]
     with np.errstate(all="ignore"):
         values = _endemic_array(B, **_endemic_constants(params))
-    disc = values[5]
+    _, _, _, a, _, disc, dI_dB, _, da_dB = values
     # each check: which rates pass it, and the error for a rate that fails it
     checks = []
     if strategies is not None:
@@ -171,7 +174,13 @@ def endemic_state(
             f"B={B!r} outside strategy range [{lo!r}, {hi!r}]")))
     checks.append((B > params.sigma, lambda B, disc: OutOfRange(
         f"B={B!r} must exceed sigma={params.sigma!r}")))
-    checks.append((disc > 0.0, lambda B, disc: DegenerateDiscriminant(f"{disc=!r}, {B=!r}")))
+    checks.append((np.isfinite(B), lambda B, disc: OutOfRange(f"B={B!r} is not finite")))
+    # a finite disc, a, dI_dB and da_dB make every field finite: a NaN or an
+    # infinity stays one through a sum, a product or a numerator, and so b
+    # enters disc, I_hat enters R_hat, and R_hat and dR_dB enter da_dB
+    sound = ((disc > 0.0) & (disc < np.inf) & np.isfinite(a)
+             & np.isfinite(dI_dB) & np.isfinite(da_dB))
+    checks.append((sound, lambda B, disc: DegenerateDiscriminant(f"{disc=!r}, {B=!r}")))
     valid = np.logical_and.reduce([passed for passed, _ in checks])
     if not valid.all():  # NaN rates included
         k = np.flatnonzero(~valid)[0]

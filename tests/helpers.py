@@ -163,15 +163,16 @@ def sup_level_per_term(I_hat, R_hat, a, base, alpha, hi=1.0):
     """The largest ``I`` whose level is at most ``alpha``, for one term, by
     a scalar bisection in Python floats (``None`` where the level at
     ``I_hat`` exceeds ``alpha``): the per-rate body that
-    ``epgtool.bounds._sup_level`` replaced, kept verbatim as its oracle but
-    for the division by ``I_star``.  ``hi`` is the upper end the bisection
-    starts from, above the root and at most 1."""
+    ``epgtool.bounds._sup_level`` replaced, kept as its oracle but for the
+    division by ``I_star``, with the level in the epidemic storage's
+    operation order.  ``hi`` is the upper end the bisection starts from,
+    above the root and at most 1."""
     from epgtool.bounds import BISECTION_TOL
 
     def g(I: float) -> float:
         pen = R_hat - (1.0 - I)
         pen = pen if pen > 0.0 else 0.0
-        return I_hat * math.log(I_hat / I) + I - I_hat + 0.5 * a * pen * pen + base
+        return I_hat * math.log(I_hat / I) - (I_hat - I) + 0.5 * a * (pen * pen) + base
 
     slack = alpha - g(I_hat)
     if slack < 0.0:

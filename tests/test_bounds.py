@@ -82,6 +82,44 @@ def test_stacked_storage_is_the_float_evaluation_bit_for_bit(example1):
         assert stacked[k] == expected, k
 
 
+def _assert_the_level_is_the_storage_at_its_minimizing_R(alloc, params, upsilon,
+                                                         rates, rng):
+    """``_level`` at ``I`` in ``[I_hat, 1]`` (both ends and 14 draws per
+    rate) is ``epidemic_storage`` bit for bit at the R that minimizes it:
+    ``1 - I`` where ``R_hat`` exceeds that room, ``R_hat`` elsewhere.
+    Returns the share of points at ``R = 1 - I``."""
+    query = BoundQuery(alloc=alloc, params=params, upsilon=upsilon, alpha=0.0,
+                       grid=rates)
+    terms = [t[:, None] for t in _rate_terms(query, rates)]
+    I_hat, R_hat = terms[0], terms[1]
+    u = np.column_stack([np.zeros(rates.size), rng.random((rates.size, 14)),
+                         np.ones(rates.size)])
+    I = np.minimum(I_hat + (1.0 - I_hat) * u, 1.0)
+    at_the_room = R_hat - (1.0 - I) > 0.0
+    R = np.where(at_the_room, 1.0 - I, R_hat)
+    storage = epidemic_storage(I, R, rates[:, None], alloc, params, upsilon)
+    level = bounds._level(I, *terms)
+    assert np.array_equal(level.view(np.uint64), storage.view(np.uint64))
+    return at_the_room.mean()
+
+
+def test_the_level_is_the_storage_at_its_minimizing_R(example1):
+    share = _assert_the_level_is_the_storage_at_its_minimizing_R(
+        example1.alloc, example1.params, example1.policy.upsilon,
+        default_grid(example1.strategies, 3000), np.random.default_rng(32))
+    assert 0.0 < share < 1.0  # both minimizing Rs
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_the_level_is_the_storage_at_its_minimizing_R_on_random_bundles(seed):
+    rng = np.random.default_rng(seed)
+    params, strategies, policy = random_bundle(rng)
+    alloc = optimal_allocation(strategies, policy, params)
+    _assert_the_level_is_the_storage_at_its_minimizing_R(
+        alloc, params, policy.upsilon, default_grid(strategies, 41), rng)
+
+
 def test_storage_at_baseline_start(example1):
     init = example1.initial
     val = epidemic_storage(
@@ -428,7 +466,7 @@ def test_a_degenerate_discriminant_raises_as_endemic_state(example1):
     ([0.17, -math.inf, math.inf], -math.inf),
 ])
 def test_an_infinite_rate_raises_as_endemic_state(example1, rates, first_bad):
-    with pytest.raises((OutOfRange, DegenerateDiscriminant)) as expected:
+    with pytest.raises(OutOfRange) as expected:
         endemic_state(first_bad, example1.params)
     query = _query(example1, 0.0008, grid=np.array(rates))
     with pytest.raises(type(expected.value)) as raised:
@@ -739,6 +777,24 @@ def _random_query(rng, size):
                       alpha=alpha, grid=rates)
 
 
+@settings(max_examples=300, deadline=None)
+@given(I_hat=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       u=st.floats(0.0, 1.0), R_hat=st.floats(0.0, 1.0),
+       a=st.floats(0.0, 1e3), base=st.floats(0.0, 1e3))
+@example(I_hat=0.03, u=0.9, R_hat=0.6, a=1.5, base=1e-4)  # R at the room 1 - I
+@example(I_hat=5e-324, u=0.5, R_hat=0.0, a=0.0, base=0.0)  # a subnormal I_hat/I
+def test_the_float_level_lies_within_E_of_the_decimal_level(I_hat, u, R_hat, a, base):
+    # the premise of _band's proof: with math.log and with numpy's log, the
+    # float level is within E of the exact one at every I in [I_hat, 1]
+    I = min(I_hat + (1.0 - I_hat) * u, 1.0)
+    terms = I_hat, R_hat, a, base
+    exact = decimal_level(I, *terms)
+    for log in (bounds._log, bounds._fast_log):
+        level = bounds._level(np.array([I]), *(np.array([t]) for t in terms), log=log)
+        with localcontext(DECIMAL):
+            assert abs(Decimal(float(level[0])) - exact) <= Decimal(_level_error(*terms))
+
+
 def test_the_decimal_root_is_the_per_term_bisections_within_the_tolerance():
     # the oracle against the scalar bisection it replaces as the reference,
     # on the terms of random rates of random bundles; a few start from
@@ -828,8 +884,10 @@ def test_the_certification_sweep_keeps_every_ratio_bit_for_bit():
     # float.hex of every per_B ratio, peak_ratio and argmax_B over the 5 x 24
     # points of the certification sweep (the ratio-vs-gain figure's
     # scenario) at grid size 3000, pinned from the solver that returns the
-    # band's upper end where it is no wider than BISECTION_TOL (before it,
-    # db40bdc0... from the per-rate bisection's bits)
+    # band's upper end where it is no wider than BISECTION_TOL, with the
+    # level in the epidemic storage's operation order (before that order,
+    # 33d1881f...; before the band, db40bdc0... from the per-rate
+    # bisection's bits)
     strategies = StrategySpec(betas=(0.15, 0.19), costs=(0.2, 0.0))
     grid = default_grid(strategies, 3000)
     digest = hashlib.sha256()
@@ -847,7 +905,7 @@ def test_the_certification_sweep_keeps_every_ratio_bit_for_bit():
                 digest.update(b"None" if r is None else r.hex().encode())
             digest.update(f"{res.peak_ratio.hex()} {res.argmax_B.hex()};".encode())
     assert digest.hexdigest() == (
-        "33d1881ff95bcba2c2287cae02a770d14be4382d5503f964f1480b6ce3f30ebc")
+        "9b1f371e906d619d39f6303b58b65db308de24e22139bd2574793881b0628e70")
 
 
 def test_peak_bound_calls_each_traced_layer_once(example1, monkeypatch):

@@ -163,6 +163,23 @@ def test_simulate_manifest_holds_the_phase_times_and_the_audit(tmp_path):
     assert audit == {"worst_excess": None, "violations": 0, "fd_tol": 1e-6}
 
 
+@pytest.mark.parametrize("strategies, header", [
+    ([], "t,I,R,x1,x2,q,B,cost,avg_cost,L"),
+    (["strategies.betas=[0.12,0.15,0.19]", "strategies.costs=[0.45,0.25,0.05]",
+      "policy.cstar=0.3", "initial.x=[1.0,0.0,0.0]"],
+     "t,I,R,x1,x2,x3,q,B,cost,avg_cost,L"),
+])
+def test_the_manifest_names_the_columns_of_the_csv(strategies, header, tmp_path):
+    # the manifest used to say "x1..xn" for any n
+    args = ["simulate", str(CONFIG), "--out", str(tmp_path), *FAST]
+    for item in strategies:
+        args += ["--set", item]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    first = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+    assert manifest["csv_columns"] == first == header
+
+
 def test_simulate_writes_a_negative_zero_start_as_zero(tmp_path):
     negative = ["--set", "initial.x=[1.0,-0.0]", "--set", "initial.q=-0.0"]
     assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST, *negative]) == 0
@@ -209,15 +226,15 @@ PINNED_OUTPUTS = {
     },
     ("bounds", "--upsilons", "0.5,1,2,6"): {
         "bounds_sweep.csv":
-            "0bb40a9a5477804dcc648c1f7708cf6010db3fb051479b64c959e171cf3eae45",
+            "9262e1ff406fdb7387974df8ec058995ce96fa301624f2eb18552bf47f9d231a",
         "bounds_detail.json":
-            "56f7dc53de21c284d4f00076f5adebb2666febc89a3cd46a8b67bcbd56fd5326",
+            "49d877603afd0b2cd120d6162183a67d47c205fa0b5731f08e0f98e296dc2819",
     },
     ("simulate",): {
         "trajectory.csv":
             "4cddf43cbdb0376305b9a12940901e4afbeef8371917c8825d26c3ec5dc8c595",
         "certification.json":
-            "d718844edd08bbceb6d01a53db594afd9ba5fa157dfaa43ea4f7516b05832c56",
+            "e4f3546d65dd9527bd41396344ef82f5e0e432381aec10c6e138e4c109753930",
     },
 }
 
@@ -381,7 +398,7 @@ def test_configured_alpha_is_the_level_of_bounds_and_certify(tmp_path):
         tmp_path / "bounds_sweep.csv", delimiter=",", skiprows=1
     )
     assert alpha == 0.0008  # the initial Lyapunov value is 0.00079999999999999917
-    assert ratio == 1.287612157398172
+    assert ratio == 1.2876121573981711
     run = _config.resolve(_config.load_config(CONFIG))
     assert ratio == peak_bound(BoundQuery(
         alloc=run.alloc, params=run.bundle.params, upsilon=2.0, alpha=0.0008,
@@ -404,6 +421,30 @@ def test_start_with_the_wrong_number_of_shares_is_listed(command, tmp_path, caps
         {"name": "initial.x", "detail": "has 3 shares for 2 strategies"},
     ]
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, violation", [
+    # the optimal mix's rate 5e307: its discriminant overflows to NaN
+    (["strategies.betas=[0.15,1e308]"],
+     {"name": "optimal_mix", "detail": "disc=nan, B=5e+307"}),
+    # a finite discriminant's square root overflows, and I_hat is NaN
+    (["params.psi=1e308"],
+     {"name": "optimal_mix", "detail": "disc=inf, B=0.16999999999999998"}),
+    # a sound optimal mix, and a start at the rate 1e308
+    (["strategies.betas=[0.15,0.19,1e308]", "strategies.costs=[0.2,0.1,0.0]",
+      "policy.cstar=0.15", "initial.x=[0.0,0.0,1.0]"],
+     {"name": "initial", "detail": "disc=nan, B=1e+308"}),
+])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_an_overflowing_endemic_algebra_is_one_violation(
+        command, overrides, violation, tmp_path, capsys):
+    # the first two used to exit 3 on a DegenerateDiscriminant, and to blame
+    # the start for a NaN state
+    args = [command, str(CONFIG), "--out", str(tmp_path), "--json-errors", *FAST]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().out)["violations"] == [violation]
 
 
 def test_start_rate_outside_the_strategies_is_listed(capsys):

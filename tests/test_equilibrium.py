@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epgtool import (
@@ -17,6 +17,7 @@ from epgtool import (
     endemic_state,
     optimal_allocation,
 )
+from epgtool import equilibrium
 from helpers import (
     brute_force_allocation,
     endemic_by_root_finder,
@@ -265,6 +266,45 @@ def test_degenerate_discriminant_keeps_its_message():
         endemic_state(np.array([[0.05], [0.25]]), params)
     with pytest.raises(DegenerateDiscriminant):
         endemic_state(np.array([[0.25], [0.05]]), params)
+
+
+def test_a_rate_or_point_that_is_not_finite_raises(example1):
+    # an infinite rate used to raise DegenerateDiscriminant (disc=nan)
+    for B in (math.inf, np.array([0.17, math.inf])):
+        with pytest.raises(OutOfRange, match=r"^B=inf is not finite$"):
+            endemic_state(B, example1.params)
+    # disc=inf used to pass its check and give I_hat = NaN
+    params = ModelParams(gamma=0.1, delta=0.005, psi=1e308)
+    for B in (0.17, np.array([0.17])):
+        with pytest.raises(DegenerateDiscriminant, match=r"^disc=inf, B=0\.17$"):
+            endemic_state(B, params)
+
+
+# zero, or a magnitude from 1e-320 (subnormal) to 1.78e308
+_ANY_RATE = st.one_of(st.just(0.0), st.floats(-320.0, 308.25).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=_ANY_RATE, delta=_ANY_RATE, zeta=_ANY_RATE, theta=_ANY_RATE,
+       psi=_ANY_RATE, excess=_ANY_RATE)
+# a = B/denom is infinite at a huge rate while da_dB is finite: a is checked itself
+@example(gamma=5.468496791969872e-158, delta=1.79441065209692e-238,
+         zeta=1.0843499469549842e+275, theta=0.0, psi=0.0, excess=2.4954986659159183e+200)
+def test_a_point_is_degenerate_exactly_where_a_field_is_not_finite(
+        gamma, delta, zeta, theta, psi, excess):
+    # endemic_state checks disc, a, dI_dB and da_dB; b, I_hat, R_hat and
+    # dR_dB follow
+    params = ModelParams(gamma=gamma, delta=delta, zeta=zeta, theta=theta, psi=psi)
+    B = params.sigma + excess
+    assume(params.sigma < B < math.inf)
+    with np.errstate(all="ignore"):
+        fields = equilibrium._endemic_array(
+            np.float64(B), **equilibrium._endemic_constants(params))
+    if fields[5] > 0.0 and all(math.isfinite(v) for v in fields):
+        endemic_state(B, params)
+    else:
+        with pytest.raises(DegenerateDiscriminant):
+            endemic_state(B, params)
 
 
 def test_an_array_with_strategies_names_its_first_rate_out_of_range(example1):
