@@ -248,6 +248,9 @@ def _sup_level(I_hat, R_hat, a, base, alpha):
     upper end or 1, testing the width at every halving; not from the lower
     end, which would make the first midpoint the Newton iterate, within
     rounding of the root, where rounding decides on which side it lies.
+    There the bracket is around the float level's root, which can lie more
+    than ``BISECTION_TOL`` above the exact one where the level is flat:
+    example1 at ``B = 0.15`` and level 8e-4 ends 1.56e-10 above it.
     """
     # _level at I_hat, whose log is of 1.0 and so exactly 0.0
     slack = alpha - _level(I_hat, I_hat, R_hat, a, base, log=np.zeros_like)
@@ -282,7 +285,8 @@ def peak_ratio_at(query: BoundQuery,
     of I alone, minimized at ``I_hat``: :func:`_level` on the terms
     ``(I_hat, R_hat, a, base)`` of the rate.  :func:`_sup_level` finds the
     largest ``I`` keeping it below ``alpha``, up to the level's rounding
-    never understating it and overstating it by at most ``BISECTION_TOL``.
+    never understating it and overstating it by at most ``BISECTION_TOL``,
+    or by more where the level is flat at the root (see :func:`_sup_level`).
     A float ``B`` gives a float, or ``None`` when even the minimum exceeds
     ``alpha``; an array of rates gives an array with NaN there.  A rate
     that :func:`endemic_state` rejects raises what it raises.

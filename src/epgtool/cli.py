@@ -2,11 +2,14 @@
 
 Subcommands: ``validate``, ``equilibrium``, ``simulate``, ``bounds``,
 ``certify``.  All take a JSON config file plus ``--set section.key=value``
-overrides.  Exit codes: 0 success, 2 validation failure, 3 runtime failure.
-Outputs are deterministic for a fixed configuration.
+overrides.  Exit codes: 0 success, 2 validation failure, 3 runtime failure
+or, from ``certify``, a failed certificate.  Outputs are deterministic for a
+fixed configuration, but for the manifest's version and phase times.
 
-``bounds``, ``simulate`` and ``certify`` all take their bound, and its
-level, from :func:`_bound_for`.
+``simulate`` and ``certify`` run one pipeline, :func:`_simulate_and_certify`,
+and write the same files; only their exit codes differ.  ``bounds``,
+``simulate`` and ``certify`` all take their bound, and its level, from
+:func:`_bound_for`.
 """
 
 from __future__ import annotations
@@ -101,16 +104,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_manifest(run, path: Path, extra: dict | None = None) -> None:
-    manifest = {
-        "version": _version_string(),
-        "config": run.config,
-    }
-    if extra:
-        manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_validate(args) -> int:
     run = _load(args)
     print("configuration valid")
@@ -159,36 +152,13 @@ def _bound_for(run, upsilon: float):
                                  upsilon=upsilon, alpha=alpha, grid=grid)), start_level
 
 
-def _certify(run, traj, out: Path):
-    """Certify ``traj`` against the bound at the configured gain and write
-    ``certification.json`` to ``out``, with the start's Lyapunov value
-    ``start_level`` next to the level ``alpha``."""
-    result, start_level = _bound_for(run, run.bundle.policy.upsilon)
-    report = certify_trajectory(traj, result)
-    fields = {
-        "observed_peak": report.observed_peak,
-        "peak_time_days": report.peak_time,
-        "certified_peak": report.certified_peak,
-        "peak_ratio": report.peak_ratio,
-        "alpha": report.alpha,
-        "start_level": start_level,
-        "margin": report.margin,
-        "passed": report.passed,
-    }
-    (out / "certification.json").write_text(json.dumps(fields, indent=2) + "\n")
-    return report
-
-
-def _audit(traj) -> dict:
-    """The Lyapunov audit of ``traj`` (:func:`lyapunov_series`): the worst
-    excess of the sampled slope over its decrease bound (``None`` with
-    fewer than three samples), the count of violations, and ``fd_tol``."""
-    series = lyapunov_series(traj)
-    return {"worst_excess": series.worst_excess,
-            "violations": len(series.violations), "fd_tol": series.fd_tol}
-
-
-def cmd_simulate(args) -> int:
+def _simulate_and_certify(args):
+    """``simulate``'s and ``certify``'s one pipeline: integrate, write
+    ``trajectory.csv``, audit (:func:`lyapunov_series`), certify at the
+    configured gain, write ``certification.json`` (with the start's
+    Lyapunov value ``start_level`` next to the level ``alpha``) and
+    ``manifest.json``, print the summary, and return the
+    :class:`~epgtool.bounds.CertificationReport`."""
     run = _load(args)
     start = time.perf_counter()
     traj = simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
@@ -197,17 +167,26 @@ def cmd_simulate(args) -> int:
     csv_path = out / "trajectory.csv"
     csv_columns = write_csv(traj, csv_path)
     written = time.perf_counter()
-    audit = _audit(traj)
+    series = lyapunov_series(traj)
     audited = time.perf_counter()
-    report = _certify(run, traj, out)
-    phases = {"integrate": integrated - start, "write_csv": written - integrated,
-              "bound": time.perf_counter() - audited}
-    _write_manifest(run, out / "manifest.json", {
+    result, start_level = _bound_for(run, run.bundle.policy.upsilon)
+    report = certify_trajectory(traj, result)
+    fields = dict(observed_peak=report.observed_peak, peak_time_days=report.peak_time,
+                  certified_peak=report.certified_peak, peak_ratio=report.peak_ratio,
+                  alpha=report.alpha, start_level=start_level, margin=report.margin,
+                  passed=report.passed)
+    (out / "certification.json").write_text(json.dumps(fields, indent=2) + "\n")
+    manifest = {
         "csv_columns": csv_columns,
         "run_stats": dataclasses.asdict(traj.stats),
-        "phases_s": phases,
-        "audit": audit,
-    })
+        "phases_s": {"integrate": integrated - start, "write_csv": written - integrated,
+                     "bound": time.perf_counter() - audited},
+        "audit": {"worst_excess": series.worst_excess,
+                  "violations": len(series.violations), "fd_tol": series.fd_tol},
+        "version": _version_string(),
+        "config": run.config,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     # the last sample, which precedes the horizon unless the stride divides
     # the step count
     last = f"at t={traj.times[-1]:.6g} d (last sample)"
@@ -218,6 +197,11 @@ def cmd_simulate(args) -> int:
           f"(budget {run.bundle.policy.cstar})")
     print(report.summary())
     print(f"wrote {csv_path}")
+    return report
+
+
+def cmd_simulate(args) -> int:
+    _simulate_and_certify(args)
     return EXIT_OK
 
 
@@ -266,12 +250,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    run = _load(args)
-    traj = simulate(run.initial, run.horizon, run.mech, run.proto, run.integrator)
-    report = _certify(run, traj, _outdir(args))
-    print(report.summary())
     # simulate's product is the trajectory; certify's is the verdict
-    return EXIT_OK if report.passed else EXIT_RUNTIME
+    return EXIT_OK if _simulate_and_certify(args).passed else EXIT_RUNTIME
 
 
 # {subcommand: (handler, help)}, in the order of the help text

@@ -303,9 +303,9 @@ def resolve(d: dict) -> ResolvedRun:
     number of steps, a run or grid larger than the ``MAX_*`` caps) when the
     mapping has the wrong shape, with the complete list of violated model
     assumptions when the values are invalid, and with one entry when the
-    endemic algebra overflows the floats at the optimal mix's rate
-    (``optimal_mix``) or the start lies off the state space or overflows
-    it (``initial``).  Fills defaults first, also in a section that an
+    endemic algebra overflows the floats at an end of the strategy range
+    (``endemic_range``) or the start lies off the state space
+    (``initial``).  Fills defaults first, also in a section that an
     override replaced as a whole.
     """
     d = _from_mapping(d)
@@ -316,11 +316,14 @@ def resolve(d: dict) -> ResolvedRun:
     strategies = StrategySpec(**d["strategies"])
     policy = PolicyConfig(**d["policy"])
     bundle = validate(params, strategies, policy)
-    proto = SmithProtocol(**d["protocol"])
+    # every rate a run evaluates lies in the strategy range, up to rounding:
+    # the optimal mix, the start, the bound's grid and each RK4 stage
     try:
-        alloc = optimal_allocation(strategies, policy, params)
+        endemic_state([strategies.betas[0], strategies.betas[-1]], params)
     except DegenerateDiscriminant as exc:
-        raise ValidationError([AssumptionViolated("optimal_mix", str(exc))]) from exc
+        raise ValidationError([AssumptionViolated("endemic_range", str(exc))]) from exc
+    proto = SmithProtocol(**d["protocol"])
+    alloc = optimal_allocation(strategies, policy, params)
     mech = build_mechanism(alloc, strategies, policy, params)
 
     start = d["initial"]
@@ -335,7 +338,7 @@ def resolve(d: dict) -> ResolvedRun:
             eq = endemic_state(mech.rate(x0), params, strategies)
             I0, R0 = eq.I_hat, eq.R_hat
         initial = EpgState(I=I0, R=R0, x=x0, q=float(start["q"]))
-    except (ValueError, DegenerateDiscriminant) as exc:  # off the state space, or overflowing
+    except ValueError as exc:  # off the state space
         raise ValidationError([AssumptionViolated("initial", str(exc))]) from exc
 
     integ = d["integrator"]

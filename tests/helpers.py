@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package's own closed
 forms: equilibria come from a 1-D root bracket on the raw balance
 equations, allocations from a brute-force simplex scan, and peak ratios
 from a dense feasibility grid, from a scalar bisection run one rate at a
-time, or from a bisection of the level in 50-digit decimal arithmetic.
+time, or from a bisection of the level in 50-digit decimal arithmetic;
+the endemic pair also from the balance equations in that arithmetic.
 """
 
 from __future__ import annotations
@@ -229,6 +230,29 @@ def decimal_sup_level(I_hat, R_hat, a, base, alpha, near=None):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if below(mid) else (lo, mid)
         return hi
+
+
+def decimal_endemic(B, params):
+    """The endemic pair ``(I_hat, R_hat)`` and the weight ``a`` at rate ``B``,
+    from the two balance equations on the same float inputs (``B`` and
+    ``params``' delta, gamma, sigma and omega), in 50-digit decimal
+    arithmetic.
+
+    The recovered balance gives ``R = gamma*I/(omega - delta*I)``, which
+    turns the infection balance into a quadratic in ``I``; the textbook
+    formula gives its smaller root, and one Newton step on the quadratic
+    restores the digits that its subtraction cancels where ``delta*omega``
+    is small against the linear coefficient.
+    """
+    with localcontext(DECIMAL):
+        B, d, gam, s, w = (Decimal(v) for v in
+                           (B, params.delta, params.gamma, params.sigma, params.omega))
+        # (B - d)*d*I^2 - lin*I + w*(B - s) = 0
+        quad, lin, const = (B - d) * d, (B - d) * w + B * gam + (B - s) * d, w * (B - s)
+        I = (lin - (lin * lin - 4 * quad * const).sqrt()) / (2 * quad)
+        I -= (quad * I * I - lin * I + const) / (2 * quad * I - lin)
+        R = gam * I / (w - d * I)
+        return I, R, B / (gam + d * R)
 
 
 def random_bundle(rng, n_choices=(2, 3)):

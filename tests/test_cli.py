@@ -365,6 +365,29 @@ def test_certify_exit_code_is_the_verdict(alpha, code, verdict, tmp_path, capsys
     assert verdict in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("level, verdict, code", [([], "PASS", 0), (AT_LEVEL_0, "FAIL", 3)])
+def test_certify_writes_what_simulate_writes(level, verdict, code, tmp_path, capsys):
+    # one pipeline: the same files, the same bytes but for the manifest's
+    # phase times, whichever the verdict; certify used to write only
+    # certification.json
+    runs = {}
+    for command, exit_code in (("simulate", 0), ("certify", code)):
+        out = tmp_path / command
+        assert main([command, str(CONFIG), "--out", str(out), *FAST, *level]) == exit_code
+        assert verdict in capsys.readouterr().out
+        runs[command] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(runs["certify"]) == {"trajectory.csv", "certification.json", "manifest.json"}
+    assert set(runs["certify"]) == set(runs["simulate"])
+    for name in ("trajectory.csv", "certification.json"):
+        assert runs["certify"][name] == runs["simulate"][name]
+    manifests = [json.loads(runs[command]["manifest.json"]) for command in runs]
+    assert manifests[0].keys() == manifests[1].keys()
+    assert manifests[0]["phases_s"].keys() == manifests[1]["phases_s"].keys()
+    for manifest in manifests:
+        del manifest["phases_s"]
+    assert manifests[0] == manifests[1]
+
+
 def test_certify_reports_pass(tmp_path, capsys):
     code = main(["certify", str(CONFIG), "--out", str(tmp_path), *FAST])
     assert code == 0
@@ -423,23 +446,31 @@ def test_start_with_the_wrong_number_of_shares_is_listed(command, tmp_path, caps
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+# a three-strategy range whose top rate 1e308 overflows the endemic algebra
+OVERFLOWING_TOP = ["strategies.betas=[0.15,0.19,1e308]", "strategies.costs=[0.2,0.1,0.0]",
+                   "policy.cstar=0.15"]
+
+
 @pytest.mark.parametrize("overrides, violation", [
-    # the optimal mix's rate 5e307: its discriminant overflows to NaN
+    # the range's top 1e308 (and the optimal mix's rate 5e307): its
+    # discriminant overflows to NaN
     (["strategies.betas=[0.15,1e308]"],
-     {"name": "optimal_mix", "detail": "disc=nan, B=5e+307"}),
+     {"name": "endemic_range", "detail": "disc=nan, B=1e+308"}),
     # a finite discriminant's square root overflows, and I_hat is NaN
     (["params.psi=1e308"],
-     {"name": "optimal_mix", "detail": "disc=inf, B=0.16999999999999998"}),
+     {"name": "endemic_range", "detail": "disc=inf, B=0.15"}),
     # a sound optimal mix, and a start at the rate 1e308
-    (["strategies.betas=[0.15,0.19,1e308]", "strategies.costs=[0.2,0.1,0.0]",
-      "policy.cstar=0.15", "initial.x=[0.0,0.0,1.0]"],
-     {"name": "initial", "detail": "disc=nan, B=1e+308"}),
+    ([*OVERFLOWING_TOP, "initial.x=[0.0,0.0,1.0]"],
+     {"name": "endemic_range", "detail": "disc=nan, B=1e+308"}),
+    # a sound optimal mix and start: bounds used to exit 3 at a grid rate,
+    # simulate and certify at a NaN step
+    ([*OVERFLOWING_TOP, "initial.x=[1.0,0.0,0.0]"],
+     {"name": "endemic_range", "detail": "disc=nan, B=1e+308"}),
 ])
-@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("command", ["validate", "simulate", "bounds", "certify"])
 def test_an_overflowing_endemic_algebra_is_one_violation(
         command, overrides, violation, tmp_path, capsys):
-    # the first two used to exit 3 on a DegenerateDiscriminant, and to blame
-    # the start for a NaN state
+    # the strategy range is checked once: every rate a run evaluates lies in it
     args = [command, str(CONFIG), "--out", str(tmp_path), "--json-errors", *FAST]
     for item in overrides:
         args += ["--set", item]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from epgtool import (
     OutOfRange,
     PolicyConfig,
     StrategySpec,
+    check_assumptions,
     endemic_state,
     optimal_allocation,
 )
 from epgtool import equilibrium
 from helpers import (
+    DECIMAL,
     brute_force_allocation,
+    decimal_endemic,
     endemic_by_root_finder,
     endemic_infection_floor,
     equilibrium_residuals,
@@ -353,3 +357,73 @@ def test_the_susceptible_share_and_the_slopes_of_the_endemic_pair(seed, share):
     susceptible = (params.sigma - params.delta * eq.I_hat) / rates
     assert np.all(np.abs(1.0 - eq.I_hat - eq.R_hat - susceptible) <= 1e-13 * susceptible)
     assert np.all(eq.dI_dB > 0.0) and np.all(eq.dR_dB > 0.0)
+
+
+# a magnitude from 1e-300 to 1e200, and a ratio's excess over 1 from
+# 1e-15 to 1e100
+_MAGNITUDE = st.floats(-300.0, 200.0).map(lambda e: 10.0 ** e)
+_EXCESS = st.floats(-15.0, 100.0).map(lambda e: 10.0 ** e)
+
+
+# about a fifth of the draws have finite ends, up to rates near 1e170
+@settings(max_examples=1000, deadline=None)
+@given(delta=_MAGNITUDE, vital=st.one_of(st.just(0.0), _MAGNITUDE),
+       gamma_over=_EXCESS, psi_over=_EXCESS, lo_over=_EXCESS, hi_over=_EXCESS)
+def test_an_algebra_finite_at_both_ends_of_a_range_is_finite_inside_it(
+        delta, vital, gamma_over, psi_over, lo_over, hi_over):
+    # config.resolve checks the endemic algebra at the strategy range's two
+    # ends only: every rate a run evaluates lies in that range.  A valid
+    # model by construction: gamma and psi above delta, equal birth and
+    # death rates, and sigma < lo < hi
+    params = ModelParams(gamma=delta * (1.0 + gamma_over), delta=delta, zeta=vital,
+                         theta=vital, psi=delta * (1.0 + psi_over))
+    lo = params.sigma * (1.0 + lo_over)
+    hi = lo * (1.0 + hi_over)
+    assume(hi < math.inf)
+    strategies = StrategySpec(betas=(lo, hi), costs=(1.0, 0.0))
+    assert not check_assumptions(params, strategies, PolicyConfig(cstar=0.5, upsilon=1.0))
+    try:
+        endemic_state(np.array([lo, hi]), params)
+    except DegenerateDiscriminant:
+        return  # resolve rejects the range
+    inside = np.concatenate([np.linspace(lo, hi, 3001), np.geomspace(lo, hi, 3001)])
+    endemic_state(np.clip(inside, lo, hi), params, strategies)
+
+
+# u = 2**-53, and the bounds on endemic_state's errors in units of it,
+# about twice the worst errors over 625,000 random_bundle rates (25 rates
+# in each of 25,000 bundles): 5.17u for I_hat and 2.76u for a, relative,
+# and 1.92u for R_hat against the sum of its terms' magnitudes (178u
+# relative, where R_hat is small)
+_U = 2.0 ** -53
+ENDEMIC_ERROR_BOUNDS = {"I_hat": 10.0, "R_hat": 4.0, "a": 5.0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_the_endemic_state_lies_within_its_error_bounds_of_the_decimal_oracle(seed):
+    # R_hat = (1 - sigma/B) - (1 - delta/B)*I_hat cancels where R_hat is
+    # small, so its error is measured against the magnitudes it sums:
+    # 1 + sigma/B + (1 + delta/B)*I_hat
+    rng = np.random.default_rng(seed)
+    params, strategies, _ = random_bundle(rng)
+    lo, hi = strategies.betas[0], strategies.betas[-1]
+    rates = np.append(np.linspace(lo, hi, 24), rng.uniform(lo, hi))
+    eq = endemic_state(rates, params)
+    for k, B in enumerate(rates):
+        I_hat, R_hat, a = decimal_endemic(float(B), params)
+        with localcontext(DECIMAL):
+            B = Decimal(float(B))
+            d, gam, s, w = (Decimal(v) for v in
+                            (params.delta, params.gamma, params.sigma, params.omega))
+            # the oracle solves both balance equations to its digits
+            assert abs((B - s) - (B * (I_hat + R_hat) - d * I_hat)) < Decimal("1e-45")
+            assert abs(gam * I_hat - w * R_hat + d * R_hat * I_hat) < Decimal("1e-45")
+            terms = 1 + s / B + (1 + d / B) * I_hat
+            errors = {
+                "I_hat": abs(Decimal(float(eq.I_hat[k])) - I_hat) / I_hat,
+                "R_hat": abs(Decimal(float(eq.R_hat[k])) - R_hat) / terms,
+                "a": abs(Decimal(float(eq.a[k])) - a) / a,
+            }
+        for name, error in errors.items():
+            assert float(error) <= ENDEMIC_ERROR_BOUNDS[name] * _U, (name, float(B))
