@@ -25,7 +25,7 @@ otherwise the end of a bisection with ``math.log``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,8 +92,8 @@ class BoundQuery:
     ``alpha`` is the storage level (typically the Lyapunov value of the
     initial state); ``grid`` the transmission rates at which the per-rate
     convex problems are solved (defaults to ``grid_size`` equidistant points
-    spanning the strategy range).  ``upsilon`` is the feedback gain, which
-    :func:`epgtool.params.usable_gain` must accept.
+    spanning the strategy range), kept as a read-only copy.  ``upsilon`` is
+    the feedback gain, which :func:`epgtool.params.usable_gain` must accept.
     """
 
     alloc: OptimalAllocation
@@ -103,7 +103,8 @@ class BoundQuery:
     grid: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        grid.flags.writeable = False
         if grid.ndim != 1:
             raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
         if grid.size < 2:
@@ -124,19 +125,28 @@ def default_grid(strategies, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 class BoundResult:
     """Outcome of :func:`peak_bound`.
 
-    ``per_B`` pairs each grid rate with its peak ratio or ``None`` when the
-    level is infeasible there; ``peak_ratio`` is the largest value over the
-    grid and ``betastar``, attained at ``argmax_B`` (possibly ``betastar``),
-    and ``certified_peak`` the corresponding absolute bound on the infectious
-    fraction.
+    ``grid`` holds the query's rates and ``ratios`` their peak ratios, NaN
+    where infeasible, as read-only arrays that ``per_B`` pairs; ``==`` and
+    ``hash`` read the other fields only.  ``peak_ratio`` is the largest value
+    over the grid and ``betastar``, attained at ``argmax_B`` (possibly
+    ``betastar``), and ``certified_peak`` the absolute bound it gives on I.
     """
 
-    per_B: tuple[tuple[float, float | None], ...]
+    grid: np.ndarray = field(compare=False)
+    ratios: np.ndarray = field(compare=False)
     peak_ratio: float
     argmax_B: float
     certified_peak: float
     alpha: float
     upsilon: float
+
+    @property
+    def per_B(self) -> tuple[tuple[float, float | None], ...]:
+        """Each ``(B, ratio)``, ``None`` where infeasible, built per read."""
+        return tuple(self._pairs())
+
+    def _pairs(self):
+        return zip(self.grid.tolist(), [None if math.isnan(r) else r for r in self.ratios.tolist()])
 
     def as_dict(self) -> dict:
         """JSON-ready mapping: grid, per-rate ratios (null = infeasible),
@@ -144,8 +154,8 @@ class BoundResult:
         return {
             "upsilon": self.upsilon,
             "alpha": self.alpha,
-            "grid": [B for B, _ in self.per_B],
-            "per_B": [[B, r] for B, r in self.per_B],
+            "grid": self.grid.tolist(),
+            "per_B": list(map(list, self._pairs())),
             "peak_ratio": self.peak_ratio,
             "argmax_B": self.argmax_B,
             "certified_peak": self.certified_peak,
@@ -307,18 +317,17 @@ def peak_bound(query: BoundQuery) -> BoundResult:
     One :func:`peak_ratio_at` call solves all of them, and ``nanargmax``
     picks the first largest ratio of its array.  ``betastar`` is taken
     last, so a grid rate wins a tie; its ratio is never NaN, since its
-    level set holds the target state at every ``alpha >= 0``.
+    level set holds the target state at every ``alpha >= 0``.  The result
+    keeps the grid's ratios as an array: no per-rate pair is built here.
     """
     rates = np.append(query.grid, query.alloc.betastar)
     ratios = peak_ratio_at(query, rates)
+    ratios.flags.writeable = False
     k = int(np.nanargmax(ratios))
-    per_ratio = ratios[:-1].tolist()
-    for i in np.flatnonzero(np.isnan(ratios[:-1])).tolist():
-        per_ratio[i] = None
-    per_B = tuple(zip(query.grid.tolist(), per_ratio))
     peak_ratio = float(ratios[k])
     return BoundResult(
-        per_B=per_B,
+        grid=query.grid,
+        ratios=ratios[:-1],
         peak_ratio=peak_ratio,
         argmax_B=float(rates[k]),
         certified_peak=peak_ratio * query.alloc.endemic.I_hat,

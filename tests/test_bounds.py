@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import json
 import math
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -999,6 +1001,81 @@ def test_grid_that_is_not_one_dimensional_is_rejected(example1):
     flat = peak_bound(_query(example1, 8e-4, grid=np.ravel(rates)))
     assert [B for B, _ in flat.per_B] == [0.15, 0.16, 0.1705, 0.19]
     assert flat.peak_ratio == pytest.approx(1.22634, abs=1e-5)
+
+
+def test_a_write_to_the_callers_grid_changes_neither_the_query_nor_its_bound(example1):
+    grid = default_grid(example1.strategies, 30)
+    query = _query(example1, 8e-4, grid=grid)
+    before = peak_bound(query)
+    grid[:] = grid[0]  # through an alias, the ratio would read 1.2212818502104374
+    assert np.array_equal(query.grid, default_grid(example1.strategies, 30))
+    assert not np.shares_memory(query.grid, grid)
+    after = peak_bound(query)
+    assert after.peak_ratio == before.peak_ratio == 1.2876121573981711
+    assert after.per_B == before.per_B
+    with pytest.raises(ValueError, match="read-only"):
+        query.grid[0] = 0.17
+
+
+def test_one_bound_makes_no_object_per_rate(example1):
+    # a (B, ratio) pair per rate would add 3,000 tuples here
+    query = _query(example1, 8e-4, grid_size=3000)
+    peak_bound(query)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = peak_bound(query)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert result.ratios.size == 3000
+    assert added < 10
+
+
+def test_per_B_pairs_the_grid_with_its_ratios_at_every_read(example1):
+    res = peak_bound(_query(example1, 1e-4))
+    infeasible = np.isnan(res.ratios)
+    assert infeasible.any() and not infeasible.all()
+    assert res.per_B == tuple(
+        (B, None if math.isnan(r) else r) for B, r in zip(res.grid.tolist(), res.ratios.tolist()))
+    assert [r is None for _, r in res.per_B] == infeasible.tolist()
+    assert all(type(B) is float and type(r) in (float, type(None)) for B, r in res.per_B)
+    assert res.per_B is not res.per_B  # no cache: each read builds the pairs
+
+
+@pytest.mark.parametrize("alpha, grid", [(8e-4, None), (1e-7, np.array([0.15, 0.1505]))],
+                         ids=["example1", "infeasible"])
+def test_as_dict_is_the_dict_built_from_the_per_rate_pairs(example1, alpha, grid):
+    query = _query(example1, alpha, grid=grid)
+    res = peak_bound(query)
+    # the reference: pairs from the solver's own array, the dict from the pairs
+    ratios = peak_ratio_at(query, np.append(query.grid, example1.alloc.betastar))
+    per_B = tuple(zip(query.grid.tolist(),
+                      [None if math.isnan(r) else r for r in ratios[:-1].tolist()]))
+    expected = {
+        "upsilon": query.upsilon, "alpha": query.alpha,
+        "grid": [B for B, _ in per_B], "per_B": [[B, r] for B, r in per_B],
+        "peak_ratio": res.peak_ratio, "argmax_B": res.argmax_B,
+        "certified_peak": res.certified_peak,
+    }
+    assert res.as_dict() == expected
+    assert json.dumps(res.as_dict()) == json.dumps(expected)
+
+
+def test_the_bound_arrays_refuse_writes(example1):
+    res = peak_bound(_query(example1, 8e-4))
+    for values in (res.grid, res.ratios):
+        assert values.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def test_bound_results_compare_and_hash_by_their_scalar_fields(example1):
+    a, b = (peak_bound(_query(example1, 8e-4, grid_size=3000)) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert a != peak_bound(_query(example1, 9e-4, grid_size=3000))
+    assert len(repr(a)) < 1000  # numpy summarizes the 3,000 rates
 
 
 # example1's state at t = 1030 d, taken as the start (ROADMAP item 1)

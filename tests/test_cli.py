@@ -151,7 +151,7 @@ def test_simulate_manifest_holds_the_phase_times_and_the_audit(tmp_path):
     assert main(["simulate", str(CONFIG), "--out", str(tmp_path), *FAST]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     phases = manifest["phases_s"]
-    assert set(phases) == {"integrate", "write_csv", "bound"}
+    assert set(phases) == {"integrate", "write_csv", "audit", "bound"}
     assert all(t >= 0.0 for t in phases.values())
     audit = manifest["audit"]
     assert audit["violations"] == 0 and audit["fd_tol"] == 1e-6
