@@ -91,9 +91,9 @@ class BoundQuery:
 
     ``alpha`` is the storage level (typically the Lyapunov value of the
     initial state); ``grid`` the transmission rates at which the per-rate
-    convex problems are solved (defaults to ``grid_size`` equidistant points
-    spanning the strategy range), kept as a read-only copy.  ``upsilon`` is
-    the feedback gain, which :func:`epgtool.params.usable_gain` must accept.
+    convex problems are solved (such as :func:`default_grid`'s), kept as a
+    read-only copy.  ``upsilon`` is the feedback gain, which
+    :func:`epgtool.params.usable_gain` must accept.
     """
 
     alloc: OptimalAllocation
@@ -126,10 +126,10 @@ class BoundResult:
     """Outcome of :func:`peak_bound`.
 
     ``grid`` holds the query's rates and ``ratios`` their peak ratios, NaN
-    where infeasible, as read-only arrays that ``per_B`` pairs; ``==`` and
-    ``hash`` read the other fields only.  ``peak_ratio`` is the largest value
-    over the grid and ``betastar``, attained at ``argmax_B`` (possibly
-    ``betastar``), and ``certified_peak`` the absolute bound it gives on I.
+    where infeasible, as read-only arrays; ``==`` and ``hash`` read the
+    other fields only.  ``peak_ratio`` is the largest value over the grid
+    and ``betastar``, attained at ``argmax_B`` (possibly ``betastar``), and
+    ``certified_peak`` the absolute bound it gives on I.
     """
 
     grid: np.ndarray = field(compare=False)
@@ -140,22 +140,14 @@ class BoundResult:
     alpha: float
     upsilon: float
 
-    @property
-    def per_B(self) -> tuple[tuple[float, float | None], ...]:
-        """Each ``(B, ratio)``, ``None`` where infeasible, built per read."""
-        return tuple(self._pairs())
-
-    def _pairs(self):
-        return zip(self.grid.tolist(), [None if math.isnan(r) else r for r in self.ratios.tolist()])
-
     def as_dict(self) -> dict:
-        """JSON-ready mapping: grid, per-rate ratios (null = infeasible),
-        the aggregated ratio, and the certified peak."""
+        """JSON-ready mapping: the grid and its ratios, one entry per rate
+        (null = infeasible), the aggregated ratio, and the certified peak."""
         return {
             "upsilon": self.upsilon,
             "alpha": self.alpha,
             "grid": self.grid.tolist(),
-            "per_B": list(map(list, self._pairs())),
+            "ratios": [None if math.isnan(r) else r for r in self.ratios.tolist()],
             "peak_ratio": self.peak_ratio,
             "argmax_B": self.argmax_B,
             "certified_peak": self.certified_peak,

@@ -46,15 +46,18 @@ EXIT_RUNTIME = 3
 def _version_string() -> str:
     """Package version, refined with git describe when run from a checkout.
 
-    ``subprocess`` is imported here, so the library never loads it.
+    Only epgtool's own checkout is described, the one whose ``.git`` sits
+    next to ``src/``: an installed copy inside another work tree gets the
+    package version.  ``subprocess`` is imported here, so the library never
+    loads it.
     """
     import subprocess
 
-    here = Path(__file__).resolve()
+    root = Path(__file__).resolve().parent.parent.parent  # never past /
     try:
         described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here.parent,
+            ["git", f"--git-dir={root / '.git'}", "describe", "--always", "--dirty"],
+            cwd=root,
             capture_output=True,
             text=True,
             timeout=5,
@@ -240,9 +243,9 @@ def cmd_bounds(args) -> int:
         details.append(result.as_dict())
     write_table(path, ["upsilon", "beta_star", "delta", "alpha", "peak_ratio"],
                 list(np.array(rows).T))
-    (out / "bounds_detail.json").write_text(
-        json.dumps(details, indent=2) + "\n"
-    )
+    with open(out / "bounds_detail.json", "w") as fh:
+        json.dump(details, fh, indent=2)
+        fh.write("\n")
     for ups, _, _, alpha, ratio in rows:
         print(f"upsilon={ups:g}: alpha={alpha:.6g} peak ratio={ratio:.6g}")
     print(f"wrote {path}")

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -37,7 +38,9 @@ from epgtool.params import usable_gain
 from helpers import (DECIMAL, decimal_level, decimal_sup_level, dense_grid_peak,
                      peak_ratio_per_rate, random_bundle, sup_level_per_term)
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "example1.json"
+README = ROOT / "README.md"
 
 
 def _query(scenario, alpha, grid_size=30, upsilon=None, grid=None):
@@ -226,9 +229,9 @@ def test_reduction_agrees_with_dense_grid_oracle(example1):
 
 def test_peak_bound_max_over_grid(example1):
     result = peak_bound(_query(example1, 0.0008))
-    feasible = [r for _, r in result.per_B if r is not None]
+    feasible = [r for r in result.ratios.tolist() if not math.isnan(r)]
     assert result.peak_ratio == max(feasible)
-    assert len(result.per_B) == 30
+    assert len(result.grid) == len(result.ratios) == 30
 
 
 def test_grid_refinement_changes_little(example1):
@@ -269,7 +272,7 @@ def test_vanishing_gain_limit(example1):
 def test_level_below_every_grid_penalty_is_bounded_at_the_target_rate(example1):
     grid = np.array([0.15, 0.1505])  # far from the target rate
     res = peak_bound(_query(example1, 1e-7, grid=grid))
-    assert [r for _, r in res.per_B] == [None, None]
+    assert np.isnan(res.ratios).tolist() == [True, True]
     assert res.argmax_B == example1.alloc.betastar
     assert res.peak_ratio > 1.0
     assert res.certified_peak == res.peak_ratio * example1.alloc.endemic.I_hat
@@ -286,7 +289,7 @@ def test_bound_exists_and_a_grid_rate_wins_ties(example1, rates, alpha):
     query = _query(example1, alpha, grid=grid)
     res = peak_bound(query)
     assert res.peak_ratio >= 1.0
-    grid_ratios = [r for _, r in res.per_B if r is not None]
+    grid_ratios = [r for r in res.ratios.tolist() if not math.isnan(r)]
     at_target = peak_ratio_at(query, example1.alloc.betastar)
     if grid_ratios and max(grid_ratios) >= at_target:
         assert res.peak_ratio == max(grid_ratios)
@@ -411,7 +414,8 @@ def test_lockstep_ratios_are_within_the_tolerance_of_the_per_rate_bisection(
     feasible = [(B, r) for B, r in zip(rates, lockstep) if r is not None]
     argmax_B, ratio = max(feasible, key=lambda br: br[1])
     res = peak_bound(query)
-    assert res.per_B == tuple(zip(rates[:-1], lockstep[:-1]))
+    assert res.grid.tolist() == rates[:-1]
+    assert [None if math.isnan(r) else r for r in res.ratios.tolist()] == lockstep[:-1]
     assert (res.argmax_B, res.peak_ratio.hex()) == (argmax_B, ratio.hex())
     assert res.certified_peak == ratio * example1.alloc.endemic.I_hat
 
@@ -604,6 +608,29 @@ def test_the_band_holds_its_claim_on_random_bundles():
         checked += _assert_the_band_holds(query, rng)
         _assert_near_the_per_rate_bisection(query, [*query.grid.tolist(), alloc.betastar])
     assert checked > 1000
+
+
+def test_the_ratio_is_unimodal_in_the_rate_on_random_bundles():
+    # a finding, not a claim of the paper at delta > 0: on 300 draws x 3
+    # levels, log-uniform over seven decades, the feasible rates are one
+    # run, and the ratio rises to its largest value and then falls, with no
+    # dip of even one ulp
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        params, strategies, policy = random_bundle(rng)
+        alloc = optimal_allocation(strategies, policy, params)
+        grid = default_grid(strategies, 2001)
+        for alpha in 10.0 ** rng.uniform(-8.0, -1.0, 3):
+            ratios = peak_bound(BoundQuery(alloc=alloc, params=params, upsilon=policy.upsilon,
+                                           alpha=alpha, grid=grid)).ratios
+            feasible = np.flatnonzero(~np.isnan(ratios))
+            if not feasible.size:
+                continue
+            first, last = feasible[0], feasible[-1]
+            assert last - first + 1 == feasible.size, (params, strategies, policy, alpha)
+            k = int(np.nanargmax(ratios))
+            assert np.all(np.diff(ratios[first:k + 1]) >= 0.0), (params, strategies, policy, alpha)
+            assert np.all(np.diff(ratios[k:last + 1]) <= 0.0), (params, strategies, policy, alpha)
 
 
 def test_a_level_that_caps_some_rates_gives_the_per_rate_ratios(
@@ -883,7 +910,7 @@ def test_numpy_log_stays_far_inside_the_room():
 
 
 def test_the_certification_sweep_keeps_every_ratio_bit_for_bit():
-    # float.hex of every per_B ratio, peak_ratio and argmax_B over the 5 x 24
+    # float.hex of every grid ratio, peak_ratio and argmax_B over the 5 x 24
     # points of the certification sweep (the ratio-vs-gain figure's
     # scenario) at grid size 3000, pinned from the solver that returns the
     # band's upper end where it is no wider than BISECTION_TOL, with the
@@ -903,8 +930,8 @@ def test_the_certification_sweep_keeps_every_ratio_bit_for_bit():
             res = peak_bound(BoundQuery(
                 alloc=alloc, params=params, upsilon=ups,
                 alpha=0.5 * ups ** 2 * (0.15 - alloc.betastar) ** 2, grid=grid))
-            for _, r in res.per_B:
-                digest.update(b"None" if r is None else r.hex().encode())
+            for r in res.ratios.tolist():
+                digest.update(b"None" if math.isnan(r) else r.hex().encode())
             digest.update(f"{res.peak_ratio.hex()} {res.argmax_B.hex()};".encode())
     assert digest.hexdigest() == (
         "9b1f371e906d619d39f6303b58b65db308de24e22139bd2574793881b0628e70")
@@ -999,7 +1026,8 @@ def test_grid_that_is_not_one_dimensional_is_rejected(example1):
     with pytest.raises(ValueError, match="one-dimensional"):
         _query(example1, 8e-4, grid=np.array(rates))
     flat = peak_bound(_query(example1, 8e-4, grid=np.ravel(rates)))
-    assert [B for B, _ in flat.per_B] == [0.15, 0.16, 0.1705, 0.19]
+    assert flat.grid.tolist() == [0.15, 0.16, 0.1705, 0.19]
+    assert flat.ratios.shape == (4,)
     assert flat.peak_ratio == pytest.approx(1.22634, abs=1e-5)
 
 
@@ -1012,7 +1040,8 @@ def test_a_write_to_the_callers_grid_changes_neither_the_query_nor_its_bound(exa
     assert not np.shares_memory(query.grid, grid)
     after = peak_bound(query)
     assert after.peak_ratio == before.peak_ratio == 1.2876121573981711
-    assert after.per_B == before.per_B
+    assert np.array_equal(after.grid, before.grid)
+    assert np.array_equal(after.ratios, before.ratios, equal_nan=True)
     with pytest.raises(ValueError, match="read-only"):
         query.grid[0] = 0.17
 
@@ -1033,15 +1062,18 @@ def test_one_bound_makes_no_object_per_rate(example1):
     assert added < 10
 
 
-def test_per_B_pairs_the_grid_with_its_ratios_at_every_read(example1):
+def test_as_dict_writes_each_rate_once_with_null_where_infeasible(example1):
     res = peak_bound(_query(example1, 1e-4))
     infeasible = np.isnan(res.ratios)
     assert infeasible.any() and not infeasible.all()
-    assert res.per_B == tuple(
-        (B, None if math.isnan(r) else r) for B, r in zip(res.grid.tolist(), res.ratios.tolist()))
-    assert [r is None for _, r in res.per_B] == infeasible.tolist()
-    assert all(type(B) is float and type(r) in (float, type(None)) for B, r in res.per_B)
-    assert res.per_B is not res.per_B  # no cache: each read builds the pairs
+    record = res.as_dict()
+    assert not hasattr(res, "per_B") and "per_B" not in record
+    assert len(record["grid"]) == len(record["ratios"]) == res.grid.size
+    assert [r is None for r in record["ratios"]] == infeasible.tolist()
+    back = json.loads(json.dumps(record))
+    assert back["grid"] == res.grid.tolist()
+    ratios = np.array([math.nan if r is None else r for r in back["ratios"]])
+    assert np.array_equal(ratios, res.ratios, equal_nan=True)
 
 
 @pytest.mark.parametrize("alpha, grid", [(8e-4, None), (1e-7, np.array([0.15, 0.1505]))],
@@ -1049,18 +1081,26 @@ def test_per_B_pairs_the_grid_with_its_ratios_at_every_read(example1):
 def test_as_dict_is_the_dict_built_from_the_per_rate_pairs(example1, alpha, grid):
     query = _query(example1, alpha, grid=grid)
     res = peak_bound(query)
-    # the reference: pairs from the solver's own array, the dict from the pairs
+    # the reference: the dict from the solver's own array, null at NaN
     ratios = peak_ratio_at(query, np.append(query.grid, example1.alloc.betastar))
-    per_B = tuple(zip(query.grid.tolist(),
-                      [None if math.isnan(r) else r for r in ratios[:-1].tolist()]))
     expected = {
         "upsilon": query.upsilon, "alpha": query.alpha,
-        "grid": [B for B, _ in per_B], "per_B": [[B, r] for B, r in per_B],
+        "grid": query.grid.tolist(),
+        "ratios": [None if math.isnan(r) else r for r in ratios[:-1].tolist()],
         "peak_ratio": res.peak_ratio, "argmax_B": res.argmax_B,
         "certified_peak": res.certified_peak,
     }
     assert res.as_dict() == expected
     assert json.dumps(res.as_dict()) == json.dumps(expected)
+
+
+def test_the_readme_library_sketch_runs(capsys):
+    (sketch,) = re.findall(r"## Library sketch\n\n```python\n(.*?)```",
+                           README.read_text(), flags=re.S)
+    names = {}
+    exec(compile(sketch, "README.md", "exec"), names)
+    assert "PASS" in capsys.readouterr().out
+    assert names["ratios"].shape == (3000,)
 
 
 def test_the_bound_arrays_refuse_writes(example1):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -228,7 +229,7 @@ PINNED_OUTPUTS = {
         "bounds_sweep.csv":
             "9262e1ff406fdb7387974df8ec058995ce96fa301624f2eb18552bf47f9d231a",
         "bounds_detail.json":
-            "49d877603afd0b2cd120d6162183a67d47c205fa0b5731f08e0f98e296dc2819",
+            "7f4d550c67359f71606c6666c85c1ecba7f24da5dfa8ad1d538d32b44c28484f",
     },
     ("simulate",): {
         "trajectory.csv":
@@ -281,7 +282,7 @@ def test_bounds_sweep_rows(tmp_path, capsys):
     assert rows.shape == (3, 5)
     detail = json.loads((tmp_path / "bounds_detail.json").read_text())
     assert len(detail) == 3
-    assert len(detail[1]["per_B"]) == 30
+    assert len(detail[1]["ratios"]) == 30
     assert detail[1]["peak_ratio"] == pytest.approx(rows[1][4], rel=1e-12)
     by_ups = {row[0]: row for row in rows}
     assert by_ups[2.0][4] == pytest.approx(1.2876, abs=5e-3)
@@ -654,6 +655,25 @@ def test_version_without_git_describe_is_the_package_version(outcome, monkeypatc
 
     monkeypatch.setattr(subprocess, "run", describe)
     assert epgtool.cli._version_string() == f"epgtool {epgtool.__version__}"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not on PATH")
+def test_an_installed_copy_inside_another_work_tree_has_the_package_version(tmp_path):
+    # git describe from the package directory used to walk up into the
+    # enclosing repository and name its commit
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q", str(tmp_path)], env=env, check=True)
+    subprocess.run([*git, "-C", str(tmp_path), "commit", "-q", "--allow-empty", "-m", "other"],
+                   env=env, check=True)
+    site = tmp_path / ".venv" / "lib" / "site-packages"
+    shutil.copytree(Path(epgtool.cli.__file__).parent, site / "epgtool",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env["PYTHONPATH"] = str(site)
+    done = subprocess.run(
+        [sys.executable, "-c", "import epgtool.cli as c; print(c._version_string())"],
+        env=env, cwd=tmp_path, check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == f"epgtool {epgtool.__version__}"
 
 
 def test_version_flag_prints_version(capsys):
