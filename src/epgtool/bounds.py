@@ -11,15 +11,9 @@ infectious fraction compatible with ``storage <= alpha`` therefore bounds
 the trajectory peak.  For fixed B the level-set supremum reduces to a
 convex problem in I alone, whose level is the storage at the R minimizing
 it: :func:`_storage`'s one expression, the audit's too.  Maximizing over a
-transmission-rate grid and the target rate ``betastar``, whose level set
-holds the target state at every ``alpha >= 0``, yields the certified peak
-ratio.
-:func:`peak_ratio_at` builds each rate's terms and :func:`_sup_level`, the
-one solver, finds the largest I whose level is at most ``alpha`` for all
-rates at once: the upper end of the band around the root that
-:func:`_band` places with numpy's log and Newton steps and verifies with a
-proven error bound, where it is no wider than ``BISECTION_TOL``, and
-otherwise the end of a bisection with ``math.log``.
+transmission-rate grid and the target rate ``betastar`` yields the
+certified peak ratio: one bisection on I for all rates at once.
+:func:`_decide` is the one comparison of a level with ``alpha``.
 """
 
 from __future__ import annotations
@@ -43,15 +37,15 @@ __all__ = [
     "default_grid",
 ]
 
+# the width of the last cell of a bisection of [0, 1], whose upper end is
+# the answer; where the level is flat at the root, the margin of a proven
+# decision moves the answer further: example1's at B = 0.15 and level 8e-4
+# (its level at I_hat within 1e-18 of alpha) ends 1.95e-9 above the root
 BISECTION_TOL = 1e-10
 DEFAULT_GRID_SIZE = 30
-# the Newton steps that place _band's ends; a name for tests, not a setting
-_NEWTON_STEPS = 7
 
 # math.log elementwise: the kernel's log, not numpy's SIMD one
 _log = np.vectorize(math.log, otypes=[float])
-# numpy's log, for the band of _band only
-_fast_log = np.log
 
 
 def _rate_penalty(B, betastar: float, upsilon: float):
@@ -125,15 +119,14 @@ def default_grid(strategies, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 class BoundResult:
     """Outcome of :func:`peak_bound`.
 
-    ``grid`` holds the query's rates and ``ratios`` their peak ratios, NaN
-    where infeasible, as read-only arrays; ``==`` and ``hash`` read the
-    other fields only.  ``peak_ratio`` is the largest value over the grid
-    and ``betastar``, attained at ``argmax_B`` (possibly ``betastar``), and
+    ``grid`` holds the query's rates as a read-only array, which ``==``
+    and ``hash`` do not read; ``peak_ratio_at(query, result.grid)`` gives
+    their ratios.  ``peak_ratio`` is the largest value over the grid and
+    ``betastar``, attained at ``argmax_B`` (possibly ``betastar``), and
     ``certified_peak`` the absolute bound it gives on I.
     """
 
     grid: np.ndarray = field(compare=False)
-    ratios: np.ndarray = field(compare=False)
     peak_ratio: float
     argmax_B: float
     certified_peak: float
@@ -141,13 +134,11 @@ class BoundResult:
     upsilon: float
 
     def as_dict(self) -> dict:
-        """JSON-ready mapping: the grid and its ratios, one entry per rate
-        (null = infeasible), the aggregated ratio, and the certified peak."""
+        """JSON-ready mapping: the grid, the largest ratio and the certified peak."""
         return {
             "upsilon": self.upsilon,
             "alpha": self.alpha,
             "grid": self.grid.tolist(),
-            "ratios": [None if math.isnan(r) else r for r in self.ratios.tolist()],
             "peak_ratio": self.peak_ratio,
             "argmax_B": self.argmax_B,
             "certified_peak": self.certified_peak,
@@ -159,122 +150,70 @@ def _level(I, I_hat, R_hat, a, base, log=_log):
     ``R = 1 - I`` where ``R_hat`` exceeds that room, else at ``R_hat``.
     ``log`` is ``math.log`` elementwise unless a caller passes another."""
     pen = R_hat - (1.0 - I)
-    return _storage(I_hat / I, np.where(pen > 0.0, pen, 0.0), I, I_hat, a, base, log)
+    return _storage(I_hat / I, np.maximum(pen, 0.0), I, I_hat, a, base, log)
 
 
-def _band(I_hat, R_hat, a, base, alpha):
-    """Floats ``lo < hi`` per rate: every float ``I`` in ``[I_hat, lo]``
-    has ``_level(I) <= alpha`` and every one in ``[hi, 1]`` has
-    ``_level(I) > alpha``.  An end that fails to verify is ``-/+inf``.
+def _terms(query: BoundQuery, B: np.ndarray):
+    """``(I_hat, R_hat, a, base, eps)`` of the rates ``B``; ``eps`` is
+    :func:`_decide`'s room."""
+    eq = endemic_state(B, query.params)
+    I_hat, R_hat, a = eq.I_hat, eq.R_hat, eq.a
+    base = _rate_penalty(B, query.alloc.betastar, query.upsilon)
+    hl = I_hat * np.abs(np.log(I_hat))
+    eps = (2.0 ** -39 * hl + 2.0 ** -47 * (1.0 + I_hat + hl + a * (1.0 + np.abs(R_hat)) ** 2 + base)
+           + 2.0 ** -47 * query.alpha)
+    return I_hat, R_hat, a, base, eps
 
-    The exact level ``g`` is nondecreasing on ``[I_hat, 1]``: its slope
-    ``1 - I_hat/I + a*pen`` is nonnegative there.  With ``u = 2**-53``,
-    ``l = |ln I_hat| >= |ln(I_hat/I)|`` and ``A = a*(1 + |R_hat|)**2``, the
-    float level there, with ``math.log`` or ``_fast_log``, is within
-    ``E = 2**-42*I_hat*l + 8*u*(1 + I_hat + I_hat*l + A + base)`` of ``g``.
-    Rounding ``I_hat/I`` (``u`` relative, or ``2**-1075`` if subnormal)
-    moves ``I_hat*log`` by ``1.01*u*I_hat + 2**-1074``; ``math.log`` is
-    within ``2*u*l`` of the exact log, and ``_fast_log`` within
-    ``2**-42*l + 2**-1002`` of ``math.log`` by the one assumption made of
-    numpy's log: that it lies within ``2**-42*|ln x| + 2**-1002`` of
-    ``math.log`` at every ``x``, some 1024 times their largest
-    disagreement (1 ulp).  In :func:`_storage`, the product ``I_hat*log``
-    adds ``u*I_hat*l``; ``pen`` is off by ``2.01*u*(1 + |R_hat|)`` and the
-    penalty by ``3.03*u*A``; the four sums, ``I_hat - I`` (at most 1)
-    first, add ``4.01*u*(I_hat*l + 1 + A/2 + base)``.  ``eps`` is at least
-    ``4*E + 2**-48*alpha``, computed to ``2**-41`` relative.  An end is
-    kept only in ``[I_hat, 1]`` and where its level with ``_fast_log`` is
-    ``<= alpha - 2*eps`` (``lo``) or ``> alpha + 2*eps`` (``hi``), each
-    right side rounded by at most ``u*(alpha + 2*eps)``.  So for a float
-    ``I`` in ``[I_hat, lo]``, ``_level(I) <= g(I) + E <= g(lo) + E <=
-    level(lo) + 2*E <= alpha - 2*eps + u*(alpha + 2*eps) + 2*E <= alpha``,
-    and mirrored, strictly, on ``[hi, 1]``.  A NaN fails both checks.
 
-    Where the ends land needs no proof.  The start
-    ``I_hat*(1 + s + sqrt(s*s + 2*s))``, ``s = (alpha - base)/I_hat``,
-    capped at 1, is above the root, as ``x - 1 - ln x >= (x - 1)**2/(2*x)``
-    for ``x >= 1``, unless the root lies past 1.  So only a capped start
-    can be capped: where its level at 1 passes the ``lo`` check, the band
-    is ``[1, inf]``.  The other terms, in a call of their own, take
-    ``_NEWTON_STEPS`` (7) Newton steps ``r`` on the level with
-    ``_fast_log``, which stay above the root of a convex level.  ``lo`` is
-    ``r - delta``, or 1 where that lies past 1.  ``delta`` solves
-    ``g'(r)*delta + I_hat*delta**2/2 = 4*eps``: ``g'' >= I_hat`` on
-    ``(0, 1]``, so ``g`` gains ``4*eps`` over ``delta`` even where flat.
+def _start(I_hat, base, alpha):
+    """``I_hat*(1 + s + sqrt(s*s + 2*s))``, ``s = d/I_hat``, ``d = alpha -
+    base`` clipped to ``[0, 1]`` (1 already puts it past 1), capped at 1:
+    above the exact root, as ``x - 1 - ln x >= (x - 1)**2/(2*x)``, ``x >= 1``."""
+    d = np.clip(alpha - base, 0.0, 1.0)
+    return np.minimum(I_hat + d + np.sqrt(d * (d + 2.0 * I_hat)), 1.0)
+
+
+def _margin(I, R_hat, a, level, alpha):
+    """How far :func:`_level` with ``math.log`` at ``I`` in ``[I_hat, 1]``,
+    compared with ``alpha``, may lie from the exact level: see :func:`_decide`."""
+    return 2.0 ** -49 * (I * (1.0 + a * R_hat) + np.abs(level)) + 2.0 ** -52 * alpha + 2.0 ** -1070
+
+
+def _decide(I, I_hat, R_hat, a, base, eps, alpha):
+    """Whether each term is inside at ``I``, and its level: outside only
+    where the exact level exceeds ``alpha``.  The level is numpy's log's,
+    or ``math.log``'s where that lies within ``eps`` of ``alpha``, and
+    there a point is inside where ``base`` and the level less
+    :func:`_margin` are at most ``alpha``.
+
+    With ``u = 2**-53``, ``math.log``'s level at ``I`` in ``[I_hat, 1]`` is
+    within ``5.02*u*I + 2.01*u*a*R_hat*I + 4.01*u*g`` of the exact ``g``
+    (``2**-1071`` more if subnormal): rounding ``I_hat/I`` adds
+    ``1.01*u*I_hat``; the log (an ulp) and the product ``3.02*u*(I -
+    I_hat)``, a bound on ``|I_hat*ln(I_hat/I)|``; ``I_hat - I`` and its sum
+    ``2*u*(I - I_hat)``; the penalty ``2.01*u*a*R_hat*I``, as ``pen <= I``
+    is off by ``2.01*u*R_hat``; its products and the last two sums
+    ``4.01*u*g``, as each part of ``g`` is nonnegative.
+    :func:`_margin` adds ``u*alpha`` for the comparison.  With ``l = |ln
+    I_hat|`` and ``A = a*(1 + |R_hat|)**2``, so that ``g <= 1 + A/2 +
+    base``, and numpy's log within ``2**-42*l + 2**-1002`` of ``math.log``
+    (the one assumption made of it, 1024 times their largest
+    disagreement), either level is within ``E = 2**-42*I_hat*l + 8*u*(1 +
+    I_hat + I_hat*l + A + base)`` of ``g``.  ``eps >= 8*E +
+    2**-47*alpha``, computed to ``2**-41`` relative, exceeds twice that
+    with the margin and the roundings: outside ``eps`` of ``alpha`` both
+    levels decide alike.
     """
-    terms = I_hat, R_hat, a, base
-    with np.errstate(all="ignore"):
-        def slope(I):  # with I_hat/I and the R-penalty, which the level shares
-            q, pen = I_hat / I, np.maximum(R_hat - (1.0 - I), 0.0)
-            return q, pen, 1.0 - q + a * pen
-
-        hl = I_hat * np.abs(_fast_log(I_hat))
-        eps = 2.0 ** -40 * hl + 2.0 ** -48 * (
-            1.0 + I_hat + hl + a * (1.0 + np.abs(R_hat)) ** 2 + base + alpha)
-        s = (alpha - base) / I_hat
-        r = np.minimum(I_hat * (1.0 + s + np.sqrt(s * s + 2.0 * s)), 1.0)
-        cap = r == 1.0
-        if cap.any():
-            cap[cap] = _level(1.0, *(t[cap] for t in terms), log=_fast_log) <= alpha - 2.0 * eps[cap]
-            if cap.any():
-                lo, hi = np.ones(r.shape), np.full(r.shape, np.inf)
-                if not cap.all():
-                    lo[~cap], hi[~cap] = _band(*(t[~cap] for t in terms), alpha)
-                return lo, hi
-        for _ in range(_NEWTON_STEPS):
-            q, pen, g1 = slope(r)
-            r = r - (_storage(q, pen, r, I_hat, a, base, _fast_log) - alpha) / g1
-        g1 = slope(r)[2]
-        delta = 8.0 * eps / (g1 + np.sqrt(g1 * g1 + 8.0 * I_hat * eps))
-        lo, hi = np.minimum(r - delta, 1.0), r + delta
-        lo = np.where((lo >= I_hat)
-                      & (_level(lo, *terms, log=_fast_log) <= alpha - 2.0 * eps),
-                      lo, -np.inf)
-        hi = np.where((hi <= 1.0)
-                      & (_level(hi, *terms, log=_fast_log) > alpha + 2.0 * eps),
-                      hi, np.inf)
-    return lo, hi
-
-
-def _sup_level(I_hat, R_hat, a, base, alpha):
-    """Largest ``I in [I_hat, 1]`` with ``_level(I) <= alpha``, per term of
-    :func:`_band`'s arguments: NaN where the level at ``I_hat`` exceeds
-    ``alpha``, ``I_hat`` where it equals it, 1 where the level at 1 is at
-    most ``alpha``, and otherwise the upper end of a bracket around the
-    root no wider than ``BISECTION_TOL``.  A NaN level at ``I_hat`` is
-    bisected.
-
-    The bracket is :func:`_band`'s where its ends verified within
-    ``BISECTION_TOL``, and a lower end of 1 is the cap.  For the rest,
-    ``math.log`` decides the cap and bisects from ``I_hat`` to the verified
-    upper end or 1, testing the width at every halving; not from the lower
-    end, which would make the first midpoint the Newton iterate, within
-    rounding of the root, where rounding decides on which side it lies.
-    There the bracket is around the float level's root, which can lie more
-    than ``BISECTION_TOL`` above the exact one where the level is flat:
-    example1 at ``B = 0.15`` and level 8e-4 ends 1.56e-10 above it.
-    """
-    # _level at I_hat, whose log is of 1.0 and so exactly 0.0
-    slack = alpha - _level(I_hat, I_hat, R_hat, a, base, log=np.zeros_like)
-    sup = np.where(slack < 0.0, np.nan, I_hat)
-    k = np.flatnonzero(~(slack <= 0.0))  # NaN slack is bisected
-    terms = [t[k] for t in (I_hat, R_hat, a, base)]
-    lo, hi = _band(*terms, alpha)
-    sup[k] = np.where(lo == 1.0, 1.0, hi)
-    j = np.flatnonzero((lo < 1.0) & (hi - lo > BISECTION_TOL))
-    if j.size:
-        terms = [t[j] for t in terms]
-        hi = np.minimum(hi[j], 1.0)
-        # a capped term's bracket is [1, 1]
-        lo = np.where(_level(np.ones(j.size), *terms) <= alpha, 1.0, terms[0])
-        wide = hi - lo > BISECTION_TOL
-        while wide.any():
-            mid = 0.5 * (lo + hi)
-            b = _level(mid, *terms) <= alpha
-            lo, hi = np.where(wide & b, mid, lo), np.where(wide & ~b, mid, hi)
-            wide = hi - lo > BISECTION_TOL
-        sup[k[j]] = hi
-    return sup
+    level = _level(I, I_hat, R_hat, a, base, log=np.log)
+    inside = level <= alpha
+    near = np.abs(level - alpha) <= eps
+    if np.count_nonzero(near):
+        I_near = np.broadcast_to(I, level.shape)[near]
+        terms = [t[near] for t in (I_hat, R_hat, a, base)]
+        level[near] = at = _level(I_near, *terms)
+        margin = _margin(I_near, *terms[1:3], at, alpha)
+        inside[near] = (at - margin <= alpha) & (terms[3] <= alpha)
+    return inside, level
 
 
 def peak_ratio_at(query: BoundQuery,
@@ -282,21 +221,38 @@ def peak_ratio_at(query: BoundQuery,
     """Largest ``I / I_star`` on the storage level set at fixed ``B``;
     elementwise in ``B``.
 
-    For fixed (I, B) the storage is quadratic in R, minimized at the clamp
-    of ``R_hat`` into ``[0, 1 - I]``; substituting gives a convex function
-    of I alone, minimized at ``I_hat``: :func:`_level` on the terms
-    ``(I_hat, R_hat, a, base)`` of the rate.  :func:`_sup_level` finds the
-    largest ``I`` keeping it below ``alpha``, up to the level's rounding
-    never understating it and overstating it by at most ``BISECTION_TOL``,
-    or by more where the level is flat at the root (see :func:`_sup_level`).
-    A float ``B`` gives a float, or ``None`` when even the minimum exceeds
-    ``alpha``; an array of rates gives an array with NaN there.  A rate
-    that :func:`endemic_state` rejects raises what it raises.
+    The storage is least over R at the clamp of ``R_hat`` into ``[0, 1 -
+    I]``: :func:`_level`, convex in I and least at ``I_hat``.  The rates
+    bisect ``[0, 1]`` in lockstep around their brackets, from ``I_hat`` to
+    the :func:`_start`, or on to 1 where a rate is inside there: midpoints
+    at or below a bracket are inside, at or above it outside, and
+    :func:`_decide` says between.  A bracket of width 0, as at a cap of 1,
+    is the answer.  Up to the rounding of the terms the answer lies above
+    the exact root, by at most ``BISECTION_TOL`` unless the level is flat
+    there.  A float ``B`` gives a float, or ``None`` when even the minimum
+    exceeds ``alpha``; an array gives an array with NaN there.  A rate that
+    :func:`endemic_state` rejects raises what it raises.
     """
-    Bs = np.asarray(B, dtype=float).ravel()
-    eq = endemic_state(Bs, query.params)
-    terms = eq.I_hat, eq.R_hat, eq.a, _rate_penalty(Bs, query.alloc.betastar, query.upsilon)
-    ratio = _sup_level(*terms, query.alpha) / query.alloc.endemic.I_hat
+    terms = _terms(query, np.asarray(B, dtype=float).ravel())
+    I_hat, base = terms[0], terms[3]
+    feasible = _decide(I_hat, *terms, query.alpha)[0]
+    # an infeasible rate's bracket has width 0: it takes no halving
+    hi = np.where(feasible, _start(I_hat, base, query.alpha), I_hat)
+    # inside at the start, which lies past I_hat but where it rounds there
+    up = (base < query.alpha) & _decide(hi, *terms, query.alpha)[0]
+    lo, hi = np.where(up, hi, I_hat), np.where(up, 1.0, hi)
+    # a bracket of width 0 is its answer; the others' cells start at [0, 1]
+    # and halve together
+    right = hi.copy()
+    k = np.flatnonzero(lo < hi)
+    lo, hi, terms = lo[k], hi[k], [t[k] for t in terms]
+    left, cell = np.zeros(k.size), np.ones(k.size)
+    while np.any(cell - left > BISECTION_TOL):
+        mid = 0.5 * (left + cell)
+        inside = (mid <= lo) | ((mid < hi) & _decide(mid, *terms, query.alpha)[0])
+        left, cell = np.where(inside, mid, left), np.where(inside, cell, mid)
+    right[k] = cell
+    ratio = np.where(feasible, right, np.nan) / query.alloc.endemic.I_hat
     if np.ndim(B):
         return ratio.reshape(np.shape(B))
     r = float(ratio[0])
@@ -304,24 +260,48 @@ def peak_ratio_at(query: BoundQuery,
 
 
 def peak_bound(query: BoundQuery) -> BoundResult:
-    """Maximize the per-rate peak ratios over the grid and ``betastar``.
+    """The largest peak ratio over the grid and ``betastar``: one bisection
+    on the envelope ``f(I) = min over B of level_B(max(I, I_hat(B)))``.
 
-    One :func:`peak_ratio_at` call solves all of them, and ``nanargmax``
-    picks the first largest ratio of its array.  ``betastar`` is taken
-    last, so a grid rate wins a tie; its ratio is never NaN, since its
-    level set holds the target state at every ``alpha >= 0``.  The result
-    keeps the grid's ratios as an array: no per-rate pair is built here.
+    Each level's slope ``1 - I_hat/I + a*pen`` is nonnegative on ``[I_hat,
+    1]``, so ``f`` is nondecreasing, and a rate above ``alpha`` stays above
+    it at larger I: each new lower end drops the rates above it.  The
+    bracket runs from the largest feasible ``I_hat`` to the largest
+    :func:`_start`, or on to 1, and is bisected as in :func:`peak_ratio_at`,
+    on the points each rate meets alone: the bound is the largest of its
+    ratios, and more rates never lower it.  ``argmax_B`` is the rate with
+    the least level at the last lower end, the first in grid order, with
+    ``betastar``, feasible at every ``alpha >= 0``, last.
     """
     rates = np.append(query.grid, query.alloc.betastar)
-    ratios = peak_ratio_at(query, rates)
-    ratios.flags.writeable = False
-    k = int(np.nanargmax(ratios))
-    peak_ratio = float(ratios[k])
+    terms = _terms(query, rates)
+    live = np.flatnonzero(_decide(terms[0], *terms, query.alpha)[0])
+    terms = [t[live] for t in terms]
+    lo, hi = float(terms[0].max()), float(_start(terms[0], terms[3], query.alpha).max())
+    inside, level = _decide(hi, *terms, query.alpha)
+    if np.any(inside & (terms[3] < query.alpha)):  # a rate inside at the start
+        lo, hi = hi, 1.0
+    elif lo < hi:
+        inside, level = _decide(lo, *terms, query.alpha)
+    live, terms, level = live[inside], [t[inside] for t in terms], level[inside]
+    left, right = (0.0, 1.0) if lo < hi else (hi, hi)
+    while right - left > BISECTION_TOL:
+        mid = 0.5 * (left + right)
+        if lo < mid < hi:
+            inside, at_mid = _decide(mid, *terms, query.alpha)
+            kept = np.count_nonzero(inside)
+            if kept:
+                lo, level = mid, at_mid[inside]
+                if kept < live.size:
+                    live, terms = live[inside], [t[inside] for t in terms]
+            else:
+                hi = mid
+        left, right = (mid, right) if mid <= lo else (left, mid)
+    peak_ratio = right / query.alloc.endemic.I_hat
     return BoundResult(
         grid=query.grid,
-        ratios=ratios[:-1],
         peak_ratio=peak_ratio,
-        argmax_B=float(rates[k]),
+        argmax_B=float(rates[live[np.argmin(level)]]),
         certified_peak=peak_ratio * query.alloc.endemic.I_hat,
         alpha=query.alpha,
         upsilon=query.upsilon,

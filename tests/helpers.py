@@ -163,11 +163,11 @@ def peak_ratio_per_rate(query, B):
 def sup_level_per_term(I_hat, R_hat, a, base, alpha, hi=1.0):
     """The largest ``I`` whose level is at most ``alpha``, for one term, by
     a scalar bisection in Python floats (``None`` where the level at
-    ``I_hat`` exceeds ``alpha``): the per-rate body that
-    ``epgtool.bounds._sup_level`` replaced, kept as its oracle but for the
-    division by ``I_star``, with the level in the epidemic storage's
-    operation order.  ``hi`` is the upper end the bisection starts from,
-    above the root and at most 1."""
+    ``I_hat`` exceeds ``alpha``): the per-rate body that the package's
+    array solvers replaced, kept as their oracle but for the division by
+    ``I_star``, with the level in the epidemic storage's operation order.
+    ``hi`` is the upper end the bisection starts from, above the root and
+    at most 1."""
     from epgtool.bounds import BISECTION_TOL
 
     def g(I: float) -> float:

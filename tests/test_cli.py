@@ -227,15 +227,15 @@ PINNED_OUTPUTS = {
     },
     ("bounds", "--upsilons", "0.5,1,2,6"): {
         "bounds_sweep.csv":
-            "9262e1ff406fdb7387974df8ec058995ce96fa301624f2eb18552bf47f9d231a",
+            "8b1630ef90ee1f3c30bb51f10705efab5088ee843d804e1a9063903b3bfd8c8b",
         "bounds_detail.json":
-            "7f4d550c67359f71606c6666c85c1ecba7f24da5dfa8ad1d538d32b44c28484f",
+            "0c8543010310b0360b4a983afc1e8421e53178c83aa4d9cbd6291c28bec020df",
     },
     ("simulate",): {
         "trajectory.csv":
             "4cddf43cbdb0376305b9a12940901e4afbeef8371917c8825d26c3ec5dc8c595",
         "certification.json":
-            "e4f3546d65dd9527bd41396344ef82f5e0e432381aec10c6e138e4c109753930",
+            "072e970897a0ee9da0fc92beea71717b4ad1f1e7400b4a474a42ab5fe081f867",
     },
 }
 
@@ -282,7 +282,7 @@ def test_bounds_sweep_rows(tmp_path, capsys):
     assert rows.shape == (3, 5)
     detail = json.loads((tmp_path / "bounds_detail.json").read_text())
     assert len(detail) == 3
-    assert len(detail[1]["ratios"]) == 30
+    assert len(detail[1]["grid"]) == 30 and "ratios" not in detail[1]
     assert detail[1]["peak_ratio"] == pytest.approx(rows[1][4], rel=1e-12)
     by_ups = {row[0]: row for row in rows}
     assert by_ups[2.0][4] == pytest.approx(1.2876, abs=5e-3)
@@ -422,7 +422,7 @@ def test_configured_alpha_is_the_level_of_bounds_and_certify(tmp_path):
         tmp_path / "bounds_sweep.csv", delimiter=",", skiprows=1
     )
     assert alpha == 0.0008  # the initial Lyapunov value is 0.00079999999999999917
-    assert ratio == 1.2876121573981711
+    assert ratio == 1.2876121586927654
     run = _config.resolve(_config.load_config(CONFIG))
     assert ratio == peak_bound(BoundQuery(
         alloc=run.alloc, params=run.bundle.params, upsilon=2.0, alpha=0.0008,
