@@ -29,7 +29,6 @@ from .dynamics import (
     write_csv,
 )
 from .edm import (
-    GeneralIPCProtocol,
     NotIPC,
     SmithProtocol,
     dissipation,

@@ -304,7 +304,7 @@ def _kernel_for(state: EpgState, mech: PayoffMechanism, proto, h: float = 0.0):
     if ``state`` has one share per strategy, and their ``K`` at step ``h``: the
     constants of the rate law, ``_ENDEMIC`` and ``_QDOT``, the strategies', the steps."""
     mech.rate(state.x)  # raises unless there is one share per strategy
-    law, rate = _edm._law(proto, "phi", len(state.x), columns=False)
+    law, rate = _edm._law(proto, "phi", columns=False)
     K = {**rate, **_endemic_constants(mech.params), **_qdot_constants(mech),
          **{f"beta_{k}": v for k, v in enumerate(mech.strategies.betas)},
          **{f"r_o_{k}": v for k, v in enumerate(mech.r_o)},

@@ -27,7 +27,9 @@ renders what it returns.  For an exact :class:`SmithProtocol` that is its
 spec, ``_SMITH_PHI`` and ``_SMITH_PHI_INTEGRAL``, in the operation order of
 its methods: conditional expressions in the kernel and ``np.where`` on
 columns, so no rate is a Python call.  Every other protocol, a subclass of
-:class:`SmithProtocol` included, is called through its methods, once per gap.
+:class:`SmithProtocol` included, is called through its methods, once per gap:
+any object with ``phi(j, gap)`` and ``phi_integral(j, gap)``, the latter the
+exact antiderivative of the former in ``gap``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -43,14 +44,11 @@ from .equilibrium import _compile_text, _sum_products
 
 __all__ = [
     "SmithProtocol",
-    "GeneralIPCProtocol",
     "NotIPC",
     "mean_field",
     "storage",
     "dissipation",
 ]
-
-QUADRATURE_PANELS = 256  # Simpson panels of GeneralIPCProtocol's storage
 
 
 class NotIPC(TypeError):
@@ -90,43 +88,6 @@ class SmithProtocol:
         return self.cap * gap - self.cap * self.cap / (2.0 * self.rate_gain)
 
 
-@dataclass(frozen=True)
-class GeneralIPCProtocol:
-    """Pairwise comparison with user-supplied rate maps ``phis[j]``.
-
-    Each map must satisfy ``phi(0) = 0``, ``phi(g) > 0`` for ``g > 0``, be
-    nondecreasing, and take values in ``[0, cap]``; only the first condition
-    is checked here.  Storage antiderivatives are computed by composite
-    Simpson quadrature on ``QUADRATURE_PANELS`` panels: deterministic.
-    """
-
-    phis: tuple[Callable[[float], float], ...]
-    cap: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phis", tuple(self.phis))
-        if not self.cap > 0:
-            raise ValueError(f"cap must be positive, got {self.cap!r}")
-        for j, phi in enumerate(self.phis):
-            if phi(0.0) != 0.0:
-                raise ValueError(f"phis[{j}](0) must be 0, got {phi(0.0)!r}")
-
-    def phi(self, j: int, gap: float) -> float:
-        if gap <= 0.0:
-            return 0.0
-        return self.phis[j](gap)
-
-    def phi_integral(self, j: int, gap: float) -> float:
-        if gap <= 0.0:
-            return 0.0
-        m = QUADRATURE_PANELS
-        xs = np.linspace(0.0, gap, 2 * m + 1)
-        ys = np.array([self.phis[j](x) for x in xs])
-        h = gap / (2 * m)
-        return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum()
-                                + 2.0 * ys[2:-1:2].sum()))
-
-
 # Smith's rate at gap {g} and its antiderivative, each a selection
 # (condition, value if true, value if false) on the constants ``rg`` and
 # ``cap``, with ``v = rg * g`` bound in the inner condition (the kernel
@@ -151,24 +112,19 @@ _KERNEL_SELECT = "({1} if {0} else {2})"
 _COLUMN_SELECT = "where({0}, {1}, {2})"
 
 
-def _law(proto, name: str, n: int, columns: bool) -> tuple[str, dict]:
-    """The rate method ``name`` (``phi`` or ``phi_integral``) of ``proto``
-    for ``n`` strategies as a law, text on the target ``{j}``, the gap
-    ``{g}`` and a temporary ``{v}`` written for the kernel or, with
-    ``columns``, for gap columns; and the constants it reads, by name.
+def _law(proto, name: str, columns: bool) -> tuple[str, dict]:
+    """The rate method ``name`` (``phi`` or ``phi_integral``) of ``proto`` as
+    a law, text on the target ``{j}``, the gap ``{g}`` and a temporary
+    ``{v}`` written for the kernel or, with ``columns``, for gap columns;
+    and the constants it reads, by name.
 
     An exact :class:`SmithProtocol` gives its spec on ``rg`` and ``cap``.
     Any other protocol, a subclass included (it may override the method),
     gives the call ``name({j}, {g})``, mapped over the gap column on
-    columns.  Raises :class:`NotIPC` unless ``proto`` has the method, and
-    ``ValueError`` unless a :class:`GeneralIPCProtocol` has one rate map per
-    strategy."""
+    columns.  Raises :class:`NotIPC` unless ``proto`` has the method."""
     if not hasattr(proto, name):
         raise NotIPC(f"{type(proto).__name__} has no {name}; only "
                      "pairwise-comparison protocols are supported")
-    if isinstance(proto, GeneralIPCProtocol) and len(proto.phis) != n:
-        raise ValueError(f"{type(proto).__name__} has {len(proto.phis)} rate maps "
-                         f"for {n} strategies")
     if type(proto) is SmithProtocol:
         spec = _SMITH_PHI if name == "phi" else _SMITH_PHI_INTEGRAL
         law = _render(spec, _COLUMN_SELECT if columns else _KERNEL_SELECT)
@@ -261,7 +217,7 @@ def _run(proto, name: str, text, out: str, X: np.ndarray, P: np.ndarray) -> tupl
     """The columns ``out_k`` of ``text`` run on the columns of the stacks
     ``X`` and ``P``, with ``proto``'s method ``name`` as :func:`_law` writes
     it for columns."""
-    law, constants = _law(proto, name, P.shape[1], columns=True)
+    law, constants = _law(proto, name, columns=True)
     with np.errstate(over="ignore"):  # in the branch of a selection not taken
         f = _compiled(text, out, P.shape[1], law, tuple(constants))
         return f(*X.T, *P.T, *constants.values())

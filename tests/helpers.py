@@ -6,11 +6,14 @@ equations, allocations from a brute-force simplex scan, and peak ratios
 from a dense feasibility grid, from a scalar bisection run one rate at a
 time, or from a bisection of the level in 50-digit decimal arithmetic;
 the endemic pair also from the balance equations in that arithmetic.
+``PerStrategyLaws`` is a pairwise-comparison protocol other than Smith's,
+which the library runs through its methods.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -111,6 +114,36 @@ def switch_rates(proto, x, p):
             if i != j:
                 T[i, j] = proto.phi(j, p[j] - p[i])
     return T
+
+
+@dataclass(frozen=True)
+class PerStrategyLaws:
+    """Pairwise comparison with a rate law per target strategy ``j``, each
+    with a closed-form antiderivative: the capped-linear ``min(gains[j] *
+    gap, cap)``, whose antiderivative is written as ``SmithProtocol``'s, or,
+    where ``gains[j]`` is None, the smooth ``0.1 * gap * gap / (1 + gap)``,
+    whose antiderivative is ``0.1 * (gap * gap / 2 - gap + log1p(gap))``.
+    Both rates are 0.0 at gaps <= 0."""
+
+    gains: tuple
+    cap: float = 0.1
+
+    def phi(self, j, gap):
+        if gap <= 0.0:
+            return 0.0
+        if self.gains[j] is None:
+            return 0.1 * gap * gap / (1.0 + gap)
+        return min(self.gains[j] * gap, self.cap)
+
+    def phi_integral(self, j, gap):
+        if gap <= 0.0:
+            return 0.0
+        gain = self.gains[j]
+        if gain is None:
+            return 0.1 * (gap * gap / 2.0 - gap + math.log1p(gap))
+        if gap <= self.cap / gain:
+            return 0.5 * gain * gap * gap
+        return self.cap * gap - self.cap * self.cap / (2.0 * gain)
 
 
 def best_response(p, tol=BEST_RESPONSE_TOL):

@@ -9,7 +9,6 @@ import pytest
 
 from epgtool import (
     EpgState,
-    GeneralIPCProtocol,
     IntegratorOptions,
     PolicyConfig,
     RunStats,
@@ -17,7 +16,6 @@ from epgtool import (
     StepRejected,
     StrategySpec,
     build_mechanism,
-    dissipation,
     endemic_state,
     lyapunov_series,
     lyapunov_value,
@@ -33,7 +31,7 @@ from epgtool.dynamics import _kernel_for, step_count
 from epgtool.equilibrium import _endemic_constants
 from epgtool.payoff import _qdot_constants
 from conftest import make_scenario
-from helpers import kernel_sum
+from helpers import PerStrategyLaws, kernel_sum
 
 
 def test_derivative_vanishes_at_target_equilibrium(example1):
@@ -192,22 +190,28 @@ def test_three_strategy_run_invariance_and_certification(three_strategy):
 
 
 def test_custom_protocol_reproduces_builtin_states(example1):
-    """A user-supplied rate map identical to the capped-linear one drives
-    the state through bit-identical steps."""
-    from epgtool import GeneralIPCProtocol
-
-    plug = GeneralIPCProtocol(
-        phis=(lambda g: min(0.1 * g, 0.1), lambda g: min(0.1 * g, 0.1)),
-        cap=0.1,
-    )
+    """A protocol of the caller's own whose methods write the capped-linear
+    law drives the state through bit-identical steps, with a bit-identical
+    storage series."""
+    plug = PerStrategyLaws(gains=(0.1, 0.1), cap=0.1)
     opts = IntegratorOptions(step=0.01, output_stride=20)
     builtin = simulate(example1.initial, 40.0, example1.mech, example1.proto, opts)
     custom = simulate(example1.initial, 40.0, example1.mech, plug, opts)
     assert np.array_equal(builtin.I, custom.I)
     assert np.array_equal(builtin.x, custom.x)
     assert np.array_equal(builtin.q, custom.q)
-    # storage series differs only by quadrature error in the antiderivative
-    assert np.max(np.abs(builtin.lyapunov - custom.lyapunov)) < 1e-8
+    assert np.array_equal(builtin.lyapunov, custom.lyapunov)
+
+
+@pytest.mark.parametrize("q", [25.0025, 625.0])
+def test_a_method_law_has_smiths_lyapunov_value_past_the_knee(example1, q):
+    """Gaps just past the knee and far past it, on the antiderivative's
+    linear branch: the capped-linear law called through its methods gives
+    Smith's value bit for bit."""
+    state = EpgState(I=0.05, R=0.3, x=(0.5, 0.5), q=q)
+    plug = PerStrategyLaws(gains=(0.1, 0.1), cap=0.1)
+    assert lyapunov_value(state, example1.mech, plug) == lyapunov_value(
+        state, example1.mech, example1.proto)
 
 
 class _DoubledSmith(SmithProtocol):
@@ -235,31 +239,6 @@ def test_a_smith_subclass_gets_its_own_rates(example1, three_strategy):
             assert np.array_equal(field, 2.0 * mean_field(smith, state.x, p))
             assert np.array_equal(state_derivative(state, mech, doubled)[2:2 + n], field)
             assert storage(doubled, state.x, p) == 2.0 * storage(smith, state.x, p)
-
-
-@pytest.mark.parametrize("maps", [2, 4])
-def test_a_rate_map_per_strategy_is_required(three_strategy, maps):
-    """A protocol with more or fewer rate maps than strategies is rejected,
-    with both counts, before any step and before any rate is evaluated."""
-    calls = []
-
-    def capped(g):
-        calls.append(g)
-        return min(0.1 * g, 0.1)
-
-    proto = GeneralIPCProtocol(phis=(capped,) * maps, cap=0.1)
-    calls.clear()
-    s = three_strategy
-    x, p = s.initial.x, s.mech.payoffs(0.7)
-    stack = np.array([x, x]), np.array([p, p])
-    for run in (lambda: simulate(s.initial, 1.0, s.mech, proto),
-                lambda: state_derivative(s.initial, s.mech, proto),
-                lambda: mean_field(proto, x, p), lambda: mean_field(proto, *stack),
-                lambda: storage(proto, x, p), lambda: storage(proto, *stack),
-                lambda: dissipation(proto, x, p), lambda: dissipation(proto, *stack)):
-        with pytest.raises(ValueError, match=f"has {maps} rate maps for 3 strategies"):
-            run()
-    assert calls == []
 
 
 def test_smith_runs_make_no_rate_call(three_strategy, monkeypatch):
@@ -548,13 +527,17 @@ def test_every_rejection_path_reports_its_step_time(example1, name, t, detail):
         assert err.value.__cause__ is None
 
 
+class _NaNPastSmallGap(PerStrategyLaws):
+    """The capped-linear law, NaN at gaps past 1e-3."""
+
+    def phi(self, j, gap):
+        return math.nan if gap > 1e-3 else super().phi(j, gap)
+
+
 def test_nan_state_is_rejected(example1):
     # the gap first exceeds 1e-3 in step 32, whose state is then NaN in x, I
     # and q; a NaN fails every projection check, x[0]'s first
-    def nan_past_small_gap(gap):
-        return math.nan if gap > 1e-3 else 0.1 * gap
-
-    proto = GeneralIPCProtocol(phis=(nan_past_small_gap,) * 2, cap=0.1)
+    proto = _NaNPastSmallGap(gains=(0.1, 0.1), cap=0.1)
     with pytest.raises(StepRejected) as err:
         simulate(example1.initial, 5.0, example1.mech, proto,
                  IntegratorOptions(step=0.01, output_stride=1))
@@ -669,8 +652,7 @@ def test_whole_float_stride_samples_as_its_integer(example1):
 def test_constant_table_names_are_what_k_unpacks(scenario, smith, request):
     s = request.getfixturevalue(scenario)
     n = len(s.strategies.betas)
-    proto = s.proto if smith else GeneralIPCProtocol(
-        phis=[lambda g: min(0.1 * g, 0.1)] * n, cap=0.1)
+    proto = s.proto if smith else PerStrategyLaws(gains=(0.1,) * n, cap=0.1)
     names = [*(["rg", "cap"] if smith else ["phi"]), *_endemic_constants(s.params),
              *_qdot_constants(s.mech), *(f"{v}_{k}" for v in ("beta", "r_o", "rstar")
                                           for k in range(n)), "h", "half_h", "sixth"]

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epgtool import (
-    GeneralIPCProtocol,
     NotIPC,
     SmithProtocol,
     dissipation,
@@ -19,7 +18,13 @@ from epgtool import (
 )
 from epgtool import edm
 from epgtool.equilibrium import _compile_text
-from helpers import best_response, kernel_sum, random_simplex, switch_rates
+from helpers import (
+    PerStrategyLaws,
+    best_response,
+    kernel_sum,
+    random_simplex,
+    switch_rates,
+)
 
 SMITH = SmithProtocol(rate_gain=0.1, cap=0.1)
 
@@ -171,37 +176,13 @@ def test_storage_vanishes_exactly_with_the_field(p, seed):
         assert S > 0.0
 
 
-def test_general_protocol_quadrature_matches_smith_closed_form():
-    general = GeneralIPCProtocol(
-        phis=(lambda g: min(0.1 * g, 0.1), lambda g: min(0.1 * g, 0.1)),
-        cap=0.1,
-    )
-    for x, p in [
-        ((1.0, 0.0), (0.0, 2.0)),
-        ((0.3, 0.7), (0.5, -0.2)),
-        ((0.5, 0.5), (0.0, 0.6)),
-    ]:
-        assert storage(general, x, p) == pytest.approx(
-            storage(SMITH, x, p), rel=1e-8
-        )
-        assert dissipation(general, x, p) == pytest.approx(
-            dissipation(SMITH, x, p), rel=1e-8
-        )
-
-
 @pytest.mark.parametrize("make", [
     lambda: SmithProtocol(rate_gain=0.0, cap=0.1),
     lambda: SmithProtocol(rate_gain=0.1, cap=-0.1),
-    lambda: GeneralIPCProtocol(phis=(lambda g: g, lambda g: g), cap=0.0),
 ])
 def test_protocols_reject_a_nonpositive_gain_or_cap(make):
     with pytest.raises(ValueError, match="must be positive"):
         make()
-
-
-def test_general_protocol_rejects_nonzero_at_origin():
-    with pytest.raises(ValueError):
-        GeneralIPCProtocol(phis=(lambda g: 0.1, lambda g: 0.0), cap=0.1)
 
 
 def test_non_ipc_protocol_raises():
@@ -245,33 +226,56 @@ def test_dissipation_grows_with_payoff_scaling():
             assert dissipation(SMITH, x, scale * p) >= base - 1e-12
 
 
-def test_storage_payoff_gradient_equals_mean_field():
+def _smooth(n):
+    """The smooth law of :class:`PerStrategyLaws` for every strategy."""
+    return PerStrategyLaws(gains=(None,) * n)
+
+
+def _payoff_gradient_is_mean_field(law):
     """Directional payoff derivative of the storage matches u . field."""
     rng = np.random.default_rng(7)
     h = 1e-6
     for _ in range(200):
         n = int(rng.integers(2, 5))
+        proto = law(n)
         x = random_simplex(rng, n)
         p = rng.uniform(-2, 2, size=n)
         u = rng.uniform(-1, 1, size=n)
-        fd = (storage(SMITH, x, p + h * u) - storage(SMITH, x, p - h * u)) / (2 * h)
-        v = mean_field(SMITH, x, p)
+        fd = (storage(proto, x, p + h * u) - storage(proto, x, p - h * u)) / (2 * h)
+        v = mean_field(proto, x, p)
         assert abs(fd - float(u @ v)) <= 1e-6
 
 
-def test_storage_state_gradient_gives_dissipation():
+def _state_gradient_is_dissipation(law):
     """Moving the state along the field drains the storage at the
     dissipation rate."""
     rng = np.random.default_rng(11)
     h = 1e-6
     for _ in range(200):
         n = int(rng.integers(2, 5))
+        proto = law(n)
         x = random_simplex(rng, n)
         p = rng.uniform(-2, 2, size=n)
-        v = mean_field(SMITH, x, p)
-        fd = (storage(SMITH, x + h * v, p) - storage(SMITH, x - h * v, p)) / (2 * h)
-        P = dissipation(SMITH, x, p)
+        v = mean_field(proto, x, p)
+        fd = (storage(proto, x + h * v, p) - storage(proto, x - h * v, p)) / (2 * h)
+        P = dissipation(proto, x, p)
         assert abs(fd + P) <= 1e-6 * max(1.0, P)
+
+
+def test_storage_payoff_gradient_equals_mean_field():
+    _payoff_gradient_is_mean_field(lambda n: SMITH)
+
+
+def test_storage_payoff_gradient_equals_mean_field_on_a_smooth_law():
+    _payoff_gradient_is_mean_field(_smooth)
+
+
+def test_storage_state_gradient_gives_dissipation():
+    _state_gradient_is_dissipation(lambda n: SMITH)
+
+
+def test_storage_state_gradient_gives_dissipation_on_a_smooth_law():
+    _state_gradient_is_dissipation(_smooth)
 
 
 def _stacked_samples(n, m, seed):
@@ -285,10 +289,13 @@ def _stacked_samples(n, m, seed):
     return x, p
 
 
-GENERAL = GeneralIPCProtocol(
-    phis=(lambda g: min(0.3 * g, 0.2), lambda g: 0.1 * g * g / (1.0 + g)),
-    cap=0.2,
-)
+GENERAL = PerStrategyLaws(gains=(0.3, None), cap=0.2)
+
+
+def _general(n):
+    return PerStrategyLaws(gains=tuple(GENERAL.gains[k % 2] for k in range(n)), cap=0.2)
+
+
 STEEP = SmithProtocol(rate_gain=3.0, cap=0.7)
 
 
@@ -300,9 +307,10 @@ CALLED = _CalledSmith(rate_gain=3.0, cap=0.7)
 
 
 @pytest.mark.parametrize("proto, n", [(SMITH, 2), (SMITH, 3), (GENERAL, 2), (SMITH, 5),
-                                      (STEEP, 3), (STEEP, 5), (CALLED, 3), (CALLED, 5)])
+                                      (STEEP, 3), (STEEP, 5), (CALLED, 3), (CALLED, 5),
+                                      (_general(3), 3), (_general(5), 5)])
 def test_stacked_storage_equals_per_sample_bit_for_bit(proto, n):
-    x, p = _stacked_samples(n, 120 if proto is GENERAL else 500, seed=n)
+    x, p = _stacked_samples(n, 500, seed=n)
     stacked = storage(proto, x, p)
     assert stacked.shape == (len(x),)
     per_sample = np.array([storage(proto, x[k], p[k]) for k in range(len(x))])
@@ -345,8 +353,7 @@ def test_dissipation_is_the_written_out_sum_bit_for_bit(proto, n):
     from the scalar methods, to the bit."""
     if proto == "general":
         proto = _general(n)
-    x, p = _stacked_samples(n, 40 if isinstance(proto, GeneralIPCProtocol) else 300,
-                            seed=50 + n)
+    x, p = _stacked_samples(n, 300, seed=50 + n)
     expected = [_written_out_dissipation(proto, x[k].tolist(), p[k].tolist())
                 for k in range(len(x))]
     assert np.array_equal(_bits(dissipation(proto, x, p)), _bits(expected))
@@ -435,7 +442,7 @@ def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
     # the flow of one pair: share 1.0 at payoff 0.0, so f_ij is the rate at gap p_1
     kernel_flow, column_flow = (
         _compile_text(f"pair_flow_{form}", "x_0, x_1, p_0, p_1, rg, cap",
-                      edm._flow_text(2, edm._law(proto, "phi", 2, columns)[0]), "f_ij",
+                      edm._flow_text(2, edm._law(proto, "phi", columns)[0]), "f_ij",
                       {"where": np.where})
         for form, columns in (("kernel", False), ("columns", True)))
     inlined = [kernel_flow(1.0, 0.0, 0.0, g, *constants) for g in gaps]
@@ -450,10 +457,6 @@ def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
         assert np.array_equal(_bits(column), _bits([proto.phi_integral(0, g) for g in gaps]))
 
 
-def _general(n):
-    return GeneralIPCProtocol(phis=tuple(GENERAL.phis[k % 2] for k in range(n)), cap=0.2)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("proto", [SMITH, SmithProtocol(rate_gain=3.0, cap=0.7), _general],
                          ids=["smith", "smith_steep", "general"])
@@ -463,8 +466,7 @@ def test_mean_field_sums_the_pair_flows_left_to_right_bit_for_bit(proto, n):
     each of its samples alone."""
     if proto is _general:
         proto = _general(n)
-    x, p = _stacked_samples(n, 60 if isinstance(proto, GeneralIPCProtocol) else 400,
-                            seed=30 + n)
+    x, p = _stacked_samples(n, 400, seed=30 + n)
     stacked = mean_field(proto, x, p)
     oracle = np.empty_like(x)
     for k in range(len(x)):

@@ -32,7 +32,7 @@ from epgtool import (
     state_derivative,
     write_csv,
 )
-from epgtool.edm import GeneralIPCProtocol
+from helpers import PerStrategyLaws
 
 
 def _csv_sha256(traj, tmp_path) -> str:
@@ -41,19 +41,13 @@ def _csv_sha256(traj, tmp_path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _capped(gain: float, cap: float = 0.1):
-    return lambda gap: min(gain * gap, cap)
-
-
 def _knee_scenario(three_strategy):
     """n=3 at upsilon=6 with per-strategy capped-linear rates whose knees
     (gaps 0.05, 0.025 and 0.01) are all crossed within the first 40 days."""
     policy = PolicyConfig(cstar=0.3, upsilon=6.0)
     alloc = optimal_allocation(three_strategy.strategies, policy, three_strategy.params)
     mech = build_mechanism(alloc, three_strategy.strategies, policy, three_strategy.params)
-    proto = GeneralIPCProtocol(
-        phis=(_capped(2.0), _capped(4.0), _capped(10.0)), cap=0.1
-    )
+    proto = PerStrategyLaws(gains=(2.0, 4.0, 10.0))
     return mech, proto
 
 
@@ -75,7 +69,7 @@ def test_three_strategy_knee_crossing_csv_fingerprint(three_strategy, tmp_path):
         gap_to_j = (traj.p[:, j][:, None] - traj.p).max(axis=1)
         assert gap_to_j.max() > knee
     assert _csv_sha256(traj, tmp_path) == (
-        "229aaa36de2f1fb1af1a41926a9a6145be939bc616af2e19511e75890bbd954f"
+        "6aeb76fcc3698d1b07257f365102dd47aac40ce755e1a2b8d898dd611edbe939"
     )
 
 

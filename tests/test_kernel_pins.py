@@ -5,8 +5,9 @@ feedback law for q (``payoff._QDOT``) and the pairwise flow
 (``edm._flow_text``).
 These tests pin each part of ``state_derivative`` to the library function
 that computes the same quantity, exactly where the float operations are the
-same, over random states for n = 2 and n = 3 under both protocol classes
-and a duck-typed protocol whose rates are nonzero at gaps <= 0.
+same, over random states for n = 2 and n = 3 under Smith's law, a
+capped-linear law per strategy called through its methods, and a
+duck-typed protocol whose rates are nonzero at gaps <= 0.
 """
 
 from __future__ import annotations
@@ -15,18 +16,13 @@ import numpy as np
 
 from epgtool import (
     EpgState,
-    GeneralIPCProtocol,
     endemic_state,
     mean_field,
     state_derivative,
 )
-from helpers import kernel_sum, random_simplex
+from helpers import PerStrategyLaws, kernel_sum, random_simplex
 
 STATES = 1000
-
-
-def _capped(gain: float, cap: float = 0.1):
-    return lambda gap: min(gain * gap, cap)
 
 
 class _Leaky:
@@ -39,9 +35,7 @@ class _Leaky:
 def _scenarios(example1, three_strategy):
     for scenario in (example1, three_strategy):
         n = scenario.strategies.n
-        general = GeneralIPCProtocol(
-            phis=tuple(_capped(2.0 * (k + 1)) for k in range(n)), cap=0.1
-        )
+        general = PerStrategyLaws(gains=tuple(2.0 * (k + 1) for k in range(n)))
         for proto in (scenario.proto, general, _Leaky()):
             yield scenario.mech, proto
 

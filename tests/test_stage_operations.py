@@ -21,11 +21,11 @@ import math
 import numpy as np
 import pytest
 
-from epgtool import GeneralIPCProtocol, ModelParams, SmithProtocol, endemic_state, mean_field
+from epgtool import ModelParams, SmithProtocol, endemic_state, mean_field
 from epgtool import edm
 from epgtool.dynamics import _field_template
 from epgtool.equilibrium import _endemic_constants
-from helpers import random_bundle
+from helpers import PerStrategyLaws, random_bundle
 
 # the fields of EquilibriumPoint that the determinant does not enter, and
 # the slopes, which it divides
@@ -148,9 +148,7 @@ def test_mean_field_has_the_bits_of_the_written_out_sums(n, law):
     with shares of -0.0; Smith's law inlined and the callback form."""
     smith = SmithProtocol(rate_gain=3.0, cap=0.7) if law == "smith_steep" else SmithProtocol()
     knee = smith.cap / smith.rate_gain
-    proto = smith if law != "callback" else GeneralIPCProtocol(
-        phis=(lambda g: min(0.1 * g, 0.1), lambda g: min(0.3 * g, 0.1),
-              lambda g: min(2.0 * g, 0.1))[:n], cap=0.1)
+    proto = smith if law != "callback" else PerStrategyLaws(gains=(0.1, 0.3, 2.0)[:n])
     gaps = _edge_gaps(smith) + [0.5 * knee]
     payoffs = [(0.0, *rest) for rest in itertools.product(gaps, repeat=n - 1)]
     payoffs += [(g, 0.0, *([knee] * (n - 2))) for g in gaps]
@@ -174,5 +172,5 @@ def _operations(text: str) -> tuple[int, int]:
 def test_a_smith_stage_does_each_float_operation_once(n, binary):
     """The binary and unary operations of one stage of the Smith kernel;
     a repeated difference or a sign flip that comes back raises the count."""
-    law, _ = edm._law(SmithProtocol(), "phi", n, columns=False)
+    law, _ = edm._law(SmithProtocol(), "phi", columns=False)
     assert _operations(_field_template(n, law)) == (binary, 0)
