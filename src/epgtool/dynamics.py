@@ -344,9 +344,10 @@ class RunStats:
 class Trajectory:
     """Recorded samples of a closed-loop run plus derived series.
 
-    Derived per sample: average transmission rate ``B``, payoffs ``p`` and
-    rewards ``r``, instantaneous cost ``r . x``, its running time average,
+    Derived per sample: average transmission rate ``B``, payoffs ``p``,
     the epidemic storage, the protocol storage, and their sum ``lyapunov``.
+    The kernel records the instantaneous cost ``(q*betas + rstar) . x``
+    and its running time average.
     ``observed_peak`` is the maximum infectious fraction at full step
     resolution (not just at samples), and ``stats`` what the integration
     loop saw.
@@ -359,7 +360,6 @@ class Trajectory:
     q: np.ndarray
     B: np.ndarray
     p: np.ndarray
-    r: np.ndarray
     cost: np.ndarray
     avg_cost: np.ndarray
     epi_storage: np.ndarray
@@ -434,11 +434,10 @@ def simulate(
     x_s = Y[:, 3:3 + n]
     B_s = _sum_products(zip(betas, x_s.T))
     p_s = mech.payoffs(q_s)
-    r_s = mech.rewards(q_s)
     epi = _bounds.epidemic_storage(I_s, R_s, B_s, mech.alloc, mech.params, mech.upsilon)
     proto_s = _edm.storage(proto, x_s, p_s)
     return Trajectory(
-        times=times, I=I_s, R=R_s, x=x_s, q=q_s, B=B_s, p=p_s, r=r_s,
+        times=times, I=I_s, R=R_s, x=x_s, q=q_s, B=B_s, p=p_s,
         cost=cost, avg_cost=avg_cost,
         epi_storage=np.asarray(epi), proto_storage=proto_s,
         lyapunov=np.asarray(epi) + proto_s,

@@ -121,10 +121,11 @@ def _law(proto, name: str, columns: bool) -> tuple[str, dict]:
     An exact :class:`SmithProtocol` gives its spec on ``rg`` and ``cap``.
     Any other protocol, a subclass included (it may override the method),
     gives the call ``name({j}, {g})``, mapped over the gap column on
-    columns.  Raises :class:`NotIPC` unless ``proto`` has the method."""
-    if not hasattr(proto, name):
-        raise NotIPC(f"{type(proto).__name__} has no {name}; only "
-                     "pairwise-comparison protocols are supported")
+    columns.  Raises :class:`NotIPC` unless ``proto`` has both methods."""
+    for method in ("phi", "phi_integral"):
+        if not hasattr(proto, method):
+            raise NotIPC(f"{type(proto).__name__} has no {method}; only "
+                         "pairwise-comparison protocols are supported")
     if type(proto) is SmithProtocol:
         spec = _SMITH_PHI if name == "phi" else _SMITH_PHI_INTEGRAL
         law = _render(spec, _COLUMN_SELECT if columns else _KERNEL_SELECT)

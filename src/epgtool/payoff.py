@@ -2,7 +2,7 @@
 
 The planner pays reward ``r = q*betas + rstar``; net of intrinsic costs the
 payoff vector is ``p = q*betas + r_o`` with ``r_o = rstar - costs``.  The
-scalar mechanism state ``q`` evolves as ``qdot(I, R, x, q)``, chosen as the
+scalar mechanism state ``q`` evolves as ``qdot(I, R, x)``, chosen as the
 negative sensitivity of the epidemic storage (see :mod:`epgtool.bounds`)
 with respect to the average transmission rate, which makes the combined
 storage a Lyapunov function of the closed loop.
@@ -71,17 +71,9 @@ class PayoffMechanism:
         """Net payoffs ``q*betas + r_o``; shape ``(m, n)`` for ``m`` q's."""
         return np.multiply.outer(q, self.strategies.betas) + np.asarray(self.r_o)
 
-    def rewards(self, q) -> np.ndarray:
-        """Gross rewards ``q*betas + rstar``, stacked like :meth:`payoffs`."""
-        return np.multiply.outer(q, self.strategies.betas) + np.asarray(self.rstar)
-
-    def qdot_at_B(self, I: float, R: float, B: float, q: float = 0.0) -> float:
+    def qdot_at_B(self, I: float, R: float, B: float) -> float:
         """Feedback rate ``_QDOT`` for ``q`` at the average transmission
-        rate ``B``, which must lie in the strategy range.
-
-        The current design does not use ``q``; it stays in the signature
-        because the mechanism state is part of the closed-loop state.
-        """
+        rate ``B``, which must lie in the strategy range."""
         if not I > 0.0:
             raise EpidemicStateOutOfDomain(f"I={I!r} must be positive")
         if not (I <= 1.0 and 0.0 <= R <= 1.0):  # negated: a NaN fails it
@@ -90,11 +82,11 @@ class PayoffMechanism:
         return _qdot(I, R, eq.B, eq.I_hat, eq.R_hat, eq.a, eq.dI_dB, eq.dR_dB, eq.da_dB,
                      **_qdot_constants(self))
 
-    def qdot(self, I: float, R: float, x, q: float = 0.0) -> float:
+    def qdot(self, I: float, R: float, x) -> float:
         """Feedback rate for ``q`` at population state ``x``, whose rate
         ``B`` is summed as the kernel sums it; raises ``ValueError`` unless
         ``x`` has one share per strategy."""
-        return self.qdot_at_B(I, R, self.rate(x), q)
+        return self.qdot_at_B(I, R, self.rate(x))
 
     def rate(self, x) -> float:
         """Average transmission rate of the shares ``x``, summed as the

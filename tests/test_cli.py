@@ -676,6 +676,27 @@ def test_an_installed_copy_inside_another_work_tree_has_the_package_version(tmp_
     assert done.stdout.strip() == f"epgtool {epgtool.__version__}"
 
 
+@pytest.mark.parametrize("args, printed", [
+    (["--version"], f"epgtool {epgtool.__version__}"),
+    (["validate", str(CONFIG)], "configuration valid"),
+])
+def test_the_console_script_entry_point_runs(args, printed):
+    # pyproject's [project.scripts] entry, called as an installed script calls it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"epgtool": "epgtool.cli:entrypoint"}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", "from epgtool.cli import entrypoint; entrypoint()", *args],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(printed)
+
+
 def test_version_flag_prints_version(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--version"])

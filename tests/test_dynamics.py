@@ -10,6 +10,7 @@ import pytest
 from epgtool import (
     EpgState,
     IntegratorOptions,
+    NotIPC,
     PolicyConfig,
     RunStats,
     SmithProtocol,
@@ -114,8 +115,6 @@ def test_instantaneous_cost_decomposition(example1):
         np.asarray(example1.mech.rstar) * traj.x
     ).sum(axis=1)
     assert np.allclose(traj.cost, recomputed, atol=1e-12)
-    assert np.allclose(traj.r, traj.p + np.asarray(example1.strategies.costs),
-                       atol=1e-15)
 
 
 def test_peak_is_tracked_at_full_resolution(example1):
@@ -555,6 +554,26 @@ def test_start_with_the_wrong_number_of_shares_is_rejected(example1):
         simulate(start, 1.0, example1.mech, example1.proto)
     with pytest.raises(ValueError, match="3 shares for 2 strategies"):
         state_derivative(start, example1.mech, example1.proto)
+
+
+class _RateOnly:
+    """A rate with no antiderivative: not a pairwise-comparison protocol."""
+
+    def phi(self, j, gap):
+        return 0.1 * max(gap, 0.0)
+
+
+def test_a_protocol_without_phi_integral_is_rejected_before_the_kernel(example1, monkeypatch):
+    # the kernel renders only phi, so a check of that method alone let a
+    # 300-d run integrate to the end before the storage raised
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr("epgtool.dynamics._kernel", refuse)
+    for run in (lambda: simulate(example1.initial, 300.0, example1.mech, _RateOnly()),
+                lambda: state_derivative(example1.initial, example1.mech, _RateOnly())):
+        with pytest.raises(NotIPC, match="^_RateOnly has no phi_integral;"):
+            run()
 
 
 @pytest.mark.parametrize("x", [(1.0,), (0.5, 0.3, 0.2)])

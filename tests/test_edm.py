@@ -191,6 +191,8 @@ def test_non_ipc_protocol_raises():
             return 0.0
 
     with pytest.raises(NotIPC):
+        mean_field(Imitation(), (0.5, 0.5), (0.0, 1.0))
+    with pytest.raises(NotIPC):
         storage(Imitation(), (0.5, 0.5), (0.0, 1.0))
     with pytest.raises(NotIPC):
         dissipation(Imitation(), (0.5, 0.5), (0.0, 1.0))
@@ -415,6 +417,8 @@ def test_non_ipc_protocol_raises_for_stacked_input():
             return 0.0
 
     x, p = _stacked_samples(2, 5, seed=0)
+    with pytest.raises(NotIPC):
+        mean_field(Imitation(), x, p)
     with pytest.raises(NotIPC):
         storage(Imitation(), x, p)
     with pytest.raises(NotIPC):

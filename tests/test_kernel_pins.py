@@ -31,6 +31,9 @@ class _Leaky:
     def phi(self, j, gap):
         return 0.05 + 0.1 * max(gap, 0.0)
 
+    def phi_integral(self, j, gap):
+        return 0.05 * gap + 0.05 * max(gap, 0.0) ** 2
+
 
 def _scenarios(example1, three_strategy):
     for scenario in (example1, three_strategy):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from epgtool import (
+    EpgState,
     EpidemicStateOutOfDomain,
     IntegratorOptions,
     OutOfRange,
     endemic_state,
     epidemic_storage,
     simulate,
+    state_derivative,
 )
 from helpers import endemic_infection_floor
 
@@ -62,19 +64,19 @@ def test_payoff_linearity(example1):
 
 
 def test_feedback_vanishes_at_target_equilibrium(example1):
-    eq = example1.alloc.endemic
+    eq, xstar = example1.alloc.endemic, example1.alloc.xstar
+    assert example1.mech.qdot(eq.I_hat, eq.R_hat, xstar) == 0.0
+    # and the kernel's dq vanishes there whatever the mechanism state
     for q in (-3.0, 0.0, 5.0):
-        val = example1.mech.qdot(
-            eq.I_hat, eq.R_hat, example1.alloc.xstar, q
-        )
-        assert val == 0.0
+        state = EpgState(I=eq.I_hat, R=eq.R_hat, x=xstar, q=q)
+        assert state_derivative(state, example1.mech, example1.proto)[-1] == 0.0
 
 
 def test_feedback_terms_vanish_individually_at_target(example1):
     # at (I*, R*, beta*) the log ratio, rate deviation, and recovered
     # deviation are each exactly zero, so the value is an exact 0.0
     eq = example1.alloc.endemic
-    val = example1.mech.qdot_at_B(eq.I_hat, eq.R_hat, eq.B, 0.0)
+    val = example1.mech.qdot_at_B(eq.I_hat, eq.R_hat, eq.B)
     assert val == 0.0
 
 
@@ -97,7 +99,7 @@ def test_feedback_matches_negative_storage_slope(example1):
 def test_feedback_sign_at_baseline_start(example1):
     # endemic start on the safest strategy: the mechanism pushes q upward
     init = example1.initial
-    val = example1.mech.qdot(init.I, init.R, init.x, 0.0)
+    val = example1.mech.qdot(init.I, init.R, init.x)
     ups2 = example1.policy.upsilon ** 2
     expected = -ups2 * (0.15 - example1.alloc.betastar)
     assert val == pytest.approx(expected, rel=1e-12)
@@ -148,24 +150,23 @@ def test_log_equilibrium_share_is_uniformly_bounded(example1):
 
 
 def test_mechanism_state_does_not_enter_feedback(example1):
-    vals = {
-        example1.mech.qdot_at_B(0.05, 0.3, 0.16, q) for q in (-2.0, 0.0, 7.5)
-    }
-    assert len(vals) == 1
+    # the closed loop's dq depends on (I, R, B) only: bit-identical over q
+    mech, x = example1.mech, (0.75, 0.25)
+    dq = {state_derivative(EpgState(I=0.05, R=0.3, x=x, q=q), mech, example1.proto)[-1].hex()
+          for q in (-2.0, 0.0, 7.5)}
+    assert dq == {mech.qdot(0.05, 0.3, x).hex()}
 
 
-def test_payoffs_and_rewards_of_a_stack_equal_per_state(three_strategy):
+def test_payoffs_of_a_stack_equal_per_state(three_strategy):
     mech = three_strategy.mech
     q = np.linspace(-2.0, 3.0, 41)
-    for method in (mech.payoffs, mech.rewards):
-        stacked = method(q)
-        assert stacked.shape == (q.size, three_strategy.strategies.n)
-        assert np.array_equal(stacked, np.array([method(float(v)) for v in q]))
+    stacked = mech.payoffs(q)
+    assert stacked.shape == (q.size, three_strategy.strategies.n)
+    assert np.array_equal(stacked, np.array([mech.payoffs(float(v)) for v in q]))
 
 
-def test_trajectory_payoffs_and_rewards_come_from_the_mechanism(example1):
+def test_trajectory_payoffs_come_from_the_mechanism(example1):
     traj = simulate(example1.initial, 20.0, example1.mech, example1.proto,
                     IntegratorOptions(output_stride=100))
     mech, betas = example1.mech, np.asarray(example1.strategies.betas)
     assert np.array_equal(traj.p, np.outer(traj.q, betas) + np.asarray(mech.r_o))
-    assert np.array_equal(traj.r, np.outer(traj.q, betas) + np.asarray(mech.rstar))
