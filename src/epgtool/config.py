@@ -10,7 +10,8 @@ Schema (see README for units):
       "integrator": {"step", "horizon", "output_stride"},
       "initial":    {"x" or "B", "q"}                     # endemic at x or B
                   | {"I", "R", "x", "q"},                 # explicit: I or R given
-      "bounds":     {"grid_size", "alpha"}
+      "bounds":     {"grid_size", "alpha"}                # grid_size rates: the bound's
+                                                          # and equilibrium_sweep.csv's rows
     }
 
 A section that builds a library object takes its keys, defaults and
@@ -23,7 +24,6 @@ Overrides use ``section.key=value`` with JSON-parsed values, e.g.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -53,6 +53,10 @@ MAX_STEPS = 2_000_000
 MAX_SAMPLES = 200_001
 MAX_GRID_SIZE = 100_000
 MAX_GAINS = 100
+# Most strategies: the generated kernel's text grows as n**2.  At 32 its
+# compile takes 0.37 s and the process peaks at 103 MB; at 80, 2.0 s and 492 MB
+# (Python 3.11 on a shared 2-core Xeon VM).
+MAX_STRATEGIES = 32
 
 def _is_number(v) -> bool:
     """A finite JSON number: ints included, booleans, NaN and infinities not."""
@@ -165,9 +169,10 @@ def _schema_violations(data: dict) -> list[AssumptionViolated]:
 def _size_violations(data: dict) -> list[AssumptionViolated]:
     """Run sizes beyond ``MAX_STEPS``, ``MAX_SAMPLES`` or ``MAX_GRID_SIZE``,
     a grid of fewer than two rates, a horizon that is not a whole number of
-    steps, fewer than two strategies, ``strategies.costs`` with not one cost
-    per strategy, a start ``initial.x`` with not one share per strategy, and
-    an ``initial.B`` outside the strategies' rates.
+    steps, fewer than two strategies or more than ``MAX_STRATEGIES``,
+    ``strategies.costs`` with not one cost per strategy, a start
+    ``initial.x`` with not one share per strategy, and an ``initial.B``
+    outside the strategies' rates.
 
     Only entries that already have the right type are checked; computes
     the sizes without building anything.
@@ -184,9 +189,10 @@ def _size_violations(data: dict) -> list[AssumptionViolated]:
         ))
     betas, costs = entry("strategies", "betas"), entry("strategies", "costs")
     x, B = entry("initial", "x"), entry("initial", "B")
-    if _NUMBERS[1](betas) and len(betas) < 2:
+    if _NUMBERS[1](betas) and not 2 <= len(betas) <= MAX_STRATEGIES:
         out.append(AssumptionViolated(
-            "strategies.betas", f"must name at least two strategies, got {len(betas)}"
+            "strategies.betas", f"must name from 2 to {MAX_STRATEGIES} strategies, "
+            f"got {len(betas)}"
         ))
     if _NUMBERS[1](betas) and _NUMBERS[1](costs) and len(costs) != len(betas):
         out.append(AssumptionViolated(
@@ -237,7 +243,7 @@ def load_config(path) -> dict:
 def _from_mapping(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError([AssumptionViolated("config", "must be a JSON object")])
-    data = copy.deepcopy(raw)
+    data = dict(raw)  # each section below is a new dict
     for section, keys in _SCHEMA.items():
         # a required section that is missing is reported by resolve
         given = data.get(section, None if _required(section) else {})
@@ -251,8 +257,9 @@ def _from_mapping(raw: dict) -> dict:
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
     """Apply ``section.key=value`` overrides; values are parsed as JSON.
     Every override without ``=`` or through a value that is not a section is
-    one violation, named by its text before ``=``."""
-    data = copy.deepcopy(config)
+    one violation, named by its text before ``=``.  Copies only the sections
+    on each override's path, so ``config`` is left as it was."""
+    data = dict(config)
     problems = []
     for item in overrides:
         dotted, eq, raw_value = item.partition("=")
@@ -262,15 +269,16 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         keys = dotted.strip().split(".")
         try:
             value = json.loads(raw_value)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # too deep to decode
             value = raw_value
         node = data
         for depth, key in enumerate(keys[:-1], start=1):
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
+            section = node.get(key, {})
+            if not isinstance(section, dict):
                 problems.append(AssumptionViolated(
                     dotted, f"{'.'.join(keys[:depth])} is not a section"))
                 break
+            node[key] = node = dict(section)
         else:
             node[keys[-1]] = value
     if problems:

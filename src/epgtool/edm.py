@@ -23,13 +23,14 @@ here and in every RK4 stage of :mod:`epgtool.dynamics`, and the storage's
 gradient is :func:`_gradient_text`.
 
 :func:`_law` alone chooses how a protocol's rate is written; every text
-renders what it returns.  For an exact :class:`SmithProtocol` that is its
-spec, ``_SMITH_PHI`` and ``_SMITH_PHI_INTEGRAL``, in the operation order of
-its methods: conditional expressions in the kernel and ``np.where`` on
-columns, so no rate is a Python call.  Every other protocol, a subclass of
-:class:`SmithProtocol` included, is called through its methods, once per gap:
-any object with ``phi(j, gap)`` and ``phi_integral(j, gap)``, the latter the
-exact antiderivative of the former in ``gap``.
+renders what it returns.  Smith's law is one spec, which the kernel, the
+columns and :class:`SmithProtocol`'s methods all run: conditional
+expressions in the kernel and in the methods, ``np.where`` on columns, so
+for an exact :class:`SmithProtocol` no rate is a Python call.  Every other
+protocol, a subclass of :class:`SmithProtocol` included, is called through
+its methods, once per gap: any object with ``phi(j, gap)`` and
+``phi_integral(j, gap)``, the latter the exact antiderivative of the former
+in ``gap``.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ class NotIPC(TypeError):
 class SmithProtocol:
     """Capped-linear pairwise comparison: ``phi(g) = min(rate_gain*g, cap)``.
 
-    The integrator and the storage layers run this law from its spec
-    (``_SMITH_PHI``, ``_SMITH_PHI_INTEGRAL``) for this class itself, bit for
-    bit as these methods; a subclass's methods are called instead.
+    The integrator, the storage layers and these methods run one spec of
+    this law; for a subclass, the layers call its methods instead.
     """
 
     rate_gain: float = 0.1
@@ -74,29 +74,20 @@ class SmithProtocol:
             raise ValueError(f"cap must be positive, got {self.cap!r}")
 
     def phi(self, j: int, gap: float) -> float:
-        if gap <= 0.0:
-            return 0.0
-        return min(self.rate_gain * gap, self.cap)
+        return _SMITH_METHODS["phi"](gap, self.rate_gain, self.cap)
 
     def phi_integral(self, j: int, gap: float) -> float:
         """Closed-form antiderivative of the capped-linear rate at ``gap``."""
-        if gap <= 0.0:
-            return 0.0
-        knee = self.cap / self.rate_gain
-        if gap <= knee:
-            return 0.5 * self.rate_gain * gap * gap
-        return self.cap * gap - self.cap * self.cap / (2.0 * self.rate_gain)
+        return _SMITH_METHODS["phi_integral"](gap, self.rate_gain, self.cap)
 
 
-# Smith's rate at gap {g} and its antiderivative, each a selection
-# (condition, value if true, value if false) on the constants ``rg`` and
-# ``cap``, with ``v = rg * g`` bound in the inner condition (the kernel
-# multiplies only past the zero branch) and the knee written as ``cap / rg``.
-# ``cap < v`` picks as ``min(v, cap)`` does, so a NaN gap gives NaN, as the
-# scalar methods do.
-_SMITH_PHI = ("{g} <= 0.0", "0.0", ("cap < ({v} := rg * {g})", "cap", "{v}"))
-_SMITH_PHI_INTEGRAL = ("{g} <= 0.0", "0.0", ("{g} <= cap / rg", "0.5 * rg * {g} * {g}",
-                                             "cap * {g} - cap * cap / (2.0 * rg)"))
+# Smith's rate at gap {g} and its antiderivative, by method name, each a
+# selection (condition, value if true, value if false) on the constants
+# ``rg`` and ``cap``, with ``v = rg * g`` bound in the inner condition (the
+# kernel multiplies only past the zero branch) and the knee written as ``cap / rg``.
+_SMITH = {"phi": ("{g} <= 0.0", "0.0", ("cap < ({v} := rg * {g})", "cap", "{v}")),
+          "phi_integral": ("{g} <= 0.0", "0.0", ("{g} <= cap / rg", "0.5 * rg * {g} * {g}",
+                                                  "cap * {g} - cap * cap / (2.0 * rg)"))}
 
 
 def _render(law, form: str) -> str:
@@ -110,6 +101,11 @@ def _render(law, form: str) -> str:
 
 _KERNEL_SELECT = "({1} if {0} else {2})"
 _COLUMN_SELECT = "where({0}, {1}, {2})"
+
+# each spec compiled as the kernel renders it, for one gap: SmithProtocol's methods
+_SMITH_METHODS = {name: _compile_text(f"smith_{name}", "gap, rg, cap", "",
+                                      _render(spec, _KERNEL_SELECT).format(g="gap", v="v"), {})
+                  for name, spec in _SMITH.items()}
 
 
 def _law(proto, name: str, columns: bool) -> tuple[str, dict]:
@@ -127,8 +123,7 @@ def _law(proto, name: str, columns: bool) -> tuple[str, dict]:
             raise NotIPC(f"{type(proto).__name__} has no {method}; only "
                          "pairwise-comparison protocols are supported")
     if type(proto) is SmithProtocol:
-        spec = _SMITH_PHI if name == "phi" else _SMITH_PHI_INTEGRAL
-        law = _render(spec, _COLUMN_SELECT if columns else _KERNEL_SELECT)
+        law = _render(_SMITH[name], _COLUMN_SELECT if columns else _KERNEL_SELECT)
         return law, {"rg": proto.rate_gain, "cap": proto.cap}
     rate = getattr(proto, name)
 

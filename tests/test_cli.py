@@ -19,6 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epgtool.cli
+import epgtool.dynamics
+import epgtool.edm
 from epgtool import config as _config
 from epgtool.bounds import BoundQuery, default_grid, peak_bound
 from epgtool.cli import main
@@ -757,6 +759,63 @@ def test_caps_admit_the_largest_runs_in_use(monkeypatch, capsys):
         assert main(args) == 0, capsys.readouterr().err
     one_step_more = f"integrator.horizon={horizon_at_cap + 0.01}"
     assert main(["validate", str(CONFIG), "--set", one_step_more]) == 2
+
+
+def _strategies(n: int) -> list[str]:
+    """Overrides for ``n`` strategies with rates from 0.15 to 0.19, convex
+    costs from 0.2 down to 0.0, and a start on the first."""
+    betas = [0.15 + 0.04 * k / (n - 1) for k in range(n)]
+    costs = [0.2 * (1.0 - k / (n - 1)) ** 2 for k in range(n)]
+    x = [1.0] + [0.0] * (n - 1)
+    args = []
+    for key, value in (("strategies.betas", betas), ("strategies.costs", costs),
+                       ("initial.x", x)):
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    return args
+
+
+@pytest.mark.parametrize("command", ["validate", "equilibrium", "simulate", "bounds",
+                                     "certify"])
+def test_too_many_strategies_are_rejected_before_anything_runs(
+    command, monkeypatch, tmp_path, capsys
+):
+    # the kernel's text grows as n**2: at n = 100 it compiled for seconds
+    _refuse_runs(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel or a column text was compiled")
+
+    monkeypatch.setattr(epgtool.dynamics, "_kernel", refuse)
+    monkeypatch.setattr(epgtool.edm, "_compiled", refuse)
+    args = [command, str(CONFIG), "--out", str(tmp_path), "--json-errors"]
+    code = main(args + _strategies(_config.MAX_STRATEGIES + 1))
+    assert code == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == [{"name": "strategies.betas", "detail":
+                           f"must name from 2 to {_config.MAX_STRATEGIES} strategies, "
+                           f"got {_config.MAX_STRATEGIES + 1}"}]
+    assert main(["validate", str(CONFIG)] + _strategies(_config.MAX_STRATEGIES)) == 0
+
+
+@pytest.mark.parametrize("route", ["file", "set"])
+def test_deeply_nested_values_exit_2_without_a_traceback(route, tmp_path, capsys):
+    # a value 500 deep raised RecursionError from the config's deep copies,
+    # and a --set value 1000 deep from its JSON decoding
+    text = CONFIG.read_text()
+    for depth in range(100, 5001, 100):
+        value = "[" * depth + "]" * depth
+        if route == "file":
+            path = tmp_path / f"deep{depth}.json"
+            path.write_text(text.replace('"cap": 0.1', f'"cap": {value}'))
+            args = ["validate", str(path)]
+        else:
+            args = ["validate", str(CONFIG), "--set", f"protocol.cap={value}"]
+        code = main(args + ["--json-errors"])
+        out, err = capsys.readouterr()
+        assert code == 2, depth
+        assert "Traceback" not in err
+        names = {v["name"] for v in json.loads(out)["violations"]}
+        assert names in ({"protocol.cap"}, {"config"}), depth
 
 
 _KEYS = [f"{section}.{key}" for section, keys in _config._SCHEMA.items()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import re
@@ -99,6 +100,26 @@ def test_overrides_parse_json_values():
     assert cfg["policy"]["upsilon"] == 6
     run = resolve(cfg)
     assert run.mech.upsilon == 6
+
+
+def test_overrides_and_resolve_leave_their_input_as_it_was():
+    # one loaded mapping may be resolved under several sets of overrides
+    config = load_config(CONFIG)
+    del config["bounds"]
+    before = copy.deepcopy(config)
+    overridden = apply_overrides(config, [
+        "policy.upsilon=6", "strategies.betas=[0.12,0.15,0.19]",
+        "strategies.costs=[0.3,0.12,0.0]", "initial.x=[1,0,0]", "bounds.grid_size=40",
+        'protocol={"cap": 0.2}', "protocol.rate_gain=0.3",
+    ])
+    assert config == before
+    after = copy.deepcopy(overridden)
+    run = resolve(overridden)
+    assert overridden == after
+    assert run.config["bounds"]["grid_size"] == 40
+    assert run.config["protocol"] == {"rate_gain": 0.3, "cap": 0.2}
+    resolve(config)
+    assert config == before
 
 
 def test_override_rejects_malformed_entry():

@@ -435,30 +435,37 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("proto", [SMITH, SmithProtocol(rate_gain=3.0, cap=0.7)])
-def test_rendered_smith_rates_equal_the_scalar_methods_bit_for_bit(proto):
+@pytest.mark.parametrize("rg, cap", [(0.1, 0.1), (3.0, 0.7), (1e308, 1e-308), (2.5, 1e300)])
+def test_every_form_of_smiths_law_equals_the_written_out_law_bit_for_bit(rg, cap):
     """The rate that the flow text inlines, as the kernel's conditional and
-    with ``where`` on columns, and the column form of the antiderivative
-    return the scalar methods' bits, -0.0 and NaN included."""
+    with ``where`` on columns, the column form of the antiderivative and
+    the scalar methods return the bits of the law written out by hand in
+    ``PerStrategyLaws``, -0.0 and NaN included."""
+    proto = SmithProtocol(rate_gain=rg, cap=cap)
+    law = PerStrategyLaws(gains=(rg, rg), cap=cap)
     gaps = _edge_gaps(proto)
-    constants = proto.rate_gain, proto.cap
-    scalar = _bits([proto.phi(0, g) for g in gaps])
+    rates = _bits([law.phi(1, g) for g in gaps])
+    integrals = _bits([law.phi_integral(1, g) for g in gaps])
+    assert np.array_equal(_bits([proto.phi(1, g) for g in gaps]), rates)
+    assert np.array_equal(_bits([proto.phi_integral(1, g) for g in gaps]), integrals)
     # the flow of one pair: share 1.0 at payoff 0.0, so f_ij is the rate at gap p_1
     kernel_flow, column_flow = (
         _compile_text(f"pair_flow_{form}", "x_0, x_1, p_0, p_1, rg, cap",
                       edm._flow_text(2, edm._law(proto, "phi", columns)[0]), "f_ij",
                       {"where": np.where})
         for form, columns in (("kernel", False), ("columns", True)))
-    inlined = [kernel_flow(1.0, 0.0, 0.0, g, *constants) for g in gaps]
-    assert np.array_equal(_bits(inlined), scalar)
+    assert np.array_equal(_bits([kernel_flow(1.0, 0.0, 0.0, g, rg, cap) for g in gaps]), rates)
     ones = np.ones(len(gaps))
-    with warnings.catch_warnings():
+    P = np.stack([0.0 * ones, np.array(gaps)], 1)
+    # past the knee, a cap whose square overflows gives inf - inf, NaN as in the law
+    with warnings.catch_warnings(), np.errstate(
+            invalid="ignore" if math.isinf(cap * cap) else "warn"):
         warnings.simplefilter("error")
-        column = column_flow(ones, 0.0 * ones, 0.0 * ones, np.array(gaps), *constants)
-        assert np.array_equal(_bits(column), scalar)
-        P = np.stack([0.0 * ones, np.array(gaps)], 1)
+        with np.errstate(over="ignore"):  # in the branch of a selection not taken
+            column = column_flow(ones, 0.0 * ones, 0.0 * ones, np.array(gaps), rg, cap)
+        assert np.array_equal(_bits(column), rates)
         column = edm._run(proto, "phi_integral", edm._gradient_text, "psi", P, P)[0]
-        assert np.array_equal(_bits(column), _bits([proto.phi_integral(0, g) for g in gaps]))
+        assert np.array_equal(_bits(column), integrals)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
