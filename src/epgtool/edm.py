@@ -214,7 +214,9 @@ def _run(proto, name: str, text, out: str, X: np.ndarray, P: np.ndarray) -> tupl
     ``X`` and ``P``, with ``proto``'s method ``name`` as :func:`_law` writes
     it for columns."""
     law, constants = _law(proto, name, columns=True)
-    with np.errstate(over="ignore"):  # in the branch of a selection not taken
+    # overflow and inf - inf arise in the branch of a selection not taken; a
+    # NaN in the branch taken still shows in the result
+    with np.errstate(over="ignore", invalid="ignore"):
         f = _compiled(text, out, P.shape[1], law, tuple(constants))
         return f(*X.T, *P.T, *constants.values())
 

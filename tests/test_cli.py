@@ -143,9 +143,10 @@ def test_simulate_manifest_holds_the_run_stats(tmp_path):
     stats = json.loads((tmp_path / "manifest.json").read_text())["run_stats"]
     assert set(stats) == {
         "steps", "renormalizations", "worst_renormalization",
-        "x_clips", "i_floors", "r_clips",
+        "x_clips", "i_floors", "r_clips", "kernel",
     }
     assert stats["steps"] == 5000
+    assert stats["kernel"] == "python"  # too short to pay for a compile
     assert 0 < stats["renormalizations"] <= 5000
     assert 0.0 < stats["worst_renormalization"] <= 1e-15
 
@@ -697,6 +698,21 @@ def test_the_console_script_entry_point_runs(args, printed):
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(printed)
+
+
+def test_a_cap_whose_square_overflows_prints_no_warning(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         "from epgtool.cli import entrypoint; entrypoint()", "simulate", str(CONFIG),
+         "--out", str(tmp_path), "--set", "protocol.rate_gain=2.5",
+         "--set", "protocol.cap=1e300"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_version_flag_prints_version(capsys):

@@ -628,7 +628,7 @@ def test_run_stats_count_the_projection_repairs(example1):
     # rounding leaves sum(x) off 1 after some steps; nothing is clipped
     assert traj.stats == RunStats(
         steps=3000, renormalizations=400, worst_renormalization=2.0 ** -52,
-        x_clips=0, i_floors=0, r_clips=0,
+        x_clips=0, i_floors=0, r_clips=0, kernel="python",
     )
     # x[0] and R start inside their tolerance bands below 0 and I below its
     # floor; each is repaired once, in the first step, and clipping x[0]
@@ -638,7 +638,7 @@ def test_run_stats_count_the_projection_repairs(example1):
     traj = simulate(start, 1.0, example1.mech, frozen)
     assert traj.stats == RunStats(
         steps=100, renormalizations=8, worst_renormalization=3.9999958900693855e-10,
-        x_clips=1, i_floors=1, r_clips=1,
+        x_clips=1, i_floors=1, r_clips=1, kernel="python",
     )
     assert traj.I[1] > 1e-12 and traj.R[1] > 0.0 and traj.x[1, 0] > 0.0
 

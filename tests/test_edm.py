@@ -457,15 +457,26 @@ def test_every_form_of_smiths_law_equals_the_written_out_law_bit_for_bit(rg, cap
     assert np.array_equal(_bits([kernel_flow(1.0, 0.0, 0.0, g, rg, cap) for g in gaps]), rates)
     ones = np.ones(len(gaps))
     P = np.stack([0.0 * ones, np.array(gaps)], 1)
-    # past the knee, a cap whose square overflows gives inf - inf, NaN as in the law
-    with warnings.catch_warnings(), np.errstate(
-            invalid="ignore" if math.isinf(cap * cap) else "warn"):
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):  # in the branch of a selection not taken
             column = column_flow(ones, 0.0 * ones, 0.0 * ones, np.array(gaps), rg, cap)
         assert np.array_equal(_bits(column), rates)
+        # past the knee, a cap whose square overflows gives inf - inf, NaN as in
+        # the law; edm._run silences it as it silences overflow
         column = edm._run(proto, "phi_integral", edm._gradient_text, "psi", P, P)[0]
         assert np.array_equal(_bits(column), integrals)
+
+
+def test_a_cap_whose_square_overflows_warns_of_nothing():
+    # the branch not taken, cap * g - cap * cap / (2 * rg), is inf - inf at
+    # g = 1e9 and used to warn "invalid value encountered in subtract"
+    proto = SmithProtocol(rate_gain=2.5, cap=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert storage(proto, [[0.5, 0.5]], [[0.0, 1e9]]).tolist() == [6.25e17]
+        # a NaN in the branch taken still shows
+        assert math.isnan(storage(proto, [0.5, 0.5], [0.0, math.nan]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

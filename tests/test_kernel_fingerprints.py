@@ -9,7 +9,8 @@ kernel's rounding rule (sums left to right, squares as products,
 ``math.log``), so they are the same bytes whatever BLAS or SIMD code the
 host's numpy runs.  The generated Smith sources themselves are pinned by
 their sha256, so a change that is meant to keep the kernel keeps every byte
-of its text.
+of its text.  Every test runs under both loops: the Python ``integrate``
+and its native build, which must give the same bits.
 """
 
 from __future__ import annotations
@@ -32,7 +33,21 @@ from epgtool import (
     state_derivative,
     write_csv,
 )
+from epgtool import dynamics
 from helpers import PerStrategyLaws
+
+
+@pytest.fixture(autouse=True, params=["python", "native"])
+def loop(request, monkeypatch):
+    """The Python loop, with the compiler lookup failing, or the native
+    loop from the first step on."""
+    if request.param == "python":
+        monkeypatch.setattr(dynamics, "_compiler", lambda: None)
+    elif dynamics._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    else:
+        monkeypatch.setattr(dynamics, "NATIVE_MIN_STEPS", 0)
+    return request.param
 
 
 def _csv_sha256(traj, tmp_path) -> str:
@@ -51,9 +66,10 @@ def _knee_scenario(three_strategy):
     return mech, proto
 
 
-def test_example1_csv_fingerprint(example1, tmp_path):
+def test_example1_csv_fingerprint(example1, tmp_path, loop):
     opts = IntegratorOptions(step=0.01, output_stride=1)
     traj = simulate(example1.initial, 30.0, example1.mech, example1.proto, opts)
+    assert traj.stats.kernel == loop
     assert _csv_sha256(traj, tmp_path) == (
         "abbcfb5df3ec1f4813a4b8e74274a62428b7e69d60089f0eb86e8769e4f71e70"
     )
@@ -64,6 +80,7 @@ def test_three_strategy_knee_crossing_csv_fingerprint(three_strategy, tmp_path):
     mech, proto = _knee_scenario(three_strategy)
     opts = IntegratorOptions(step=0.01, output_stride=1)
     traj = simulate(three_strategy.initial, 40.0, mech, proto, opts)
+    assert traj.stats.kernel == "python"  # a callback law has no native form
     # every rate map is used past its knee somewhere in the window
     for j, knee in enumerate((0.05, 0.025, 0.01)):
         gap_to_j = (traj.p[:, j][:, None] - traj.p).max(axis=1)
